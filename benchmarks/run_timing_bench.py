@@ -58,8 +58,43 @@ def _timed_loop(fn, seconds: float, warmup: int = 3) -> tuple[int, float]:
     return calls, cycles / max(time.perf_counter() - start, 1e-9)
 
 
+#: Alternating time slices per engine in :func:`bench_single_env`.
+SINGLE_ENV_SLICES = 10
+
+
+def _interleaved_rates(fns: dict, seconds: float) -> dict:
+    """Calls/sec and cycles/sec of each fn, timed in alternating short slices.
+
+    Shared hosts slow down for seconds at a time; alternating the engines
+    every ``seconds / SINGLE_ENV_SLICES`` exposes both to the same slowdowns,
+    so their ratio stays steady where two back-to-back windows would not.
+    """
+    slices = SINGLE_ENV_SLICES
+    for fn in fns.values():
+        for _ in range(3):
+            fn()
+    calls = dict.fromkeys(fns, 0)
+    cycles = dict.fromkeys(fns, 0)
+    elapsed = dict.fromkeys(fns, 0.0)
+    for _ in range(slices):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            while True:
+                cycles[name] += fn()
+                calls[name] += 1
+                if time.perf_counter() - start >= seconds / slices:
+                    break
+            elapsed[name] += time.perf_counter() - start
+    return {
+        name: (calls[name] / elapsed[name], cycles[name] / elapsed[name]) for name in fns
+    }
+
+
 def bench_single_env(simulator, compiled, inputs, seconds: float = 2.0) -> dict:
-    """Warm single-candidate measurement throughput, new engine vs seed engine."""
+    """Warm single-candidate measurement throughput, new engine vs seed engine.
+
+    Each engine gets ``seconds`` in total, interleaved with the other's.
+    """
     kernel = compiled.kernel
     service = create_measurement_service(
         simulator, compiled.grid, inputs, compiled.param_order
@@ -74,15 +109,9 @@ def bench_single_env(simulator, compiled, inputs, seconds: float = 2.0) -> dict:
         )
         return timing.timing.cycles
 
-    start = time.perf_counter()
-    new_calls, new_cycles_per_sec = _timed_loop(measure_new, seconds)
-    new_elapsed = time.perf_counter() - start
-    start = time.perf_counter()
-    seed_calls, seed_cycles_per_sec = _timed_loop(measure_seed, seconds)
-    seed_elapsed = time.perf_counter() - start
-
-    new_rate = new_calls / new_elapsed
-    seed_rate = seed_calls / seed_elapsed
+    rates = _interleaved_rates({"new": measure_new, "seed": measure_seed}, seconds)
+    new_rate, new_cycles_per_sec = rates["new"]
+    seed_rate, seed_cycles_per_sec = rates["seed"]
     return {
         "evals_per_sec": round(new_rate, 2),
         "cycles_simulated_per_sec": round(new_cycles_per_sec, 1),

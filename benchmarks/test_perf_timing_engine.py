@@ -1,10 +1,11 @@
 """Perf: candidate evaluations/sec of the timing engine (single env + greedy batch).
 
-Tracks the measurement hot path introduced by the decoded-program /
-event-driven-scheduler PR.  The speedup floor asserted here is deliberately
-below the ~3x measured on a quiet host (see ``BENCH_timing.json``, written by
-``benchmarks/run_timing_bench.py``) so shared CI runners do not flake, while
-still failing loudly if the fast path regresses toward the seed engine.
+Tracks the measurement hot path: the decoded program, the event-driven issue
+loop and the timing view that elides data-only instructions.  The speedup
+floor asserted here is deliberately below the ~5x measured on softmax (see
+``BENCH_timing.json``, written by ``benchmarks/run_timing_bench.py``) so
+shared CI runners do not flake, while still failing loudly if the fast path
+regresses toward the seed engine or loses the timing view (~3x without it).
 """
 
 import dataclasses
@@ -32,9 +33,10 @@ def test_single_env_measurement_throughput(benchmark, simulator):
         f"{result['cycles_simulated_per_sec']:.0f} cycles/s, "
         f"{result['speedup_vs_seed_engine']:.2f}x vs seed engine"
     )
-    # The decoded/event-driven engine must stay well clear of the seed engine
-    # (>= 3x on a quiet host; >= 2x floor tolerates noisy shared runners).
-    assert result["speedup_vs_seed_engine"] >= 2.0
+    # The decoded/event-driven engine with the timing view must stay well
+    # clear of the seed engine (~5x on softmax; the >= 3x floor tolerates
+    # noisy shared runners, and the engine without the timing view reads ~3x).
+    assert result["speedup_vs_seed_engine"] >= 3.0
 
     # Fast means nothing unless bit-identical: spot-check against the seed
     # engine on the same workload.

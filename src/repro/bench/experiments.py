@@ -367,14 +367,22 @@ def pool_sharding_throughput(
     return rows
 
 
+#: Shortest timed window of :func:`_steady_state_throughput`.
+STEADY_STATE_MIN_SECONDS = 0.5
+
+
 def _steady_state_throughput(
     backend: str, compiled, inputs: dict, max_workers: int, batch: int
 ) -> dict:
     """Evaluations/sec of one warm measurement service over a candidate batch.
 
-    The service is warmed with one submission before timing, so executor
-    startup (amortized over a whole search in real runs) stays out of the
-    steady-state number.
+    The service is warmed with one submission per worker before timing, so
+    executor startup, including each worker binding its own launch
+    (amortized over a whole search in real runs), stays out of the
+    steady-state number.  The batch is then timed repeatedly for at least
+    :data:`STEADY_STATE_MIN_SECONDS`: a single batch of fast candidates is
+    over in a fraction of a second, which a shared host's stalls can swing
+    by a fifth.
     """
     import time as _time
 
@@ -389,16 +397,20 @@ def _steady_state_throughput(
         max_workers=max_workers,
     )
     try:
-        warm = service.submit(compiled.kernel).result()
+        warm = service.measure_batch([compiled.kernel] * max_workers)[0]
+        timings = []
         started = _time.perf_counter()
-        timings = service.measure_batch([compiled.kernel] * batch)
-        elapsed = _time.perf_counter() - started
+        while True:
+            timings += service.measure_batch([compiled.kernel] * batch)
+            elapsed = _time.perf_counter() - started
+            if elapsed >= STEADY_STATE_MIN_SECONDS:
+                break
     finally:
         service.close()
     assert all(timing == warm for timing in timings)
     return {
         "time_ms": warm.time_ms,
-        "evals_per_sec": batch / elapsed if elapsed > 0 else float("inf"),
+        "evals_per_sec": len(timings) / elapsed,
     }
 
 

@@ -75,16 +75,31 @@ class SassKernel:
         return hash((self._lines, self.metadata))
 
     def __getstate__(self):
-        """Drop the pinned decoded program when pickling (process backends ship
-        candidate schedules to workers; the program re-decodes from the shared
-        cache on the other side).  The content digest is kept — it is small,
-        deterministic and saves the worker a re-hash."""
+        """Drop the pinned decoded program and the multiset cache when pickling
+        (process backends ship candidate schedules to workers; the program
+        re-decodes from the shared cache on the other side).  The content
+        digest is kept — it is small, deterministic and saves the worker a
+        re-hash."""
         state = dict(self.__dict__)
         state.pop("_decoded_program", None)
+        state.pop("_multiset_cache", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+
+    def multiset_cache(self) -> dict:
+        """A dict shared by this kernel and every kernel :meth:`swap` derives from it.
+
+        A swap only reorders instructions, so facts that depend on the
+        instruction multiset but not on its order (the simulator's timing
+        slice) hold for the whole family and are computed once.  Not pickled.
+        """
+        cache: dict | None = self.__dict__.get("_multiset_cache")
+        if cache is None:
+            cache = {}
+            self._multiset_cache = cache
+        return cache
 
     def content_digest(self) -> str:
         """Stable hex digest of the instruction sequence (the schedule identity).
@@ -173,7 +188,9 @@ class SassKernel:
         if not isinstance(lines[index_a], Instruction) or not isinstance(lines[index_b], Instruction):
             raise SassError("can only swap instruction lines, not labels")
         lines[index_a], lines[index_b] = lines[index_b], lines[index_a]
-        return SassKernel(lines, metadata=self.metadata)
+        swapped = SassKernel(lines, metadata=self.metadata)
+        swapped._multiset_cache = self.multiset_cache()
+        return swapped
 
     def replace_line(self, index: int, line: Instruction | Label) -> "SassKernel":
         lines = list(self._lines)

@@ -18,6 +18,7 @@ testing catches schedules that violate dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -169,6 +170,7 @@ class WarpExecutor:
         label_positions: dict[str, int],
         memory_latency=None,
         program=None,
+        timing_only: bool = False,
     ) -> None:
         self.lines = lines
         self.launch = launch
@@ -189,6 +191,9 @@ class WarpExecutor:
 
             program = build_program_from_lines(lines)
         self.program = program
+        #: Per-listing-index handlers: the full ones, or the program's timing
+        #: view (data-only instructions elided) when only cycles are wanted.
+        self.handlers = program.timing_handlers if timing_only else program.handlers
 
     # ------------------------------------------------------------------
     # Operand evaluation
@@ -274,7 +279,7 @@ class WarpExecutor:
         wait_mask = rec.wait_mask
         stall = rec.stall
         predicate_fn = rec.predicate_fn
-        handler = rec.handler
+        handler = self.handlers[pc]
         write_barrier = rec.write_barrier
         read_barrier = rec.read_barrier
 
@@ -507,7 +512,17 @@ def _write_noop(warp, value, ready):
 
 
 def _compile_write(instr: Instruction):
-    """Compile the destination writes into ``write(warp, value, ready)``."""
+    """Compile the destination writes into ``write(warp, value, ready)``.
+
+    Cached on the instruction: its full and timing-only handlers share it.
+    """
+    cached = instr.__dict__.get("_cached_write")
+    if cached is None:
+        cached = instr._cache("_cached_write", _build_write(instr))
+    return cached
+
+
+def _build_write(instr: Instruction):
     dests = instr.dest_operands()
     writers = []
     if dests:
@@ -564,7 +579,14 @@ def _compile_write(instr: Instruction):
 
 
 def _source_evals(instr: Instruction) -> tuple:
-    return tuple(compile_operand_eval(op) for op in instr.source_operands())
+    """Compiled source accessors, cached on the instruction like :func:`_compile_write`."""
+    cached = instr.__dict__.get("_cached_source_evals")
+    if cached is None:
+        cached = instr._cache(
+            "_cached_source_evals",
+            tuple(compile_operand_eval(op) for op in instr.source_operands()),
+        )
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -1084,6 +1106,11 @@ def _compile_fbcast(instr: Instruction):
 # ---------------------------------------------------------------------------
 # Memory instruction compilers
 # ---------------------------------------------------------------------------
+# Every memory compiler takes ``timing_only``.  The timing-only handler shares
+# the address, request and latency code of the full one and keeps every check
+# the byte movement would make (bounds of each row, the dtype view of the
+# gathered bytes, the float32 conversion of stored data), but moves no bytes:
+# a load writes a stand-in of the fragment's shape (see "Timing-only handlers").
 def _row_layout(instr: Instruction, nbytes: int) -> tuple[int, int]:
     """Optional (row_bytes, row_stride) trailing immediates of a memory access.
 
@@ -1101,40 +1128,13 @@ def _row_layout(instr: Instruction, nbytes: int) -> tuple[int, int]:
     return nbytes, nbytes
 
 
-def _gather_global(ex: WarpExecutor, address: int, nbytes: int, row_bytes: int, stride: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _row_spans(nbytes: int, row_bytes: int, stride: int) -> tuple[tuple[int, int], ...]:
+    """``(offset, length)`` of every row an access of ``nbytes`` touches (shared)."""
     rows = max(1, nbytes // row_bytes)
     if rows == 1:
-        return ex.launch.global_memory.read_bytes(address, nbytes)
-    chunks = [ex.launch.global_memory.read_bytes(address + r * stride, row_bytes) for r in range(rows)]
-    return np.concatenate(chunks)
-
-
-def _scatter_global(ex: WarpExecutor, address: int, data: np.ndarray, row_bytes: int, stride: int) -> None:
-    data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    rows = max(1, len(data) // row_bytes)
-    if rows == 1:
-        ex.launch.global_memory.write_bytes(address, data)
-        return
-    for r in range(rows):
-        ex.launch.global_memory.write_bytes(address + r * stride, data[r * row_bytes : (r + 1) * row_bytes])
-
-
-def _gather_shared(ex: WarpExecutor, offset: int, nbytes: int, row_bytes: int, stride: int) -> np.ndarray:
-    rows = max(1, nbytes // row_bytes)
-    if rows == 1:
-        return ex.shared.read_bytes(offset, nbytes)
-    chunks = [ex.shared.read_bytes(offset + r * stride, row_bytes) for r in range(rows)]
-    return np.concatenate(chunks)
-
-
-def _scatter_shared(ex: WarpExecutor, offset: int, data: np.ndarray, row_bytes: int, stride: int) -> None:
-    data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    rows = max(1, len(data) // row_bytes)
-    if rows == 1:
-        ex.shared.write_bytes(offset, data)
-        return
-    for r in range(rows):
-        ex.shared.write_bytes(offset + r * stride, data[r * row_bytes : (r + 1) * row_bytes])
+        return ((0, nbytes),)
+    return tuple((r * stride, row_bytes) for r in range(rows))
 
 
 def _memory_geometry(instr: Instruction) -> tuple[int, int, int]:
@@ -1143,9 +1143,54 @@ def _memory_geometry(instr: Instruction) -> tuple[int, int, int]:
     return nbytes, row_bytes, stride
 
 
-def _compile_ldg(instr: Instruction):
-    address_fn = _compile_address(instr.memory_operands()[0])
+def _load_spans(instr: Instruction):
+    """Bytes per access, its rows, and the bytes those rows gather."""
     nbytes, row_bytes, stride = _memory_geometry(instr)
+    spans = _row_spans(nbytes, row_bytes, stride)
+    return nbytes, spans, sum(n for _, n in spans)
+
+
+def _store_spans(nbytes: int, row_bytes: int, stride: int, itemsize: int):
+    """Rows a store's payload (``nbytes`` truncated to whole elements) covers."""
+    return _row_spans(nbytes // itemsize * itemsize, row_bytes, stride)
+
+
+def _gather(memory, address: int, spans) -> np.ndarray:
+    if len(spans) == 1:
+        return memory.read_bytes(address, spans[0][1])
+    return np.concatenate([memory.read_bytes(address + offset, n) for offset, n in spans])
+
+
+def _scatter(memory, address: int, data: np.ndarray, spans) -> None:
+    data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+    if len(spans) == 1:
+        memory.write_bytes(address, data)
+        return
+    for row, (offset, n) in enumerate(spans):
+        memory.write_bytes(address + offset, data[row * n : (row + 1) * n])
+
+
+def _check_rows(memory, address: int, spans) -> None:
+    """The bounds checks :func:`_gather` / :func:`_scatter` make, without the bytes."""
+    offset, n = spans[-1]
+    if memory.in_bounds(address, offset + n):
+        return  # every row lies inside this one in-bounds range
+    # Row by row, so the first out-of-bounds row raises, as it would on access.
+    for offset, n in spans:
+        memory.check_range(address + offset, n)
+
+
+def _check_view(nbytes: int, dtype: np.dtype) -> None:
+    """The size check of viewing ``nbytes`` gathered bytes as ``dtype``."""
+    if nbytes % dtype.itemsize:
+        raise ValueError(
+            f"cannot view {nbytes} bytes as {dtype}: not a multiple of its {dtype.itemsize}-byte size"
+        )
+
+
+def _compile_ldg(instr: Instruction, timing_only: bool = False):
+    address_fn = _compile_address(instr.memory_operands()[0])
+    nbytes, spans, gathered = _load_spans(instr)
     write = _compile_write(instr)
     fallback_latency = execution_latency(instr.opcode)
 
@@ -1154,11 +1199,16 @@ def _compile_ldg(instr: Instruction):
         request = MemoryRequest(space="global", address=address, nbytes=nbytes, is_store=False)
         model = ex.memory_latency
         latency = model(request, cycle) if model is not None else fallback_latency
-        dtype = ex.launch.global_memory.dtype_at(address)
-        raw = _gather_global(ex, address, nbytes, row_bytes, stride)
-        fragment = raw.view(dtype).astype(np.float32)
+        memory = ex.launch.global_memory
+        dtype = memory.dtype_at(address)
         ready = cycle + latency
-        write(warp, fragment, ready)
+        if timing_only:
+            _check_rows(memory, address, spans)
+            _check_view(gathered, dtype)
+            write(warp, _stand_in((gathered // dtype.itemsize,)), ready)
+        else:
+            raw = _gather(memory, address, spans)
+            write(warp, raw.view(dtype).astype(np.float32), ready)
         outcome.is_memory = True
         outcome.memory_request = request
         outcome.completion_cycle = ready
@@ -1166,19 +1216,28 @@ def _compile_ldg(instr: Instruction):
     return run
 
 
-def _compile_stg(instr: Instruction):
+def _store_data_fn(instr: Instruction):
+    data_ops = [op for op in instr.source_operands() if isinstance(op, RegisterOperand)]
+    return compile_operand_eval(data_ops[-1]) if data_ops else _CONST_ZERO
+
+
+def _compile_stg(instr: Instruction, timing_only: bool = False):
     address_fn = _compile_address(instr.memory_operands()[0])
     nbytes, row_bytes, stride = _memory_geometry(instr)
-    data_ops = [op for op in instr.source_operands() if isinstance(op, RegisterOperand)]
-    data_fn = compile_operand_eval(data_ops[-1]) if data_ops else _CONST_ZERO
+    data_fn = _store_data_fn(instr)
     fallback_latency = execution_latency(instr.opcode)
 
     def run(ex, warp, cycle, outcome):
         address = address_fn(ex, warp, cycle)
-        fragment = data_fn(ex, warp, cycle)
-        dtype = ex.launch.global_memory.dtype_at(address)
-        payload = ex._fragment_to_bytes(fragment, dtype, nbytes)
-        _scatter_global(ex, address, payload, row_bytes, stride)
+        memory = ex.launch.global_memory
+        dtype = memory.dtype_at(address)
+        spans = _store_spans(nbytes, row_bytes, stride, dtype.itemsize)
+        if timing_only:
+            _float_shape(data_fn(ex, warp, cycle))
+            _check_rows(memory, address, spans)
+        else:
+            payload = ex._fragment_to_bytes(data_fn(ex, warp, cycle), dtype, nbytes)
+            _scatter(memory, address, payload, spans)
         request = MemoryRequest(space="global", address=address, nbytes=nbytes, is_store=True)
         model = ex.memory_latency
         latency = model(request, cycle) if model is not None else fallback_latency
@@ -1192,9 +1251,9 @@ def _compile_stg(instr: Instruction):
 _LDS_DTYPE = np.dtype(np.float16)
 
 
-def _compile_lds(instr: Instruction):
+def _compile_lds(instr: Instruction, timing_only: bool = False):
     address_fn = _compile_address(instr.memory_operands()[0])
-    nbytes, row_bytes, stride = _memory_geometry(instr)
+    nbytes, spans, gathered = _load_spans(instr)
     write = _compile_write(instr)
     fallback_latency = execution_latency(instr.opcode)
 
@@ -1203,10 +1262,14 @@ def _compile_lds(instr: Instruction):
         request = MemoryRequest(space="shared", address=offset, nbytes=nbytes, is_store=False)
         model = ex.memory_latency
         latency = model(request, cycle) if model is not None else fallback_latency
-        raw = _gather_shared(ex, offset, nbytes, row_bytes, stride)
-        fragment = raw.view(_LDS_DTYPE).astype(np.float32)
         ready = cycle + latency
-        write(warp, fragment, ready)
+        if timing_only:
+            _check_rows(ex.shared, offset, spans)
+            _check_view(gathered, _LDS_DTYPE)
+            write(warp, _stand_in((gathered // _LDS_DTYPE.itemsize,)), ready)
+        else:
+            raw = _gather(ex.shared, offset, spans)
+            write(warp, raw.view(_LDS_DTYPE).astype(np.float32), ready)
         outcome.is_memory = True
         outcome.memory_request = request
         outcome.completion_cycle = ready
@@ -1214,18 +1277,21 @@ def _compile_lds(instr: Instruction):
     return run
 
 
-def _compile_sts(instr: Instruction):
+def _compile_sts(instr: Instruction, timing_only: bool = False):
     address_fn = _compile_address(instr.memory_operands()[0])
     nbytes, row_bytes, stride = _memory_geometry(instr)
-    data_ops = [op for op in instr.source_operands() if isinstance(op, RegisterOperand)]
-    data_fn = compile_operand_eval(data_ops[-1]) if data_ops else _CONST_ZERO
+    spans = _store_spans(nbytes, row_bytes, stride, _LDS_DTYPE.itemsize)
+    data_fn = _store_data_fn(instr)
     fallback_latency = execution_latency(instr.opcode)
 
     def run(ex, warp, cycle, outcome):
         offset = address_fn(ex, warp, cycle)
-        fragment = data_fn(ex, warp, cycle)
-        payload = ex._fragment_to_bytes(fragment, _LDS_DTYPE, nbytes)
-        _scatter_shared(ex, offset, payload, row_bytes, stride)
+        if timing_only:
+            _float_shape(data_fn(ex, warp, cycle))
+            _check_rows(ex.shared, offset, spans)
+        else:
+            payload = ex._fragment_to_bytes(data_fn(ex, warp, cycle), _LDS_DTYPE, nbytes)
+            _scatter(ex.shared, offset, payload, spans)
         request = MemoryRequest(space="shared", address=offset, nbytes=nbytes, is_store=True)
         model = ex.memory_latency
         latency = model(request, cycle) if model is not None else fallback_latency
@@ -1236,7 +1302,7 @@ def _compile_sts(instr: Instruction):
     return run
 
 
-def _compile_ldgsts(instr: Instruction):
+def _compile_ldgsts(instr: Instruction, timing_only: bool = False):
     mem_ops = instr.memory_operands()
     if len(mem_ops) < 2:
         message = f"LDGSTS needs a shared and a global address: {instr.render()}"
@@ -1247,14 +1313,18 @@ def _compile_ldgsts(instr: Instruction):
         return fail
     shared_fn = _compile_address(mem_ops[0])
     global_fn = _compile_address(mem_ops[1])
-    nbytes, row_bytes, stride = _memory_geometry(instr)
+    nbytes, spans, gathered = _load_spans(instr)
     fallback_latency = execution_latency(instr.opcode)
 
     def run(ex, warp, cycle, outcome):
         shared_offset = shared_fn(ex, warp, cycle)
         global_address = global_fn(ex, warp, cycle)
-        raw = _gather_global(ex, global_address, nbytes, row_bytes, stride)
-        ex.shared.write_bytes(shared_offset, raw)
+        memory = ex.launch.global_memory
+        if timing_only:
+            _check_rows(memory, global_address, spans)
+            ex.shared.check_range(shared_offset, gathered)
+        else:
+            ex.shared.write_bytes(shared_offset, _gather(memory, global_address, spans))
         request = MemoryRequest(space="async_copy", address=global_address, nbytes=nbytes, is_store=False)
         model = ex.memory_latency
         latency = model(request, cycle) if model is not None else fallback_latency
@@ -1403,17 +1473,177 @@ def compile_instruction(instr: Instruction):
         try:
             handler = compiler(instr)
         except Exception as exc:  # noqa: BLE001 - deferred to execution time
-            handler = _deferred_error(exc)
+            handler = _DeferredError(type(exc), exc.args)
     return instr._cache("_cached_handler", handler)
 
 
-def _deferred_error(exc: Exception):
-    # Re-raise a fresh instance per execution: the closure is cached on a
-    # shared instruction, and re-raising one exception object from concurrent
-    # measuring threads would race on its traceback (and pin compile frames).
-    exc_type, exc_args = type(exc), exc.args
+class _DeferredError:
+    """Handler that re-raises a compile-time error when the instruction executes.
 
-    def raise_at_execution(ex, warp, cycle, outcome):
-        raise exc_type(*exc_args)
+    It raises a fresh instance per execution: the handler is cached on a
+    shared instruction, and re-raising one exception object from concurrent
+    measuring threads would race on its traceback (and pin compile frames).
+    """
 
-    return raise_at_execution
+    __slots__ = ("exc_type", "exc_args")
+
+    def __init__(self, exc_type: type, exc_args: tuple) -> None:
+        self.exc_type = exc_type
+        self.exc_args = exc_args
+
+    def __call__(self, ex, warp, cycle, outcome):
+        raise self.exc_type(*self.exc_args)
+
+
+# ---------------------------------------------------------------------------
+# Timing-only handlers
+# ---------------------------------------------------------------------------
+# The timing view (see :mod:`repro.sim.program`) needs exact values only in
+# the registers of its slice.  Every other register holds a *stand-in*: an
+# array of the exact shape the full handlers would have written, with
+# arbitrary contents.  Whether a data-only handler raises depends only on
+# shapes (numpy broadcasting, ``bool()`` of a fragment), so the handlers
+# below raise exactly when the full ones would while moving no bytes and
+# doing no arithmetic.
+
+_STAND_INS: dict = {}
+
+
+def _stand_in(shape: tuple) -> np.ndarray:
+    """A cached read-only zero-stride float32 array of ``shape``."""
+    stand_in = _STAND_INS.get(shape)
+    if stand_in is None:
+        stand_in = _STAND_INS.setdefault(shape, np.broadcast_to(np.float32(0), shape))
+    return stand_in
+
+
+def _float_shape(value) -> tuple:
+    """Shape of ``np.asarray(value, dtype=np.float32)``, raising as that would."""
+    if isinstance(value, np.ndarray):
+        return value.shape
+    return np.asarray(value, dtype=np.float32).shape
+
+
+def _broadcast(shapes) -> tuple:
+    """``np.broadcast_shapes(*shapes)``, short-cutting equal and scalar shapes."""
+    out = ()
+    for shape in shapes:
+        if shape == out or not shape:
+            continue
+        out = shape if not out else np.broadcast_shapes(out, shape)
+    return out
+
+
+def _compile_float_timing(instr: Instruction, result_shape):
+    """Float math without the arithmetic: the full handler's operand reads and
+    float32 conversions, then a stand-in of ``result_shape(source shapes)``."""
+    fns = _source_evals(instr)
+    write = _compile_write(instr)
+    latency = execution_latency(instr.opcode)
+
+    def run(ex, warp, cycle, outcome):
+        srcs = [fn(ex, warp, cycle) for fn in fns]
+        shapes = [_float_shape(s) for s in srcs if not isinstance(s, bool)]
+        ready = cycle + latency
+        write(warp, _stand_in(result_shape(shapes)), ready)
+        outcome.completion_cycle = ready
+
+    return run
+
+
+def _compile_mufu_timing(instr: Instruction):
+    # MUFU reads only its first source, and converts it even if it is a predicate.
+    fn0 = compile_operand_eval(instr.source_operands()[0])
+    write = _compile_write(instr)
+    latency = execution_latency(instr.opcode)
+
+    def run(ex, warp, cycle, outcome):
+        ready = cycle + latency
+        write(warp, _stand_in(_float_shape(fn0(ex, warp, cycle))), ready)
+        outcome.completion_cycle = ready
+
+    return run
+
+
+def _compile_hmma_timing(instr: Instruction):
+    m, n, _ = _hmma_shapes(instr)
+    return _compile_float_timing(instr, lambda shapes: (m * n,))
+
+
+def _binary_shape(shapes):
+    return _broadcast(shapes[:2])
+
+
+def _ternary_shape(shapes):
+    return _broadcast(shapes[:3])
+
+
+_TIMING_COMPILERS = {
+    **dict.fromkeys(
+        ("FADD", "FMUL", "HADD2", "HMUL2", "FMNMX", "HMNMX2"),
+        partial(_compile_float_timing, result_shape=_binary_shape),
+    ),
+    **dict.fromkeys(("FFMA", "HFMA2"), partial(_compile_float_timing, result_shape=_ternary_shape)),
+    "MUFU": _compile_mufu_timing,
+    "HMMA": _compile_hmma_timing,
+    "IMMA": _compile_hmma_timing,
+    **{
+        opcode: partial(_COMPILERS[opcode], timing_only=True)
+        for opcode in ("LDG", "LDL", "LDC", "STG", "STL", "LDS", "LDSM", "STS", "LDGSTS")
+    },
+}
+
+#: Opcodes whose full handler is already timing-safe: it only passes values
+#: through or reduces and broadcasts fragments, so on stand-ins it raises
+#: exactly as on real values.  The timing view runs it unchanged.
+_SHAPE_SAFE_OPCODES = frozenset(
+    {"MOV", "UMOV", "S2R", "CS2R", "SEL", "USEL", "FSEL", "F2F", "I2I", "REDUX", "FBCAST"}
+)
+
+#: Source index of the row length ``REDUX`` / ``FBCAST`` pass to ``int()``:
+#: the one data source they need by value.
+_ROW_LENGTH_SOURCE = {"REDUX": 1, "FBCAST": 2}
+
+
+def timing_value_sources(instr: Instruction) -> tuple:
+    """Sources a timing-only handler reads by value rather than by shape.
+
+    Addresses, the ``REDUX`` / ``FBCAST`` row length, and the predicates an
+    instruction in :data:`_SHAPE_SAFE_OPCODES` reads (``SEL``'s condition
+    picks whose shape flows on).  Every other data source of a timing-only
+    handler may hold a stand-in.
+    """
+    sources = instr.source_operands()
+    needed = [op for op in sources if isinstance(op, MemoryOperand)]
+    if instr.base_opcode in _SHAPE_SAFE_OPCODES:
+        needed += [op for op in sources if isinstance(op, PredicateOperand)]
+    row = _ROW_LENGTH_SOURCE.get(instr.base_opcode)
+    if row is not None and len(sources) > row:
+        needed.append(sources[row])
+    return tuple(needed)
+
+
+def compile_timing_handler(instr: Instruction):
+    """The timing-only handler of an instruction, or ``None`` if it has none.
+
+    A timing-only handler sets the same completion cycle, memory request and
+    ``is_memory`` flag as the full handler and raises whenever the full
+    handler would: memory accesses keep their bounds and view-size checks,
+    data-only results keep their shapes.  It moves no bytes and does no
+    arithmetic.  Control flow, integer ALU and ``I2F``/``F2I`` (which convert
+    values with ``int()``) have none, nor does an instruction whose full
+    handler failed to compile.  Cached on the instruction like
+    :func:`compile_instruction`.
+    """
+    cached = instr.__dict__.get("_cached_timing_handler", _HANDLER_ABSENT)
+    if cached is not _HANDLER_ABSENT:
+        return cached
+    handler = None
+    full = compile_instruction(instr)
+    if full is not None and not isinstance(full, _DeferredError):
+        base = instr.base_opcode
+        if base in _SHAPE_SAFE_OPCODES:
+            handler = full
+        elif base in _TIMING_COMPILERS:
+            handler = _TIMING_COMPILERS[base](instr)
+    return instr._cache("_cached_timing_handler", handler)

@@ -125,7 +125,7 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     # Byte-level access used by the executor
     # ------------------------------------------------------------------
-    def _locate(self, address: int, nbytes: int) -> TensorAllocation:
+    def _find(self, address: int, nbytes: int) -> TensorAllocation | None:
         alloc = self._last_alloc
         if (
             alloc is not None
@@ -137,9 +137,23 @@ class GlobalMemory:
             if alloc.address <= address and address + nbytes <= alloc.address + alloc.nbytes:
                 self._last_alloc = alloc
                 return alloc
-        raise ExecutionError(
-            f"out-of-bounds device access: address=0x{address:x} nbytes={nbytes}"
-        )
+        return None
+
+    def _locate(self, address: int, nbytes: int) -> TensorAllocation:
+        alloc = self._find(address, nbytes)
+        if alloc is None:
+            raise ExecutionError(
+                f"out-of-bounds device access: address=0x{address:x} nbytes={nbytes}"
+            )
+        return alloc
+
+    def in_bounds(self, address: int, nbytes: int) -> bool:
+        """Whether the range lies inside one allocation (what every access needs)."""
+        return self._find(address, nbytes) is not None
+
+    def check_range(self, address: int, nbytes: int) -> None:
+        """Raise exactly as :meth:`read_bytes` / :meth:`write_bytes` would; move nothing."""
+        self._locate(address, nbytes)
 
     def read_bytes(self, address: int, nbytes: int) -> np.ndarray:
         alloc = self._locate(address, nbytes)
@@ -176,20 +190,24 @@ class SharedMemory:
         self.size_bytes = int(size_bytes)
         self._data = np.zeros(self.size_bytes, dtype=np.uint8)
 
-    def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or offset + nbytes > self.size_bytes:
+    def in_bounds(self, offset: int, nbytes: int) -> bool:
+        return 0 <= offset and offset + nbytes <= self.size_bytes
+
+    def check_range(self, offset: int, nbytes: int) -> None:
+        """Raise exactly as :meth:`read_bytes` / :meth:`write_bytes` would; move nothing."""
+        if not self.in_bounds(offset, nbytes):
             raise ExecutionError(
                 f"shared-memory access out of range: offset={offset} nbytes={nbytes} "
                 f"(size={self.size_bytes})"
             )
 
     def read_bytes(self, offset: int, nbytes: int) -> np.ndarray:
-        self._check(offset, nbytes)
+        self.check_range(offset, nbytes)
         return self._data[offset : offset + nbytes].copy()
 
     def write_bytes(self, offset: int, data: np.ndarray) -> None:
         data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self._check(offset, len(data))
+        self.check_range(offset, len(data))
         self._data[offset : offset + len(data)] = data
 
     def read_values(self, offset: int, count: int, dtype=np.float16) -> np.ndarray:
@@ -230,7 +248,10 @@ class MemoryTimingStats:
     l1_hits: int = 0
     l2_hits: int = 0
     dram_accesses: int = 0
-    #: Cycles during which at least one global-memory request was in flight.
+    #: Sum of the in-flight spans (issue to completion) of every global and
+    #: async-copy request.  Overlapping requests each add their full span, so
+    #: this can exceed the run's cycle count; ``build_profile`` divides it by
+    #: ``cycles * mshr_per_sm``, the share of MSHR slot-cycles in use.
     busy_cycles: int = 0
 
 

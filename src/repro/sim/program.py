@@ -16,7 +16,29 @@ once per *static* instruction and once per *kernel*:
   instruction objects with their parent — decode almost for free.
 * :class:`DecodedProgram` — the per-kernel view: label positions, a
   ``next_instr_pc`` table with labels pre-skipped (what ``_peek`` used to do
-  per issued instruction) and the decoded record per listing index.
+  per issued instruction), the decoded record per listing index, and two
+  handler tables: the full handlers and the *timing view*.
+* :class:`TimingSlice` — which registers the timing view must keep exact: a
+  flow-insensitive backward slice from every address, guard predicate and
+  branch.  An instruction writing none of them runs its timing-only handler
+  in the view (:func:`repro.sim.executor.compile_timing_handler`).  It keeps
+  latency, scoreboard effects, the memory request and every bounds and
+  view-size check, and it writes shape-exact stand-ins instead of values.
+  If a load writes a slice register, loaded bytes reach the timing, so the
+  view of that program keeps every full handler.
+
+Why a flow-insensitive slice stays sound under stale reads and illegal
+schedules: every write to a slice register comes from an instruction that
+runs its full handler on slice registers only.  By induction over issue
+order, each slice register then holds at every cycle the same value, ready
+cycle and stale value as in the full engine.  That holds whichever earlier
+write a stale read sees, and whatever order an illegal schedule gives the
+instructions.  A flow-sensitive slice would have to be rebuilt per schedule
+and would have to prove which write each read sees, which is exactly what an
+illegal schedule breaks.  The slice ignores order, so it is computed once per
+instruction multiset and shared across :meth:`SassKernel.swap
+<repro.sass.kernel.SassKernel.swap>` through the kernel's
+:meth:`~repro.sass.kernel.SassKernel.multiset_cache`.
 
 Programs are cached in a digest-keyed, LRU-bounded module table shared by
 every simulator in the process (and additionally pinned on the kernel object
@@ -33,8 +55,18 @@ from typing import Callable
 
 from repro.sass.instruction import Instruction, Label
 from repro.sass.kernel import SassKernel
-from repro.sass.operands import RegisterOperand
-from repro.sim.executor import compile_instruction, compiled_predicate
+from repro.sass.operands import (
+    MemoryOperand,
+    PredicateOperand,
+    RegisterOperand,
+    UniformRegisterOperand,
+)
+from repro.sim.executor import (
+    compile_instruction,
+    compile_timing_handler,
+    compiled_predicate,
+    timing_value_sources,
+)
 
 #: Tensor-core opcodes throttled by the HMMA issue interval (see sm.py).
 TENSOR_OPCODES = frozenset({"HMMA", "IMMA"})
@@ -68,6 +100,43 @@ class DecodedInstr:
     is_memory: bool
     is_tensor: bool
     base_opcode: str
+    #: Handler of the timing view, or ``None`` when the full one always runs
+    #: (see :func:`repro.sim.executor.compile_timing_handler`).
+    timing_handler: Callable | None
+    #: Register keys (``("r" | "p" | "ur", index)``) the handler writes ...
+    dest_keys: tuple
+    #: ... and reads, the guard predicate and address bases included.
+    source_keys: tuple
+    #: Keys whose value the timing view needs whatever the slice: the guard
+    #: predicate and the sources the timing-only handler reads by value, or
+    #: every source when there is no timing-only handler.
+    root_keys: tuple
+
+
+_KEYS: dict = {}
+
+
+def _key(space: str, index: int) -> tuple:
+    """The interned register key ``(space, index)``."""
+    return _KEYS.setdefault((space, index), (space, index))
+
+
+def _operand_keys(operands) -> tuple:
+    """Register keys of the operands, as the handlers read or write them."""
+    keys = []
+    for op in operands:
+        if isinstance(op, RegisterOperand):
+            if not op.is_rz:
+                keys.append(_key("r", op.index))
+        elif isinstance(op, PredicateOperand):
+            if not op.is_pt:
+                keys.append(_key("p", op.index))
+        elif isinstance(op, UniformRegisterOperand):
+            if not op.is_urz:
+                keys.append(_key("ur", op.index))
+        elif isinstance(op, MemoryOperand):
+            keys.extend(_operand_keys((op.base, op.uniform_base)))
+    return tuple(dict.fromkeys(keys))
 
 
 def decode_instruction(instr: Instruction) -> DecodedInstr:
@@ -77,6 +146,9 @@ def decode_instruction(instr: Instruction) -> DecodedInstr:
         return cached
     control = instr.control
     base = instr.base_opcode
+    timing_handler = compile_timing_handler(instr)
+    guard_keys = _operand_keys((instr.predicate,))
+    source_keys = tuple(dict.fromkeys(guard_keys + _operand_keys(instr.source_operands())))
     record = DecodedInstr(
         instr=instr,
         handler=compile_instruction(instr),
@@ -97,8 +169,63 @@ def decode_instruction(instr: Instruction) -> DecodedInstr:
         is_memory=instr.is_memory,
         is_tensor=base in TENSOR_OPCODES,
         base_opcode=base,
+        timing_handler=timing_handler,
+        dest_keys=_operand_keys(instr.dest_operands()),
+        source_keys=source_keys,
+        root_keys=(
+            tuple(dict.fromkeys(guard_keys + _operand_keys(timing_value_sources(instr))))
+            if timing_handler is not None
+            else source_keys
+        ),
     )
     return instr._cache("_cached_decoded", record)
+
+
+@dataclass(frozen=True, slots=True)
+class TimingSlice:
+    """The register keys whose values can reach a cycle count.
+
+    A flow-insensitive backward slice over one instruction multiset.  The
+    roots are every guard predicate, every source a timing-only handler reads
+    by value (addresses, ``REDUX``/``FBCAST`` row lengths, ``SEL``
+    conditions) and every source of an instruction without a timing-only
+    handler; an instruction writing a
+    key in the slice runs its full handler, so its sources join.  Reordering
+    the instructions cannot change it, so it is computed once per multiset.
+    """
+
+    keys: frozenset
+    #: Some load writes a key in the slice: loaded values reach the timing,
+    #: so memory contents (and the stores that write them) do too.  The
+    #: timing view then keeps every full handler.
+    load_fed: bool
+
+    def elides(self, rec: DecodedInstr) -> bool:
+        """Whether the timing view runs ``rec``'s timing-only handler."""
+        return (
+            not self.load_fed
+            and rec.timing_handler is not None
+            and self.keys.isdisjoint(rec.dest_keys)
+        )
+
+
+def compute_timing_slice(records) -> TimingSlice:
+    """Backward slice of :class:`DecodedInstr` records (labels excluded)."""
+    writers: dict = {}
+    keys: set = set()
+    for rec in records:
+        keys.update(rec.root_keys)
+        for key in rec.dest_keys:
+            writers.setdefault(key, []).append(rec)
+    pending = list(keys)
+    while pending:
+        for writer in writers.get(pending.pop(), ()):
+            for key in writer.source_keys:
+                if key not in keys:
+                    keys.add(key)
+                    pending.append(key)
+    load_fed = any(rec.is_memory and not keys.isdisjoint(rec.dest_keys) for rec in records)
+    return TimingSlice(frozenset(keys), load_fed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,14 +242,22 @@ class DecodedProgram:
     next_instr_pc: tuple[int, ...]
     #: Decoded record per listing index (``None`` on label lines).
     decoded: tuple
+    #: Full handler per listing index (what functional execution runs).
+    handlers: tuple
+    #: Handler per listing index in the timing view: the timing-only handler
+    #: where :attr:`timing_slice` elides the instruction, else the full one.
+    timing_handlers: tuple
+    timing_slice: TimingSlice
 
 
-def build_program_from_lines(lines) -> DecodedProgram:
+def build_program_from_lines(lines, multiset_cache: dict | None = None) -> DecodedProgram:
     """Uncached decode of a bare line sequence.
 
     For callers that construct a :class:`~repro.sim.executor.WarpExecutor`
     directly from lines, without a kernel to key the digest cache on.  The
     per-instruction records still hit their caches on the instruction objects.
+    ``multiset_cache`` (a kernel's :meth:`~repro.sass.kernel.SassKernel.multiset_cache`)
+    supplies or keeps the timing slice, which every reordering shares.
     """
     lines = tuple(lines)
     num_lines = len(lines)
@@ -136,12 +271,25 @@ def build_program_from_lines(lines) -> DecodedProgram:
         decode_instruction(line) if isinstance(line, Instruction) else None
         for line in lines
     )
+    timing_slice = multiset_cache.get("timing_slice") if multiset_cache is not None else None
+    if timing_slice is None:
+        timing_slice = compute_timing_slice([rec for rec in decoded if rec is not None])
+        if multiset_cache is not None:
+            multiset_cache["timing_slice"] = timing_slice
+    handlers = tuple(rec.handler if rec is not None else None for rec in decoded)
+    timing_handlers = tuple(
+        rec.timing_handler if rec is not None and timing_slice.elides(rec) else handler
+        for rec, handler in zip(decoded, handlers)
+    )
     return DecodedProgram(
         lines=lines,
         num_lines=num_lines,
         label_positions=label_positions,
         next_instr_pc=tuple(next_instr),
         decoded=decoded,
+        handlers=handlers,
+        timing_handlers=timing_handlers,
+        timing_slice=timing_slice,
     )
 
 
@@ -174,7 +322,7 @@ def decode_program(kernel: SassKernel) -> DecodedProgram:
             _CACHE.move_to_end(digest)
             _HITS += 1
     if program is None:
-        program = build_program_from_lines(kernel.lines)
+        program = build_program_from_lines(kernel.lines, kernel.multiset_cache())
         with _CACHE_LOCK:
             _MISSES += 1
             _CACHE[digest] = program

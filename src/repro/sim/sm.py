@@ -21,6 +21,20 @@ from the :mod:`repro.sim.program` decoded layer.  The loop is bit-identical
 to the seed engine preserved in :mod:`repro.sim._reference_sm` — the
 equivalence suite holds both to the same :class:`TimingResult` on every
 bundled workload.
+
+The loop runs the program's *timing view*
+(:attr:`~repro.sim.program.DecodedProgram.timing_handlers`).  Much of a full
+simulation moves and computes values no cycle count depends on: tile gathers
+and scatters, HMMA and float math.  The view keeps exact values only in the
+registers of the program's :class:`~repro.sim.program.TimingSlice`, the ones
+that can reach an address, a guard predicate or a branch.  Every instruction
+writing none of them runs a timing-only handler.  That handler keeps the
+latency, completion cycle, scoreboard effects, memory request and every
+bounds and view-size check, but moves no bytes and does no arithmetic.  The
+registers outside the slice hold stand-ins of the exact shape, so a handler
+raises exactly when the full one would.  When a load's destination is in the
+slice, memory contents reach the timing, and the whole program keeps its full
+handlers.  :class:`FunctionalRunner` always runs the full handlers.
 """
 
 from __future__ import annotations
@@ -162,6 +176,7 @@ class TimingSimulator:
             label_positions=program.label_positions,
             memory_latency=memory_model.request_latency,
             program=program,
+            timing_only=True,
         )
         num_warps = self.kernel.metadata.num_warps
         warps = [WarpState(warp_id=w, ctaid=ctaid) for w in range(num_warps)]

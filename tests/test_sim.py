@@ -1,5 +1,7 @@
 """Tests for the GPU simulator: memory, execution semantics, timing and profiling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,185 @@ def test_measurement_noise_is_optional_and_bounded():
         measurement=MeasurementConfig(noise_std=0.01, seed=1),
     )
     assert abs(noisy.time_ms - clean.time_ms) / clean.time_ms < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Timing view: whole-program fallback and kept bounds checks
+# ---------------------------------------------------------------------------
+# The first loaded element picks the row that is read (LEA: x + idx[0] << 9)
+# and guards the store (ISETP), so loaded values reach the cycle count.
+LOAD_FED_ADDRESS = """
+[B------:R-:W-:-:S04] MOV R4, c[0x0][0x160] ;
+[B------:R-:W-:-:S04] MOV R6, c[0x0][0x168] ;
+[B------:R-:W-:-:S04] MOV R8, c[0x0][0x170] ;
+[B------:R-:W0:-:S02] LDG.E.32 R10, [R4.64] ;
+[B0-----:R-:W-:-:S05] LEA R12, R10, R6, 0x9 ;
+[B------:R-:W-:-:S05] ISETP.GT.AND P0, PT, R10, 0x0, PT ;
+[B------:R-:W1:-:S02] LDG.E.128 R16, [R12.64] ;
+[B-1----:R-:W-:-:S04] FADD R20, R16, 1.0 ;
+[B------:R0:W-:-:S02] @P0 STG.E.128 [R8.64], R20 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+def test_load_fed_address_and_guard_fall_back_to_full_handlers():
+    from repro.sim import decode_program
+    from repro.sim._reference_sm import reference_measure
+
+    kernel = SassKernel.from_text(LOAD_FED_ADDRESS, KernelMetadata(name="gather", num_warps=1))
+    program = decode_program(kernel)
+    assert program.timing_slice.load_fed
+    assert program.timing_handlers == program.handlers
+
+    sim = GPUSimulator()
+    grid = GridConfig((1, 1, 1), 1)
+    x = np.arange(8 * 256, dtype=np.float16).reshape(8, 256)
+    timings = []
+    for row in (0.0, 5.0):
+        idx = np.full(32, row, dtype=np.float32)
+        tensors = {"idx": idx, "x": x, "y": np.zeros((1, 256), np.float16)}
+        order = ["idx", "x", "y"]
+        produced = sim.measure(kernel, grid, tensors, order)
+        reference = reference_measure(sim, kernel, grid, tensors, order)
+        assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
+        assert produced.time_ms == reference.time_ms
+        timings.append(produced.timing)
+    # The loaded value really steers the timing: row 0 leaves the store guarded off.
+    assert timings[0].predicated_off == 1 and timings[1].predicated_off == 0
+
+
+DATA_ONLY_LDS = """
+[B------:R-:W-:-:S04] MOV R2, {offset} ;
+[B------:R-:W0:-:S02] LDS.128 R4, [R2]{layout} ;
+[B0-----:R-:W-:-:S05] EXIT ;
+"""
+
+DATA_ONLY_STG = """
+[B------:R-:W-:-:S04] MOV R2, c[0x0][0x160] ;
+[B------:R-:W-:-:S05] IADD3 R6, R2, {offset}, RZ ;
+[B------:R0:W-:-:S02] STG.E.128 [R6.64], R8 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (DATA_ONLY_LDS.format(offset="0x4000", layout=""), ExecutionError),
+        # Strided rows: rows 0-3 fit, row 4 (offset 0x400) is the first past the end.
+        (DATA_ONLY_LDS.format(offset="0x0", layout=", 0x40, 0x100"), ExecutionError),
+        (DATA_ONLY_STG.format(offset="0x10000"), ExecutionError),
+        # 15 in-bounds rows of 33 bytes: 495 bytes cannot be viewed as fp16.
+        (DATA_ONLY_LDS.format(offset="0x0", layout=", 0x21, 0x40"), ValueError),
+    ],
+    ids=["lds", "lds-strided", "stg", "lds-odd-view"],
+)
+def test_elided_memory_access_still_raises(text, error):
+    from repro.sim import decode_program
+    from repro.sim._reference_sm import reference_measure
+
+    kernel = SassKernel.from_text(
+        text, KernelMetadata(name="oob", num_warps=1, shared_memory_bytes=1024)
+    )
+    program = decode_program(kernel)
+    memory_records = [rec for rec in program.decoded if rec is not None and rec.is_memory]
+    assert memory_records and all(program.timing_slice.elides(rec) for rec in memory_records)
+
+    sim = GPUSimulator()
+    grid = GridConfig((1, 1, 1), 1)
+    tensors = {"x": np.zeros(1024, np.float16)}
+    with pytest.raises(error) as reference:
+        reference_measure(sim, kernel, grid, tensors, ["x"])
+    with pytest.raises(error) as produced:
+        sim.measure(kernel, grid, tensors, ["x"])
+    if error is ExecutionError:  # the simulator's own bounds messages
+        assert str(produced.value) == str(reference.value)
+
+
+# Two fragments whose lengths cannot broadcast: 256 fp16 lanes + 128 fp16 lanes.
+MISMATCHED_FRAGMENTS = """
+[B------:R-:W-:-:S04] MOV R2, c[0x0][0x160] ;
+[B------:R-:W0:-:S02] LDG.E.128 R4, [R2.64] ;
+[B------:R-:W1:-:S02] LDG.E.64 R8, [R2.64] ;
+[B01----:R-:W-:-:S04] FADD R12, R4, R8 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+def test_elided_float_math_raises_where_fragments_do_not_broadcast():
+    from repro.sim import decode_program
+    from repro.sim._reference_sm import reference_measure
+
+    kernel = SassKernel.from_text(MISMATCHED_FRAGMENTS, KernelMetadata(name="mismatch", num_warps=1))
+    program = decode_program(kernel)
+    fadd = next(rec for rec in program.decoded if rec is not None and rec.base_opcode == "FADD")
+    assert program.timing_slice.elides(fadd)
+
+    sim = GPUSimulator()
+    grid = GridConfig((1, 1, 1), 1)
+    tensors = {"x": np.zeros(1024, np.float16)}
+    with pytest.raises(ValueError):
+        reference_measure(sim, kernel, grid, tensors, ["x"])
+    with pytest.raises(ValueError):
+        sim.measure(kernel, grid, tensors, ["x"])
+
+
+SLICED = """
+[B------:R-:W-:-:S04] MOV R2, c[0x0][0x160] ;
+[B------:R-:W-:-:S04] MOV R3, 0x40 ;
+[B------:R-:W-:-:S05] ISETP.GT.AND P0, PT, R2, 0x0, PT ;
+[B------:R-:W0:-:S02] LDG.E.128 R4, [R2.64] ;
+[B0-----:R-:W-:-:S04] FMUL R8, R4, 2.0 ;
+[B------:R-:W-:-:S04] REDUX.MAX R10, R8, R3 ;
+[B------:R0:W-:-:S02] @P0 STG.E.128 [R2.64], R8 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+def test_timing_slice_keeps_addresses_guards_and_row_lengths():
+    from repro.sim import decode_program
+
+    kernel = SassKernel.from_text(SLICED, KernelMetadata(name="sliced", num_warps=1))
+    timing_slice = decode_program(kernel).timing_slice
+    # The address base, the guard (and what it reads) and REDUX's row length.
+    assert {("r", 2), ("p", 0), ("r", 3)} <= timing_slice.keys
+    # Loaded, scaled and reduced data never reach a cycle count.
+    assert not {("r", 4), ("r", 8), ("r", 10)} & timing_slice.keys
+    assert not timing_slice.load_fed
+    # A swap keeps the instruction multiset, so the slice is shared, not rebuilt.
+    swapped = kernel.swap(4, 5)
+    assert decode_program(swapped).timing_slice is timing_slice
+
+
+# SEL's condition comes from data (the row max, moved into P0) and picks a
+# 256- or a 128-lane fragment; only the 256-lane one adds to R4 cleanly.
+DATA_CHOSEN_SHAPE = """
+[B------:R-:W-:-:S04] MOV R2, c[0x0][0x160] ;
+[B------:R-:W0:-:S02] LDG.E.128 R4, [R2.64] ;
+[B------:R-:W1:-:S02] LDG.E.64 R8, [R2.64] ;
+[B01----:R-:W2:-:S04] REDUX.MAX R10, R4 ;
+[B--2---:R-:W3:-:S04] MOV P0, R10 ;
+[B---3--:R-:W4:-:S04] SEL R12, R4, R8, P0 ;
+[B----4-:R-:W-:-:S04] FADD R14, R12, R4 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+@pytest.mark.parametrize("fill", [1.0, 0.0], ids=["picks-256", "picks-128"])
+def test_data_chosen_shape_keeps_its_condition_exact(fill):
+    from repro.sim import decode_program
+    from repro.sim._reference_sm import reference_measure
+
+    kernel = SassKernel.from_text(DATA_CHOSEN_SHAPE, KernelMetadata(name="select", num_warps=1))
+    assert ("p", 0) in decode_program(kernel).timing_slice.keys
+    sim = GPUSimulator()
+    grid = GridConfig((1, 1, 1), 1)
+    tensors = {"x": np.full(1024, fill, np.float16)}
+    try:
+        reference = reference_measure(sim, kernel, grid, tensors, ["x"])
+    except ValueError:
+        with pytest.raises(ValueError):
+            sim.measure(kernel, grid, tensors, ["x"])
+        return
+    produced = sim.measure(kernel, grid, tensors, ["x"])
+    assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
