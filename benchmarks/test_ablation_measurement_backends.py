@@ -1,4 +1,4 @@
-"""Ablation: measurement-service backends (inline vs threaded vs memoized).
+"""Ablation: measurement-service backends (inline vs process vs memoized).
 
 The §3.6 measurement protocol is the bottleneck of every search strategy;
 this entry records evaluations/sec of the greedy search per backend and
@@ -20,13 +20,13 @@ def test_measurement_backend_throughput(benchmark, simulator):
 
     by_backend = {row["backend"]: row for row in rows}
     inline = by_backend["inline"]
-    threaded = by_backend["threaded"]
-    memoized = by_backend["threaded+memo"]
+    process = by_backend["process"]
+    memoized = by_backend["inline+memo"]
 
     # The search is deterministic: backends change throughput, not results.
-    assert threaded["best_ms"] == inline["best_ms"]
+    assert process["best_ms"] == inline["best_ms"]
     assert memoized["best_ms"] == inline["best_ms"]
-    assert threaded["evaluations"] == inline["evaluations"]
+    assert process["evaluations"] == inline["evaluations"]
 
     # Memoization dedups repeated schedules: strictly fewer raw measurements.
     assert memoized["memo_hits"] > 0

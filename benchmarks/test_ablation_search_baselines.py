@@ -1,6 +1,6 @@
 """Ablation (§7 discussion): RL vs evolutionary / greedy / random schedule search."""
 
-from repro.baselines import evolutionary_search, greedy_search, random_search
+from repro.baselines import run_evolutionary_search, run_greedy_search, run_random_search
 from repro.bench.experiments import format_table
 from repro.triton import compile_spec, get_spec
 
@@ -10,9 +10,9 @@ def test_search_baselines(benchmark, simulator):
 
     def run():
         return {
-            "random": random_search(compiled, budget=32, simulator=simulator, seed=0),
-            "greedy": greedy_search(compiled, budget=48, simulator=simulator),
-            "evolutionary": evolutionary_search(
+            "random": run_random_search(compiled, budget=32, simulator=simulator, seed=0),
+            "greedy": run_greedy_search(compiled, budget=48, simulator=simulator),
+            "evolutionary": run_evolutionary_search(
                 compiled, population=4, generations=2, moves_per_individual=6, simulator=simulator
             ),
         }

@@ -47,7 +47,7 @@ def main() -> None:
             cache_dir=cache_dir,
             config=config,
             # "process" sidesteps the GIL for the timing loop on multi-core hosts.
-            measurement=MeasurementPolicy(backend="threaded", max_workers=2),
+            measurement=MeasurementPolicy(backend="process", max_workers=2),
         ) as pool:
             result = pool.optimize_many(workloads)
 
@@ -66,9 +66,15 @@ def main() -> None:
                 print(f"  {worker.worker:<20s} {worker.jobs} jobs, "
                       f"{worker.evaluations} evaluations, {worker.elapsed_s:.2f}s busy")
 
-            # Deploy-time lookup routes to the matching worker's cache namespace.
-            deployed = pool.deploy("mmLeakyReLu", backend="A100-sim")
-            print(f"\ndeployed mmLeakyReLu from the A100 namespace: "
+            # Deploy-time lookup routes to the matching worker's cache
+            # namespace; the scheduler decides which kernels an A100 ran.
+            kernel = next(
+                report.kernel
+                for report, worker in zip(result, result.assignments)
+                if "A100" in worker
+            )
+            deployed = pool.deploy(kernel, backend="A100-sim")
+            print(f"\ndeployed {kernel} from the A100 namespace: "
                   f"{len(deployed.kernel.instructions)} SASS instructions")
 
 

@@ -4,7 +4,10 @@ This package is the single supported entry point for the paper's
 optimize-once / deploy-from-cache workflow (§4):
 
 * :class:`Session` — owns the GPU backend, cubin cache and measurement
-  policy; ``compile`` / ``optimize`` / ``deploy`` / ``optimize_many``.
+  policy; ``compile`` / ``optimize`` / ``deploy`` / ``optimize_many``.  Its
+  :class:`MeasurementPolicy`, with the per-run :class:`SessionHooks` folded
+  in, is handed unchanged through the strategy and search to the
+  measurement service.
 * Strategy registry — ``strategy="ppo"`` (§3) and the §7 baselines
   (``"greedy"``, ``"random"``, ``"evolutionary"``) behind one interface;
   extend with :func:`register_strategy`.
@@ -18,9 +21,6 @@ optimize-once / deploy-from-cache workflow (§4):
 Scale-out lives in :mod:`repro.pool`: a :class:`~repro.pool.SessionPool`
 shards ``optimize_many`` workloads across several worker sessions and returns
 a :class:`PoolReport`; :class:`PoolConfig` here shapes it.
-
-The older ``repro.core.jit`` / ``CuAsmRLOptimizer`` / ``baselines.search``
-entry points remain as thin deprecated shims over this facade.
 """
 
 from repro.api.backends import (

@@ -1,11 +1,12 @@
 """Typed, frozen configuration objects for the :mod:`repro.api` facade.
 
-These replace the ad-hoc keyword arguments that used to be scattered across
-``JitKernel`` (``scale=``, ``cache_dir=``), ``CuAsmRLOptimizer``
-(``episode_length=``, ``train_timesteps=``, ``autotune=``) and the
-``baselines.search`` functions (``budget=``, ``population=``, ...).  A
-:class:`~repro.api.session.Session` owns one of each; per-call overrides go
-through :meth:`OptimizationConfig.replace`.
+A :class:`~repro.api.session.Session` owns one :class:`OptimizationConfig`,
+one :class:`MeasurementPolicy` and one :class:`CacheConfig`; per-call
+overrides go through :meth:`OptimizationConfig.replace`.  The
+:class:`MeasurementPolicy` object itself travels down to the measurement
+service.  It is defined beside the backends it configures, in
+:mod:`repro.sim.measure_service`, because :mod:`repro.core.env` reads it and
+cannot import this package; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,71 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.rl.ppo import PPOConfig
-from repro.sim.gpu import MeasurementConfig
-
-
-@dataclass(frozen=True, slots=True)
-class MeasurementPolicy:
-    """How kernel runtimes are measured (the §3.6 CUDA-events protocol)."""
-
-    #: Warm-up launches before timing starts.
-    warmup_iterations: int = 100
-    #: Timed launches averaged into the reported runtime.
-    measure_iterations: int = 100
-    #: Relative Gaussian measurement noise; the paper reports run-to-run
-    #: standard deviation within 1%, 0 keeps the simulator deterministic.
-    noise_std: float = 0.0
-    #: Seed of the synthetic measurement noise; each schedule derives its own
-    #: noise stream from ``(seed, schedule digest)``.
-    seed: int = 0
-    #: Measurement-service backend: ``"inline"`` (synchronous, the default),
-    #: ``"threaded"`` (candidate batches fan out over a thread pool) or
-    #: ``"process"`` (a process pool — the GIL-free choice for the pure-Python
-    #: timing loop; bit-identical timings to ``"inline"`` for a fixed seed).
-    backend: str = "inline"
-    #: Workers of the ``"threaded"`` / ``"process"`` backends; ``None`` picks
-    #: a default.
-    max_workers: int | None = None
-    #: Start method of the ``"process"`` backend (``"fork"``, ``"spawn"``,
-    #: ``"forkserver"``); ``None`` prefers ``fork`` where available.
-    mp_context: str | None = None
-    #: Dedup repeated schedules by content digest before hitting the simulator.
-    memoize: bool = False
-    #: Cross-session memo table (see :class:`repro.pool.SharedMemoTable`);
-    #: set by :class:`~repro.pool.SessionPool` so workers share measurements.
-    #: Implies memoization for the workloads it covers.
-    shared_memo: "object | None" = field(default=None, repr=False, compare=False)
-    #: This session's identity in the shared table (cross-worker-hit
-    #: accounting); meaningless without ``shared_memo``.
-    memo_owner: str = ""
-    #: Cooperative cancellation checkpoint: a zero-argument callable the
-    #: measurement service invokes before issuing candidate (batches); raise
-    #: from it (e.g. :class:`repro.errors.JobCancelled`) to abort the search.
-    #: Installed per-run via :class:`~repro.api.session.SessionHooks`.
-    checkpoint: "object | None" = field(default=None, repr=False, compare=False)
-    #: Per-step progress callback ``progress(submitted: int)`` invoked after
-    #: every candidate submission with the cumulative submission count; the
-    #: serve layer turns these into streamed ``measured(n)`` events.
-    progress: "object | None" = field(default=None, repr=False, compare=False)
-    #: Checkpoint-state exporter ``save_state(state: dict)``: strategies that
-    #: support resumption call it with an opaque JSON-able snapshot of their
-    #: search state (best schedule so far, evaluations consumed, RNG stream
-    #: position) after every committed step; the serve layer persists the
-    #: latest snapshot in the job journal so a killed server can resume the
-    #: search instead of restarting it.
-    save_state: "object | None" = field(default=None, repr=False, compare=False)
-    #: A previously exported checkpoint to resume from (the dict handed to
-    #: ``save_state``); ``None`` (or an unrecognised payload) starts fresh.
-    resume_state: "object | None" = field(default=None, repr=False, compare=False)
-
-    def to_measurement_config(self) -> MeasurementConfig:
-        """Lower to the :mod:`repro.sim` measurement record."""
-        return MeasurementConfig(
-            warmup_iterations=self.warmup_iterations,
-            measure_iterations=self.measure_iterations,
-            noise_std=self.noise_std,
-            seed=self.seed,
-        )
+from repro.sim.measure_service import MeasurementPolicy  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True, slots=True)

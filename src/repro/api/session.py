@@ -282,11 +282,7 @@ class Session:
         search_started = time.perf_counter()
         outcome = get_strategy(strategy_name).run(
             StrategyContext(
-                compiled=compiled,
-                simulator=self.simulator,
-                config=self.config,
-                measurement=policy.to_measurement_config(),
-                measurement_policy=policy,
+                compiled=compiled, simulator=self.simulator, config=self.config, policy=policy
             )
         )
         search_elapsed = time.perf_counter() - search_started

@@ -33,14 +33,14 @@ class StrategyContext:
     compiled: CompiledKernel
     simulator: GPUSimulator
     config: OptimizationConfig
-    measurement: MeasurementConfig
-    #: Full measurement policy (service backend / workers / memoization);
-    #: ``measurement`` above stays as the lowered per-call protocol record.
-    measurement_policy: MeasurementPolicy | None = None
+    #: How candidates are measured (protocol, service backend, memoization)
+    #: plus the session's per-run hooks; hand it on to the search unchanged.
+    policy: MeasurementPolicy = field(default_factory=MeasurementPolicy)
 
     @property
-    def policy(self) -> MeasurementPolicy:
-        return self.measurement_policy or MeasurementPolicy()
+    def measurement(self) -> MeasurementConfig:
+        """The lowered per-call protocol record, for direct simulator calls."""
+        return self.policy.to_measurement_config()
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,15 @@ class PPOStrategy:
 
     def run(self, context: StrategyContext) -> StrategyOutcome:
         config = context.config
-        policy = context.policy
         trainer = CuAsmRLTrainer(
             context.compiled,
             context.simulator,
             ppo_config=config.ppo_config(),
             episode_length=config.episode_length,
-            measurement=context.measurement,
-            measure_backend=policy.backend,
-            max_workers=policy.max_workers,
-            mp_context=policy.mp_context,
-            memoize=policy.memoize,
-            shared_memo=policy.shared_memo,
-            memo_owner=policy.memo_owner,
-            checkpoint=policy.checkpoint,
-            progress=policy.progress,
+            policy=context.policy,
         )
         try:
-            result = trainer.train(config.train_timesteps, verify=False)
+            result = trainer.train(config.train_timesteps)
             details: dict = {"history": result.history, "episodes": result.episodes}
             if config.trace:
                 details["moves"] = trainer.trace_inference(seed=config.seed)
@@ -171,7 +162,6 @@ class RandomSearchStrategy:
 
     def run(self, context: StrategyContext) -> StrategyOutcome:
         config = context.config
-        policy = context.policy
         return _from_search(
             run_random_search(
                 context.compiled,
@@ -179,17 +169,7 @@ class RandomSearchStrategy:
                 episode_length=config.episode_length,
                 simulator=context.simulator,
                 seed=config.seed,
-                measurement=context.measurement,
-                backend=policy.backend,
-                max_workers=policy.max_workers,
-                mp_context=policy.mp_context,
-                memoize=policy.memoize,
-                shared_memo=policy.shared_memo,
-                memo_owner=policy.memo_owner,
-                checkpoint=policy.checkpoint,
-                progress=policy.progress,
-                save_state=policy.save_state,
-                resume_state=policy.resume_state,
+                policy=context.policy,
             )
         )
 
@@ -203,24 +183,13 @@ class GreedySearchStrategy:
 
     def run(self, context: StrategyContext) -> StrategyOutcome:
         config = context.config
-        policy = context.policy
         return _from_search(
             run_greedy_search(
                 context.compiled,
                 budget=config.search_budget,
                 episode_length=config.episode_length,
                 simulator=context.simulator,
-                measurement=context.measurement,
-                backend=policy.backend,
-                max_workers=policy.max_workers,
-                mp_context=policy.mp_context,
-                memoize=policy.memoize,
-                shared_memo=policy.shared_memo,
-                memo_owner=policy.memo_owner,
-                checkpoint=policy.checkpoint,
-                progress=policy.progress,
-                save_state=policy.save_state,
-                resume_state=policy.resume_state,
+                policy=context.policy,
             )
         )
 
@@ -234,7 +203,6 @@ class EvolutionarySearchStrategy:
 
     def run(self, context: StrategyContext) -> StrategyOutcome:
         config = context.config
-        policy = context.policy
         return _from_search(
             run_evolutionary_search(
                 context.compiled,
@@ -244,16 +212,6 @@ class EvolutionarySearchStrategy:
                 episode_length=config.episode_length,
                 simulator=context.simulator,
                 seed=config.seed,
-                measurement=context.measurement,
-                backend=policy.backend,
-                max_workers=policy.max_workers,
-                mp_context=policy.mp_context,
-                memoize=policy.memoize,
-                shared_memo=policy.shared_memo,
-                memo_owner=policy.memo_owner,
-                checkpoint=policy.checkpoint,
-                progress=policy.progress,
-                save_state=policy.save_state,
-                resume_state=policy.resume_state,
+                policy=context.policy,
             )
         )

@@ -2,9 +2,6 @@
 
 from repro.baselines.search import (
     ScheduleSearchResult,
-    evolutionary_search,
-    greedy_search,
-    random_search,
     run_evolutionary_search,
     run_greedy_search,
     run_random_search,
@@ -13,9 +10,6 @@ from repro.baselines.vendor import VendorBaselines, VendorTimings
 
 __all__ = [
     "ScheduleSearchResult",
-    "random_search",
-    "greedy_search",
-    "evolutionary_search",
     "run_random_search",
     "run_greedy_search",
     "run_evolutionary_search",

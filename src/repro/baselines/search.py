@@ -8,20 +8,21 @@ ablation baselines for the RL choice.
 
 The ``run_*`` functions are the engine; the preferred entry point is the
 strategy registry behind ``repro.api.Session.optimize(spec, strategy=...)``.
-The original ``random_search`` / ``greedy_search`` / ``evolutionary_search``
-names remain as deprecated aliases.
+Each takes one :class:`~repro.sim.measure_service.MeasurementPolicy`: it
+configures the env's measurement service and carries the ``save_state`` /
+``resume_state`` checkpoint hooks the searches read.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.env import AssemblyGame
 from repro.sass.kernel import SassKernel
-from repro.sim.gpu import GPUSimulator, MeasurementConfig
+from repro.sim.gpu import GPUSimulator
+from repro.sim.measure_service import MeasurementPolicy
 from repro.triton.compiler import CompiledKernel
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng
@@ -101,36 +102,6 @@ def _resume_search(env: AssemblyGame, resume_state, method: str):
         return fresh
 
 
-def _make_env(
-    compiled: CompiledKernel,
-    simulator: GPUSimulator | None,
-    episode_length: int,
-    measurement: MeasurementConfig | None = None,
-    backend: str = "inline",
-    max_workers: int | None = None,
-    mp_context: str | None = None,
-    memoize: bool = False,
-    shared_memo=None,
-    memo_owner: str = "",
-    checkpoint=None,
-    progress=None,
-) -> AssemblyGame:
-    return AssemblyGame(
-        compiled,
-        simulator or GPUSimulator(),
-        episode_length=episode_length,
-        measurement=measurement,
-        measure_backend=backend,
-        max_workers=max_workers,
-        mp_context=mp_context,
-        memoize=memoize,
-        shared_memo=shared_memo,
-        memo_owner=memo_owner,
-        checkpoint=checkpoint,
-        progress=progress,
-    )
-
-
 def run_random_search(
     compiled: CompiledKernel,
     *,
@@ -138,31 +109,19 @@ def run_random_search(
     episode_length: int = 32,
     simulator: GPUSimulator | None = None,
     seed: int = 0,
-    measurement: MeasurementConfig | None = None,
-    backend: str = "inline",
-    max_workers: int | None = None,
-    mp_context: str | None = None,
-    memoize: bool = False,
-    shared_memo=None,
-    memo_owner: str = "",
-    checkpoint=None,
-    progress=None,
-    save_state=None,
-    resume_state=None,
+    policy: MeasurementPolicy | None = None,
 ) -> ScheduleSearchResult:
     """Uniform random valid moves until the evaluation budget is exhausted.
 
-    ``save_state``/``resume_state`` make the search resumable: after every
-    committed step the full search state — committed swaps of the current
-    episode, best schedule's swap path, evaluations consumed and the RNG
-    stream position — is exported, and an interrupted run restarted with the
-    last snapshot continues the same move sequence within the same budget.
+    The policy's ``save_state``/``resume_state`` make the search resumable:
+    after every committed step the full search state — committed swaps of the
+    current episode, best schedule's swap path, evaluations consumed and the
+    RNG stream position — is exported, and an interrupted run restarted with
+    the last snapshot continues the same move sequence within the same budget.
     """
-    env = _make_env(
-        compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
-        checkpoint, progress,
-    )
+    policy = policy or MeasurementPolicy()
+    save_state, resume_state = policy.save_state, policy.resume_state
+    env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
     try:
         rng = as_rng(seed)
         env.reset()
@@ -233,46 +192,33 @@ def run_greedy_search(
     budget: int = 128,
     episode_length: int = 64,
     simulator: GPUSimulator | None = None,
-    measurement: MeasurementConfig | None = None,
-    backend: str = "inline",
-    max_workers: int | None = None,
-    mp_context: str | None = None,
-    memoize: bool = False,
-    shared_memo=None,
-    memo_owner: str = "",
-    checkpoint=None,
-    progress=None,
-    save_state=None,
-    resume_state=None,
+    policy: MeasurementPolicy | None = None,
 ) -> ScheduleSearchResult:
     """Greedy hill-climbing: at every step take the single move that improves
     the runtime the most; stop when no move improves or the budget runs out.
 
-    ``save_state``/``resume_state`` make the climb resumable: after every
-    committed move the search exports its committed-swap path and evaluation
-    count, and an interrupted run restarted with the last snapshot replays
-    the path (memo hits under ``memoize=True``) and keeps climbing within
-    the same budget.  Greedy improves monotonically, so the committed path
-    *is* the best path — no separate best tracking rides the snapshot.
+    The policy's ``save_state``/``resume_state`` make the climb resumable:
+    after every committed move the search exports its committed-swap path and
+    evaluation count, and an interrupted run restarted with the last snapshot
+    replays the path (memo hits under a memoizing policy) and keeps climbing
+    within the same budget.  Greedy improves monotonically, so the committed
+    path *is* the best path — no separate best tracking rides the snapshot.
 
     Each round batch-measures *all* valid single-move candidates through the
-    env's measurement service (concurrently under ``backend="threaded"``),
+    env's measurement service (concurrently under ``backend="process"``),
     then commits the winner with a real ``env.step``.  The committing step is
-    a measurement too, so it counts against the budget — and under
-    ``memoize=True`` it is a guaranteed memoization hit, as are probes of
+    a measurement too, so it counts against the budget — and under a
+    memoizing policy it is a guaranteed memoization hit, as are probes of
     previously visited schedules (e.g. the swap that reverts the last move).
 
     This also serves as the stand-in for expert hand-scheduling (the vendor
     reference implementations) in the Figure 6 harness.
     """
-    env = _make_env(
-        compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
-        checkpoint, progress,
-    )
+    policy = policy or MeasurementPolicy()
+    env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
     try:
         env.reset()
-        evaluations, committed, _ = _resume_search(env, resume_state, "greedy")
+        evaluations, committed, _ = _resume_search(env, policy.resume_state, "greedy")
         resumed_from = evaluations
         history = []
         improved = True
@@ -319,8 +265,8 @@ def run_greedy_search(
             improved = True
             if "swap" in info:
                 committed.append(tuple(info["swap"]))
-            if save_state is not None:
-                save_state({
+            if policy.save_state is not None:
+                policy.save_state({
                     "strategy": "greedy",
                     "evaluations": evaluations,
                     "swaps": [list(move) for move in committed],
@@ -355,37 +301,23 @@ def run_evolutionary_search(
     episode_length: int = 64,
     simulator: GPUSimulator | None = None,
     seed: int = 0,
-    measurement: MeasurementConfig | None = None,
-    backend: str = "inline",
-    max_workers: int | None = None,
-    mp_context: str | None = None,
-    memoize: bool = False,
-    shared_memo=None,
-    memo_owner: str = "",
-    checkpoint=None,
-    progress=None,
-    save_state=None,
-    resume_state=None,
+    policy: MeasurementPolicy | None = None,
 ) -> ScheduleSearchResult:
     """(mu + lambda)-style evolutionary search over move sequences (§7).
 
     Individuals are sequences of valid moves applied from the -O3 schedule;
     mutation appends/perturbs moves.  As the paper notes, the approach needs
     no training but is prone to local minima.  Surviving parents are replayed
-    every generation, so ``memoize=True`` turns those re-measurements into
+    every generation, so a memoizing policy turns those re-measurements into
     cache hits.
 
-    ``save_state``/``resume_state`` are accepted for interface parity with
-    the other searches but population state is not checkpointed yet; a
-    resumed evolutionary job restarts fresh.
+    Population state is not checkpointed yet: the policy's ``save_state`` is
+    never called, and a job resumed with a ``resume_state`` restarts fresh.
     """
-    if resume_state is not None:
+    policy = policy or MeasurementPolicy()
+    if policy.resume_state is not None:
         _LOG.info("evolutionary: population checkpoints unsupported; starting fresh")
-    env = _make_env(
-        compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
-        checkpoint, progress,
-    )
+    env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
     try:
         rng = as_rng(seed)
         evaluations = 0
@@ -457,34 +389,3 @@ def run_evolutionary_search(
         )
     finally:
         env.close()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-Session public API)
-# ---------------------------------------------------------------------------
-def _deprecated(name: str, strategy: str) -> None:
-    warnings.warn(
-        f"repro.baselines.{name}() is deprecated; use "
-        f'repro.api.Session.optimize(spec, strategy="{strategy}") or '
-        f"repro.baselines.search.run_{name}()",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def random_search(compiled: CompiledKernel, **kwargs) -> ScheduleSearchResult:
-    """Deprecated alias of :func:`run_random_search`."""
-    _deprecated("random_search", "random")
-    return run_random_search(compiled, **kwargs)
-
-
-def greedy_search(compiled: CompiledKernel, **kwargs) -> ScheduleSearchResult:
-    """Deprecated alias of :func:`run_greedy_search`."""
-    _deprecated("greedy_search", "greedy")
-    return run_greedy_search(compiled, **kwargs)
-
-
-def evolutionary_search(compiled: CompiledKernel, **kwargs) -> ScheduleSearchResult:
-    """Deprecated alias of :func:`run_evolutionary_search`."""
-    _deprecated("evolutionary_search", "evolutionary")
-    return run_evolutionary_search(compiled, **kwargs)

@@ -264,11 +264,8 @@ def measurement_backend_throughput(
     )
     policies = [
         ("inline", MeasurementPolicy()),
-        ("threaded", MeasurementPolicy(backend="threaded", max_workers=max_workers)),
-        (
-            "threaded+memo",
-            MeasurementPolicy(backend="threaded", max_workers=max_workers, memoize=True),
-        ),
+        ("process", MeasurementPolicy(backend="process", max_workers=max_workers)),
+        ("inline+memo", MeasurementPolicy(memoize=True)),
     ]
     rows = []
     for name, policy in policies:
@@ -303,7 +300,7 @@ def pool_sharding_throughput(
     search_budget: int = 24,
     episode_length: int = 8,
     max_workers: int = 2,
-    measure_backends=("inline", "threaded", "process"),
+    measure_backends=("inline", "process"),
     steady_state_kernel: str = "mmLeakyReLu",
     steady_state_scale: str = "bench",
     steady_state_batch: int = 8,
@@ -323,8 +320,7 @@ def pool_sharding_throughput(
       workload times a fixed candidate batch (``steady_evals_per_sec``),
       isolating raw measurement throughput from pool scheduling and startup.
       This is where ``"process"`` wins on multi-core hosts: the timing loop
-      is pure Python, so only worker processes run candidates in parallel,
-      while ``"threaded"`` stays serialized on the GIL.
+      is pure Python, so only worker processes run candidates in parallel.
     """
     from repro.pool import SessionPool
 
@@ -393,8 +389,7 @@ def _steady_state_throughput(
         compiled.grid,
         inputs,
         compiled.param_order,
-        backend=backend,
-        max_workers=max_workers,
+        MeasurementPolicy(backend=backend, max_workers=max_workers),
     )
     try:
         warm = service.measure_batch([compiled.kernel] * max_workers)[0]

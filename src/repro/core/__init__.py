@@ -1,16 +1,15 @@
-"""CuAsmRL core: the assembly game, trainer, optimizer and jit integration.
+"""CuAsmRL core: the assembly game, the PPO trainer and the deploy cache.
 
 The supported public surface is :mod:`repro.api` (``Session`` plus the
-strategy/backend registries); ``jit``/``JitKernel``/``CuAsmRLOptimizer`` here
-are deprecated shims kept for backward compatibility.
+strategy/backend registries), which drives everything here.
 """
 
 from repro.core.actions import ActionSpace, Direction, ReorderAction
 from repro.core.embedding import StateEmbedder
 from repro.core.env import AssemblyGame, EpisodeRecord
-from repro.core.jit import CacheEntry, CubinCache, JitKernel, cache_key, jit
+from repro.core.jit import CacheEntry, CubinCache, cache_key
 from repro.core.masking import ActionMasker, check_stall_after_hoist
-from repro.core.optimizer import CuAsmRLOptimizer, OptimizedKernel
+from repro.core.optimizer import OptimizedKernel
 from repro.core.trainer import CuAsmRLTrainer, OptimizationMove, OptimizationResult
 
 __all__ = [
@@ -25,10 +24,7 @@ __all__ = [
     "CuAsmRLTrainer",
     "OptimizationResult",
     "OptimizationMove",
-    "CuAsmRLOptimizer",
     "OptimizedKernel",
-    "jit",
-    "JitKernel",
     "CubinCache",
     "CacheEntry",
     "cache_key",

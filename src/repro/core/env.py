@@ -14,7 +14,7 @@ schedule seen across all episodes is tracked for deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from repro.core.masking import ActionMasker
 from repro.errors import EnvironmentError_
 from repro.rl.env_api import Box, Discrete, Env
 from repro.sass.kernel import SassKernel
-from repro.sim.gpu import GPUSimulator, MeasurementConfig
+from repro.sim.gpu import GPUSimulator
 from repro.sim.measure_service import (
+    MeasurementPolicy,
     MeasurementStats,
     create_measurement_service,
     workload_memo_scope,
@@ -59,53 +60,38 @@ class AssemblyGame(Env):
         simulator: GPUSimulator | None = None,
         *,
         episode_length: int = 32,
-        measurement: MeasurementConfig | None = None,
+        policy: MeasurementPolicy | None = None,
         stall_table: StallCountTable | None = None,
         inputs: dict | None = None,
         input_seed: int = 0,
-        measure_backend: str = "inline",
-        max_workers: int | None = None,
-        mp_context: str | None = None,
-        memoize: bool = False,
-        shared_memo=None,
-        memo_owner: str = "",
-        checkpoint=None,
-        progress=None,
     ):
         self.compiled = compiled
         self.simulator = simulator or GPUSimulator()
         self.episode_length = int(episode_length)
-        self.measurement = measurement or MeasurementConfig()
+        policy = policy or MeasurementPolicy()
         self.inputs = inputs if inputs is not None else compiled.make_inputs(input_seed)
-        if shared_memo is not None and inputs is not None:
+        memo_scope = ""
+        if policy.shared_memo is not None and inputs is not None:
             # Explicit input tensors are not captured by the workload scope
             # key, so cross-session sharing could alias distinct workloads;
             # fall back to a private memo for this env.
-            shared_memo, memoize = None, True
+            policy = replace(policy, shared_memo=None, memoize=True)
+        elif policy.shared_memo is not None:
+            memo_scope = workload_memo_scope(
+                self.simulator.config.name,
+                compiled.kernel.metadata.name,
+                compiled.shapes,
+                compiled.config,
+                policy.to_measurement_config(),
+                input_seed,
+            )
         self.measure_service = create_measurement_service(
             self.simulator,
             compiled.grid,
             self.inputs,
             compiled.param_order,
-            measurement=self.measurement,
-            backend=measure_backend,
-            max_workers=max_workers,
-            mp_context=mp_context,
-            memoize=memoize,
-            shared_memo=shared_memo,
-            memo_scope=""
-            if shared_memo is None
-            else workload_memo_scope(
-                self.simulator.config.name,
-                compiled.kernel.metadata.name,
-                compiled.shapes,
-                compiled.config,
-                self.measurement,
-                input_seed,
-            ),
-            memo_owner=memo_owner,
-            checkpoint=checkpoint,
-            progress=progress,
+            policy,
+            memo_scope=memo_scope,
         )
 
         try:

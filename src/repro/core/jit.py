@@ -1,24 +1,19 @@
-"""Deprecated ``@cuasmrl.jit`` shims and the deploy-time cubin cache (§4.1–4.2).
+"""The deploy-time cubin cache (§4.2).
 
 The paper's workflow is: change one line (``@triton.jit`` → ``@cuasmrl.jit``),
 invoke the kernel once to trigger the hierarchical optimization, and at
-deployment pass ``load_dir`` so the cached optimized cubin is looked up
-instead of retrained.
+deployment look the cached optimized cubin up instead of retraining.  Here
+that workflow is the :class:`repro.api.Session` facade::
 
-.. note::
-   The supported entry point for this workflow is now the
-   :class:`repro.api.Session` facade::
+    from repro.api import Session, OptimizationConfig
 
-       from repro.api import Session, OptimizationConfig
+    session = Session(gpu="A100-sim", cache_dir="./cache",
+                      config=OptimizationConfig(scale="test"))
+    session.optimize("softmax")          # offline, one-time cost
+    deployed = session.deploy("softmax")  # cached-cubin lookup
 
-       session = Session(gpu="A100-sim", cache_dir="./cache",
-                         config=OptimizationConfig(scale="test"))
-       session.optimize("softmax")          # offline, one-time cost
-       deployed = session.deploy("softmax")  # cached-cubin lookup
-
-   :func:`jit` and :class:`JitKernel` remain as thin deprecation shims over a
-   session.  :class:`CubinCache` (the filesystem cache itself) and
-   :func:`cache_key` are still first-class — the session owns one.
+This module holds the filesystem cache a session owns (:class:`CubinCache`)
+and its key (:func:`cache_key`).
 """
 
 from __future__ import annotations
@@ -28,15 +23,11 @@ import functools
 import hashlib
 import os
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import OptimizationError
 from repro.sass.cubin import Cubin
-from repro.sim.gpu import GPUSimulator
-from repro.triton.compiler import CompiledKernel
-from repro.triton.spec import KernelSpec
 from repro.utils.logging import get_logger
 from repro.utils.serialization import from_json_file, to_json_file, to_json_str
 
@@ -240,77 +231,3 @@ class CubinCache:
         # The entry carries the metadata parsed during validation, so callers'
         # load_meta() does not re-read the file.
         return entry
-
-
-class JitKernel:
-    """Deprecated: the object returned by :func:`jit`; now a Session shim."""
-
-    def __init__(
-        self,
-        spec: KernelSpec,
-        *,
-        ret_ptr: int | None = None,
-        cache_dir: str | Path = ".cuasmrl_cache",
-        simulator: GPUSimulator | None = None,
-        optimizer=None,
-        scale: str = "bench",
-    ):
-        warnings.warn(
-            "repro.core.jit.JitKernel is deprecated; use repro.api.Session "
-            "(session.optimize / session.deploy / session.run)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api import OptimizationConfig, Session
-
-        # The historical JitKernel default budget (train_timesteps=256).
-        config = OptimizationConfig(scale=scale, train_timesteps=256)
-        if optimizer is not None:
-            config = config.replace(
-                episode_length=optimizer.episode_length,
-                train_timesteps=optimizer.train_timesteps,
-                autotune=optimizer.autotune,
-                ppo=optimizer.ppo_config,
-            )
-            if simulator is None:
-                simulator = optimizer.simulator
-        self.spec = spec
-        self.ret_ptr = ret_ptr
-        self.scale = scale
-        self.session = Session(gpu=simulator, cache_dir=cache_dir, config=config)
-        self.simulator = self.session.simulator
-        self.cache = self.session.cache
-        self.optimizer = optimizer
-
-    # ------------------------------------------------------------------
-    def _key(self, shapes: dict) -> str:
-        return self.session.key_for(self.spec, shapes)
-
-    def optimize(self, *, shapes: dict | None = None, verify: bool = True):
-        """Invoke the hierarchical optimization and cache the result."""
-        report = self.session.optimize(self.spec, shapes=shapes, verify=verify)
-        return report.artifact
-
-    def load(self, *, shapes: dict | None = None, load_dir: str | Path | None = None) -> CompiledKernel:
-        """Deploy-time lookup: load the cached optimized schedule (no training)."""
-        return self.session.deploy(self.spec, shapes=shapes, cache_dir=load_dir)
-
-    def __call__(self, inputs: dict | None = None, *, shapes: dict | None = None, load_dir=None):
-        """Run the kernel: from the cache when available, otherwise the -O3 build."""
-        if load_dir is not None:
-            compiled = self.load(shapes=shapes, load_dir=load_dir)
-            return compiled.run(self.simulator, inputs)
-        return self.session.run(self.spec, inputs, shapes=shapes)
-
-
-def jit(spec: KernelSpec, *, ret_ptr: int | None = None, **kwargs) -> JitKernel:
-    """Deprecated one-line integration of Listing 4; use :class:`repro.api.Session`."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        kernel = JitKernel(spec, ret_ptr=ret_ptr, **kwargs)
-    warnings.warn(
-        "repro.core.jit.jit() is deprecated; use repro.api.Session",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return kernel

@@ -1,34 +1,19 @@
-"""High-level CuAsmRL optimizer: hierarchical search over one workload (§3.1).
+"""The deployable artifact of the hierarchical search (§3.1, Figure 2).
 
-``CuAsmRLOptimizer.optimize`` runs the full pipeline of Figure 2: grid-search
-autotuning of the kernel configuration, compilation of the winning
-configuration to the ``-O3`` SASS schedule, RL training of the assembly game
-on that schedule, probabilistic verification of the best schedule found, and
-finally splicing it back into the cubin.
-
-.. note::
-   :class:`CuAsmRLOptimizer` is deprecated as a public entry point; use
-   ``repro.api.Session.optimize(spec, strategy="ppo")``, which runs the same
-   pipeline behind the strategy registry.  The :class:`OptimizedKernel`
-   artifact remains first-class (sessions produce it too).
+:class:`OptimizedKernel` bundles what one optimization run produces: the
+``-O3`` compiled kernel, the same kernel with the best schedule found, that
+schedule spliced back into the cubin, and the run's
+:class:`~repro.core.trainer.OptimizationResult`.  ``repro.api.Session.optimize``
+builds it and writes it to the deploy cache.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from repro.core.trainer import CuAsmRLTrainer, OptimizationResult
-from repro.rl.ppo import PPOConfig
-from repro.sass.assembler import splice_kernel
+from repro.core.trainer import OptimizationResult
 from repro.sass.cubin import Cubin
-from repro.sim.gpu import GPUSimulator
-from repro.triton.autotuner import Autotuner
-from repro.triton.compiler import CompiledKernel, compile_spec
-from repro.triton.spec import KernelSpec
-from repro.utils.logging import get_logger
-
-_LOG = get_logger("core.optimizer")
+from repro.triton.compiler import CompiledKernel
 
 
 @dataclass
@@ -43,68 +28,3 @@ class OptimizedKernel:
     @property
     def speedup(self) -> float:
         return self.result.speedup
-
-
-class CuAsmRLOptimizer:
-    """Hierarchical optimizer: autotune kernel configs, then RL-optimize SASS."""
-
-    def __init__(
-        self,
-        simulator: GPUSimulator | None = None,
-        *,
-        ppo_config: PPOConfig | None = None,
-        episode_length: int = 32,
-        train_timesteps: int = 512,
-        autotune: bool = True,
-    ):
-        warnings.warn(
-            "repro.core.optimizer.CuAsmRLOptimizer is deprecated; use "
-            'repro.api.Session.optimize(spec, strategy="ppo")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.simulator = simulator or GPUSimulator()
-        self.ppo_config = ppo_config
-        self.episode_length = episode_length
-        self.train_timesteps = train_timesteps
-        self.autotune = autotune
-        self.autotuner = Autotuner(self.simulator)
-
-    # ------------------------------------------------------------------
-    def compile(self, spec: KernelSpec, *, shapes: dict | None = None, scale: str = "bench") -> CompiledKernel:
-        """Stage 1 of the hierarchical search: pick the best kernel config."""
-        if self.autotune:
-            return self.autotuner.compile_best(spec, shapes=shapes, scale=scale)
-        return compile_spec(spec, shapes=shapes, scale=scale)
-
-    def optimize_compiled(self, compiled: CompiledKernel, *, verify: bool = True) -> OptimizedKernel:
-        """Stage 2: train the RL agent on the compiled kernel's SASS schedule."""
-        trainer = CuAsmRLTrainer(
-            compiled,
-            self.simulator,
-            ppo_config=self.ppo_config,
-            episode_length=self.episode_length,
-        )
-        result = trainer.train(self.train_timesteps, verify=verify)
-        optimized = compiled.with_kernel(result.best_kernel)
-        cubin = splice_kernel(compiled.cubin, result.best_kernel)
-        _LOG.info(
-            "%s: %.4f ms -> %.4f ms (%.2fx)",
-            compiled.kernel.metadata.name,
-            result.baseline_time_ms,
-            result.best_time_ms,
-            result.speedup,
-        )
-        return OptimizedKernel(compiled=compiled, optimized=optimized, cubin=cubin, result=result)
-
-    def optimize(
-        self,
-        spec: KernelSpec,
-        *,
-        shapes: dict | None = None,
-        scale: str = "bench",
-        verify: bool = True,
-    ) -> OptimizedKernel:
-        """Full hierarchical optimization of one workload."""
-        compiled = self.compile(spec, shapes=shapes, scale=scale)
-        return self.optimize_compiled(compiled, verify=verify)

@@ -1,9 +1,10 @@
 """CuAsmRL training, inference and move tracing.
 
 Wraps the generic PPO trainer around the assembly game, tracks the best
-schedule found (the artifact written to the deploy cache, §4.2), verifies it
-with probabilistic testing, and supports the deterministic inference mode the
-paper uses to reveal the learned optimization moves (§5.7).
+schedule found (the artifact written to the deploy cache, §4.2), and supports
+the deterministic inference mode the paper uses to reveal the learned
+optimization moves (§5.7).  Verifying the best schedule is the job of
+:class:`repro.api.Session`'s verify modes.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer, TrainingHistory
 from repro.sass.instruction import Instruction
 from repro.sass.kernel import SassKernel
-from repro.sim.functional import ProbabilisticTester, ProbabilisticTestResult
+from repro.sim.functional import ProbabilisticTestResult
 from repro.sim.gpu import GPUSimulator
+from repro.sim.measure_service import MeasurementPolicy
 from repro.triton.compiler import CompiledKernel
-from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng
-
-_LOG = get_logger("core.trainer")
 
 
 @dataclass
@@ -79,15 +78,7 @@ class CuAsmRLTrainer:
         ppo_config: PPOConfig | None = None,
         episode_length: int = 32,
         input_seed: int = 0,
-        measurement=None,
-        measure_backend: str = "inline",
-        max_workers: int | None = None,
-        mp_context: str | None = None,
-        memoize: bool = False,
-        shared_memo=None,
-        memo_owner: str = "",
-        checkpoint=None,
-        progress=None,
+        policy: MeasurementPolicy | None = None,
     ):
         self.compiled = compiled
         self.simulator = simulator or GPUSimulator()
@@ -96,55 +87,23 @@ class CuAsmRLTrainer:
             compiled,
             self.simulator,
             episode_length=episode_length,
-            measurement=measurement,
+            policy=policy,
             input_seed=input_seed,
-            measure_backend=measure_backend,
-            max_workers=max_workers,
-            mp_context=mp_context,
-            memoize=memoize,
-            shared_memo=shared_memo,
-            memo_owner=memo_owner,
-            checkpoint=checkpoint,
-            progress=progress,
         )
         self.agent = PPOTrainer(self.env, self.ppo_config)
 
     # ------------------------------------------------------------------
-    def train(self, total_timesteps: int, *, verify: bool = True, verify_trials: int = 1) -> OptimizationResult:
+    def train(self, total_timesteps: int) -> OptimizationResult:
         """Run the assembly game for ``total_timesteps`` moves."""
         history = self.agent.train(total_timesteps)
-        verification = None
-        if verify:
-            verification = self.verify(self.env.best_kernel, trials=verify_trials)
-            if not verification.passed:
-                _LOG.warning(
-                    "best schedule failed probabilistic testing (%s); falling back to -O3",
-                    verification.message,
-                )
-                self.env.best_kernel = self.env.initial_kernel
-                self.env.best_time_ms = self.env.baseline_time_ms
         return OptimizationResult(
             kernel_name=self.compiled.kernel.metadata.name,
             baseline_time_ms=self.env.baseline_time_ms,
             best_time_ms=self.env.best_time_ms,
             best_kernel=self.env.best_kernel,
             history=history,
-            verification=verification,
             episodes=list(self.env.episodes),
         )
-
-    # ------------------------------------------------------------------
-    def verify(self, kernel: SassKernel, *, trials: int = 1, seed: int = 0) -> ProbabilisticTestResult:
-        """Probabilistic testing of a schedule against the numpy reference (§4.1)."""
-        tester = ProbabilisticTester(
-            simulator=self.simulator,
-            input_factory=lambda rng: self.compiled.spec.make_inputs(rng, self.compiled.shapes),
-            reference=lambda inputs: self.compiled.reference(inputs),
-            grid=self.compiled.grid,
-            param_order=self.compiled.param_order,
-            output_names=list(self.compiled.spec.output_names),
-        )
-        return tester.run(kernel, trials=trials, seed=seed)
 
     # ------------------------------------------------------------------
     def trace_inference(self, *, seed: int = 0, deterministic: bool = True) -> list[OptimizationMove]:

@@ -19,7 +19,6 @@ from repro.sim.measure_service import (
     MeasurementStats,
     MemoizedMeasurementBackend,
     ProcessMeasurementBackend,
-    ThreadedMeasurementBackend,
     available_measurement_backends,
     create_measurement_service,
     workload_memo_scope,
@@ -50,7 +49,6 @@ __all__ = [
     "MeasurementBackend",
     "MeasurementStats",
     "InlineMeasurementBackend",
-    "ThreadedMeasurementBackend",
     "ProcessMeasurementBackend",
     "MemoizedMeasurementBackend",
     "available_measurement_backends",

@@ -1,14 +1,14 @@
-"""Batched measurement service behind :class:`MeasurementPolicy` (§3.6 protocol).
+"""Batched measurement service configured by one :class:`MeasurementPolicy` (§3.6).
 
 Every search strategy bottoms out in "measure this mutated schedule on the
 (simulated) GPU".  The service layer decouples *how* those measurements are
-issued from the search loop:
+issued from the search loop.  A :class:`MeasurementPolicy` says how, and it
+travels unchanged from :class:`repro.api.Session` through the strategies,
+searches and :class:`repro.core.env.AssemblyGame` to
+:func:`create_measurement_service`:
 
 * ``inline`` — the historical behavior: one synchronous
   :meth:`~repro.sim.gpu.GPUSimulator.measure` call per candidate;
-* ``threaded`` — fan independent candidates out over a thread pool, so a
-  batch of single-move candidates (greedy's inner loop, a population of
-  individuals) measures concurrently;
 * ``process`` — fan candidates out over a *process* pool, sidestepping the
   GIL for the cycle-accurate timing loop (which is pure Python and therefore
   does not parallelize on threads); the workload ships to each worker process
@@ -25,9 +25,9 @@ issued from the search loop:
 
 A service instance is bound to one workload (kernel launch geometry, input
 tensors, measurement protocol) and measures *candidate schedules* of that
-workload — exactly the shape of the assembly game's reward query.  All
-backends are deterministic for a fixed workload, so ``threaded`` and
-``process`` return bit-identical timings to ``inline``, and the
+workload — exactly the shape of the assembly game's reward query.  Both
+backends are deterministic for a fixed workload, so ``process`` returns
+bit-identical timings to ``inline``, and the
 per-``(seed, schedule)`` noise streams of :meth:`GPUSimulator.measure` make
 memoization semantics-preserving even under synthetic measurement noise.
 """
@@ -38,13 +38,84 @@ import hashlib
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.sass.kernel import SassKernel
 from repro.sim.gpu import GPUSimulator, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig
+
+
+@dataclass(frozen=True, slots=True)
+class MeasurementPolicy:
+    """How kernel runtimes are measured (the §3.6 CUDA-events protocol)."""
+
+    #: Warm-up launches before timing starts.
+    warmup_iterations: int = 100
+    #: Timed launches averaged into the reported runtime.
+    measure_iterations: int = 100
+    #: Relative Gaussian measurement noise; the paper reports run-to-run
+    #: standard deviation within 1%, 0 keeps the simulator deterministic.
+    noise_std: float = 0.0
+    #: Seed of the synthetic measurement noise; each schedule derives its own
+    #: noise stream from ``(seed, schedule digest)``.
+    seed: int = 0
+    #: Measurement-service backend: ``"inline"`` (synchronous, the default)
+    #: or ``"process"`` (a process pool — the GIL-free choice for the
+    #: pure-Python timing loop; bit-identical timings to ``"inline"`` for a
+    #: fixed seed).  Any other name is rejected at construction.
+    backend: str = "inline"
+    #: Workers of the ``"process"`` backend; ``None`` picks a default.
+    max_workers: int | None = None
+    #: Start method of the ``"process"`` backend (``"fork"``, ``"spawn"``,
+    #: ``"forkserver"``); ``None`` prefers ``fork`` where available.
+    mp_context: str | None = None
+    #: Dedup repeated schedules by content digest before hitting the simulator.
+    memoize: bool = False
+    #: Cross-session memo table (see :class:`repro.pool.SharedMemoTable`);
+    #: set by :class:`~repro.pool.SessionPool` so workers share measurements.
+    #: Implies memoization for the workloads it covers.
+    shared_memo: "object | None" = field(default=None, repr=False, compare=False)
+    #: This session's identity in the shared table (cross-worker-hit
+    #: accounting); meaningless without ``shared_memo``.
+    memo_owner: str = ""
+    #: Cooperative cancellation checkpoint: a zero-argument callable the
+    #: measurement service invokes before issuing candidate (batches); raise
+    #: from it (e.g. :class:`repro.errors.JobCancelled`) to abort the search.
+    #: Installed per-run via :class:`~repro.api.session.SessionHooks`.
+    checkpoint: "object | None" = field(default=None, repr=False, compare=False)
+    #: Per-step progress callback ``progress(submitted: int)`` invoked after
+    #: every candidate submission with the cumulative submission count; the
+    #: serve layer turns these into streamed ``measured(n)`` events.
+    progress: "object | None" = field(default=None, repr=False, compare=False)
+    #: Checkpoint-state exporter ``save_state(state: dict)``: strategies that
+    #: support resumption call it with an opaque JSON-able snapshot of their
+    #: search state (best schedule so far, evaluations consumed, RNG stream
+    #: position) after every committed step; the serve layer persists the
+    #: latest snapshot in the job journal so a killed server can resume the
+    #: search instead of restarting it.
+    save_state: "object | None" = field(default=None, repr=False, compare=False)
+    #: A previously exported checkpoint to resume from (the dict handed to
+    #: ``save_state``); ``None`` (or an unrecognised payload) starts fresh.
+    resume_state: "object | None" = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Fail at configuration time, not on every job that measures.
+        if self.backend not in _MEASUREMENT_BACKENDS:
+            raise ValueError(
+                f"unknown measurement backend {self.backend!r}; "
+                f"available: {list(available_measurement_backends())}"
+            )
+
+    def to_measurement_config(self) -> MeasurementConfig:
+        """Lower to the :mod:`repro.sim` measurement record."""
+        return MeasurementConfig(
+            warmup_iterations=self.warmup_iterations,
+            measure_iterations=self.measure_iterations,
+            noise_std=self.noise_std,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -102,40 +173,35 @@ class _WorkloadMeasurer:
         grid: GridConfig,
         tensors: dict,
         param_order: list[str],
-        scalars: dict | None = None,
-        measurement: MeasurementConfig | None = None,
-        *,
-        checkpoint=None,
-        progress=None,
+        policy: MeasurementPolicy,
     ):
         self.simulator = simulator
         self.grid = grid
         self.tensors = tensors
         self.param_order = param_order
-        self.scalars = scalars
-        self.measurement = measurement or MeasurementConfig()
+        #: The lowered protocol record; all a process worker receives, since
+        #: the policy's hooks and shared memo table do not pickle.
+        self.measurement = policy.to_measurement_config()
         self.stats = MeasurementStats()
         #: Cooperative cancellation checkpoint, run before every candidate
         #: submission and batch; raising from it aborts the search between
         #: measurements (see :class:`repro.errors.JobCancelled`).
-        self.checkpoint = checkpoint
+        self.checkpoint = policy.checkpoint
         #: ``progress(submitted)`` callback, run after every submission with
         #: the cumulative submission count (memo hits included by wrappers).
-        self.progress = progress
+        self.progress = policy.progress
         self._lock = threading.Lock()
         # The workload's tensors are bound into a launch context once per
-        # measuring thread (one total for ``inline``) and reused across every
-        # candidate: timing simulation restores the simulated memory snapshot
-        # instead of re-uploading all inputs per measurement.  Launches are
-        # thread-local because a launch's memory is mutated during a run.
+        # measuring thread and reused across every candidate: timing
+        # simulation restores the simulated memory snapshot instead of
+        # re-uploading all inputs per measurement.  Launches are thread-local
+        # because a launch's memory is mutated during a run.
         self._thread_launches = threading.local()
 
     def _workload_launch(self):
         launch = getattr(self._thread_launches, "launch", None)
         if launch is None:
-            launch = self.simulator.build_launch(
-                self.grid, self.tensors, self.param_order, self.scalars
-            )
+            launch = self.simulator.build_launch(self.grid, self.tensors, self.param_order)
             self._thread_launches.launch = launch
         return launch
 
@@ -179,29 +245,6 @@ class InlineMeasurementBackend(_WorkloadMeasurer):
         return future
 
 
-class ThreadedMeasurementBackend(_WorkloadMeasurer):
-    """Thread-pool fan-out: independent candidates measure concurrently.
-
-    Each worker thread binds its own reusable launch context (thread-local),
-    so concurrent calls only share the (immutable) architecture config and the
-    read-only input tensors.
-    """
-
-    def __init__(self, *args, max_workers: int | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.max_workers = int(max_workers or min(8, os.cpu_count() or 1))
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="measure"
-        )
-
-    def submit(self, candidate: SassKernel) -> "Future[KernelTiming]":
-        self._tick()
-        return self._pool.submit(self._measure, candidate)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 #: Workload bound to each process-pool worker by the pool initializer, so a
 #: submission only ships the candidate schedule, not the input tensors.
 _PROCESS_WORKLOAD: tuple | None = None
@@ -218,9 +261,9 @@ def _process_worker_init(workload: tuple) -> None:
 
 def _process_measure(candidate: SassKernel) -> KernelTiming:
     global _PROCESS_LAUNCH
-    simulator, grid, tensors, param_order, scalars, measurement = _PROCESS_WORKLOAD
+    simulator, grid, tensors, param_order, measurement = _PROCESS_WORKLOAD
     if _PROCESS_LAUNCH is None:
-        _PROCESS_LAUNCH = simulator.build_launch(grid, tensors, param_order, scalars)
+        _PROCESS_LAUNCH = simulator.build_launch(grid, tensors, param_order)
     return simulator.measure_with_launch(
         candidate, _PROCESS_LAUNCH, measurement=measurement
     )
@@ -251,9 +294,8 @@ def _resolve_mp_context(method: str | None):
 class ProcessMeasurementBackend(_WorkloadMeasurer):
     """Process-pool fan-out: parallel timing simulation without the GIL.
 
-    The timing loop is pure Python, so ``threaded`` only overlaps what little
-    the interpreter releases; worker processes actually run candidates in
-    parallel on multi-core hosts.  The simulation is deterministic, so the
+    The timing loop is pure Python, so only worker processes run candidates
+    in parallel on multi-core hosts.  The simulation is deterministic, so the
     timings are bit-identical to ``inline`` for a fixed measurement seed.
 
     ``stats.measured`` is counted on submission (worker processes cannot
@@ -261,22 +303,13 @@ class ProcessMeasurementBackend(_WorkloadMeasurer):
     an issued measurement.
     """
 
-    def __init__(
-        self, *args, max_workers: int | None = None, mp_context: str | None = None, **kwargs
-    ):
-        super().__init__(*args, **kwargs)
-        self.max_workers = int(max_workers or min(8, os.cpu_count() or 1))
-        workload = (
-            self.simulator,
-            self.grid,
-            self.tensors,
-            self.param_order,
-            self.scalars,
-            self.measurement,
-        )
+    def __init__(self, simulator, grid, tensors, param_order, policy: MeasurementPolicy):
+        super().__init__(simulator, grid, tensors, param_order, policy)
+        self.max_workers = int(policy.max_workers or min(8, os.cpu_count() or 1))
+        workload = (self.simulator, self.grid, self.tensors, self.param_order, self.measurement)
         self._pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
-            mp_context=_resolve_mp_context(mp_context),
+            mp_context=_resolve_mp_context(policy.mp_context),
             initializer=_process_worker_init,
             initargs=(workload,),
         )
@@ -300,7 +333,7 @@ class MemoizedMeasurementBackend:
     counts raw simulator work and ``memo_hits`` counts deduped requests.
 
     The table is bounded (``max_entries``, FIFO eviction): a long search over
-    mostly unique schedules — e.g. a PPO run with ``memoize=True`` — must not
+    mostly unique schedules — e.g. a PPO run under a memoizing policy — must not
     retain a timing object per schedule ever measured.  An evicted schedule
     simply re-measures on its next submission.
 
@@ -385,7 +418,6 @@ class MemoizedMeasurementBackend:
 #: Registered backend constructors, keyed by :attr:`MeasurementPolicy.backend` name.
 _MEASUREMENT_BACKENDS = {
     "inline": InlineMeasurementBackend,
-    "threaded": ThreadedMeasurementBackend,
     "process": ProcessMeasurementBackend,
 }
 
@@ -432,53 +464,30 @@ def create_measurement_service(
     grid: GridConfig,
     tensors: dict,
     param_order: list[str],
-    scalars: dict | None = None,
-    measurement: MeasurementConfig | None = None,
+    policy: MeasurementPolicy | None = None,
     *,
-    backend: str = "inline",
-    max_workers: int | None = None,
-    mp_context: str | None = None,
-    memoize: bool = False,
-    shared_memo=None,
     memo_scope: str = "",
-    memo_owner: str = "",
-    checkpoint=None,
-    progress=None,
 ) -> MeasurementBackend:
-    """Build the measurement backend stack for one workload.
+    """Build the measurement backend stack for one workload under ``policy``.
 
-    ``backend`` selects the execution style (``"inline"``, ``"threaded"`` or
-    ``"process"``); ``memoize`` wraps it in schedule-digest deduplication.
-    Passing ``shared_memo`` (a cross-session table; see
-    :class:`~repro.pool.shared_memo.SharedMemoTable`) implies memoization and
-    requires ``memo_scope`` to namespace this workload's entries.
-    ``checkpoint`` installs a cooperative cancellation hook run between
-    candidate submissions/batches (raise from it to abort the search);
-    ``progress`` streams cumulative submission counts — both ride along on
-    :class:`~repro.api.config.MeasurementPolicy` and survive memo wrapping.
+    ``policy.backend`` selects the execution style; ``policy.memoize`` wraps
+    it in schedule-digest deduplication.  A ``policy.shared_memo`` (a
+    cross-session table; see :class:`~repro.pool.shared_memo.SharedMemoTable`)
+    implies memoization and requires ``memo_scope`` to namespace this
+    workload's entries.  The policy's ``checkpoint`` (cooperative
+    cancellation between candidate submissions and batches) and ``progress``
+    (cumulative submission counts) hooks survive memo wrapping.
     """
-    try:
-        backend_cls = _MEASUREMENT_BACKENDS[backend]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown measurement backend {backend!r}; "
-            f"available: {list(available_measurement_backends())}"
-        ) from exc
-    kwargs: dict = {"checkpoint": checkpoint, "progress": progress}
-    if backend_cls is ThreadedMeasurementBackend:
-        kwargs["max_workers"] = max_workers
-    elif backend_cls is ProcessMeasurementBackend:
-        kwargs["max_workers"] = max_workers
-        kwargs["mp_context"] = mp_context
-    service: MeasurementBackend = backend_cls(
-        simulator, grid, tensors, param_order, scalars, measurement, **kwargs
+    policy = policy or MeasurementPolicy()
+    if policy.shared_memo is not None and not memo_scope:
+        raise ValueError("shared_memo requires a memo_scope identifying the workload")
+    service: MeasurementBackend = _MEASUREMENT_BACKENDS[policy.backend](
+        simulator, grid, tensors, param_order, policy
     )
-    if shared_memo is not None:
-        if not memo_scope:
-            raise ValueError("shared_memo requires a memo_scope identifying the workload")
+    if policy.shared_memo is not None:
         service = MemoizedMeasurementBackend(
-            service, table=shared_memo, scope=memo_scope, owner=memo_owner
+            service, table=policy.shared_memo, scope=memo_scope, owner=policy.memo_owner
         )
-    elif memoize:
+    elif policy.memoize:
         service = MemoizedMeasurementBackend(service)
     return service

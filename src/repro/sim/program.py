@@ -42,8 +42,8 @@ instruction multiset and shared across :meth:`SassKernel.swap
 
 Programs are cached in a digest-keyed, LRU-bounded module table shared by
 every simulator in the process (and additionally pinned on the kernel object
-for identity-level hits).  The cache is thread-safe: threaded measurement
-backends decode concurrently.
+for identity-level hits).  The cache is thread-safe: the worker threads of a
+:class:`~repro.pool.SessionPool` decode concurrently.
 """
 
 from __future__ import annotations

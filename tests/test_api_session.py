@@ -1,6 +1,5 @@
 """Tests for the ``repro.api`` facade: Session, registries, configs and reports."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from repro.api import (
     resolve_backend,
 )
 from repro.core.env import AssemblyGame
-from repro.core.jit import CACHE_SCHEMA_VERSION, CubinCache, cache_key, jit
+from repro.core.jit import CACHE_SCHEMA_VERSION, CubinCache, cache_key
 from repro.sim import GPUSimulator, compare_outputs
 from repro.triton import compile_spec, get_spec
 
@@ -376,16 +375,6 @@ def test_cache_key_is_filesystem_usable(tmp_path):
     key = cache_key("A100", "bmm", {"shape": (16, 32), "cfg": {"deep": [1, 2]}})
     (tmp_path / f"{key}.cubin").write_bytes(b"x")  # must not escape or error
     assert len(key) < 200
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims still work (with a warning) on top of the facade
-# ---------------------------------------------------------------------------
-def test_jit_shim_warns_and_delegates(tmp_path, simulator):
-    spec = get_spec("softmax")
-    with pytest.warns(DeprecationWarning):
-        kernel = jit(spec, cache_dir=tmp_path, simulator=simulator, scale="test")
-    assert kernel.session.gpu_name == "A100-80GB-PCIe"
 
 
 def test_config_replace_and_measurement_policy():

@@ -16,6 +16,7 @@ import pytest
 from repro.api import (
     CacheConfig,
     JobStatus,
+    MeasurementPolicy,
     OptimizationConfig,
     RemoteConfig,
     RetryPolicy,
@@ -259,14 +260,16 @@ def test_greedy_search_resumes_from_saved_state():
     states: list[dict] = []
     budget = 24
     full = run_greedy_search(
-        compiled, budget=budget, episode_length=8, save_state=states.append
+        compiled, budget=budget, episode_length=8,
+        policy=MeasurementPolicy(save_state=states.append),
     )
     assert states, "greedy exported no checkpoint despite committing moves"
     snapshot = states[0]
     assert snapshot["strategy"] == "greedy" and snapshot["swaps"]
 
     resumed = run_greedy_search(
-        compiled, budget=budget, episode_length=8, resume_state=snapshot
+        compiled, budget=budget, episode_length=8,
+        policy=MeasurementPolicy(resume_state=snapshot),
     )
     # The restore re-measurement costs one tick; everything else continues
     # against the original budget instead of starting a fresh one.
@@ -279,7 +282,7 @@ def test_incompatible_resume_state_starts_fresh():
     compiled = compile_spec(get_spec("bmm"), scale="test")
     result = run_greedy_search(
         compiled, budget=6, episode_length=8,
-        resume_state={"strategy": "random", "evaluations": 3},
+        policy=MeasurementPolicy(resume_state={"strategy": "random", "evaluations": 3}),
     )
     assert result.resumed_from == 0  # foreign checkpoint ignored, not applied
     assert result.evaluations <= 6

@@ -1,5 +1,7 @@
 """Tests for the batched measurement service and the per-schedule noise streams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,16 +56,16 @@ def _candidates(compiled, simulator, count=4):
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: threaded/process return bit-identical timings to inline
+# Backend equivalence: process returns bit-identical timings to inline
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["threaded", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_pooled_backends_match_inline(compiled, simulator, backend):
     kernels = _candidates(compiled, simulator)
     inputs = compiled.make_inputs(0)
     inline = create_measurement_service(simulator, compiled.grid, inputs, compiled.param_order)
     pooled = create_measurement_service(
         simulator, compiled.grid, inputs, compiled.param_order,
-        backend=backend, max_workers=2,
+        MeasurementPolicy(backend=backend, max_workers=2),
     )
     try:
         inline_timings = inline.measure_batch(kernels)
@@ -76,12 +78,15 @@ def test_pooled_backends_match_inline(compiled, simulator, backend):
     assert inline.stats.measured == pooled.stats.measured == len(kernels)
 
 
-def test_unknown_backend_rejected(compiled, simulator):
-    assert set(available_measurement_backends()) == {"inline", "threaded", "process"}
+def test_unknown_backend_rejected():
+    assert available_measurement_backends() == ("inline", "process")
+    # Rejected when the policy is built, not by every job that later measures
+    # through it; older configs may still name a "threaded" backend.
+    for name in ("quantum", "threaded"):
+        with pytest.raises(ValueError, match=rf"'{name}'.*\['inline', 'process'\]"):
+            MeasurementPolicy(backend=name)
     with pytest.raises(ValueError, match="unknown measurement backend"):
-        create_measurement_service(
-            simulator, compiled.grid, {}, compiled.param_order, backend="quantum"
-        )
+        dataclasses.replace(MeasurementPolicy(), backend="threaded")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +125,7 @@ def test_memoized_backend_dedups_repeated_schedules():
 
     stub = CountingSimulator()
     service = create_measurement_service(
-        stub, GridConfig((1, 1, 1), 1), {}, [], memoize=True
+        stub, GridConfig((1, 1, 1), 1), {}, [], MeasurementPolicy(memoize=True)
     )
     timings = service.measure_batch([kernel_a, kernel_b, kernel_a_clone, kernel_a, kernel_b])
     assert stub.calls == 2  # one raw measurement per unique schedule
@@ -143,7 +148,7 @@ def test_shared_memo_through_service_scopes_and_dedups():
     def service(stub, owner):
         return create_measurement_service(
             stub, GridConfig((1, 1, 1), 1), {}, [],
-            shared_memo=table, memo_scope=scope, memo_owner=owner,
+            MeasurementPolicy(shared_memo=table, memo_owner=owner), memo_scope=scope,
         )
 
     first = service(stub_a, "w0")
@@ -157,15 +162,16 @@ def test_shared_memo_through_service_scopes_and_dedups():
     # A different workload scope never aliases, even for the same schedule.
     other = create_measurement_service(
         stub_b, GridConfig((1, 1, 1), 1), {}, [],
-        shared_memo=table,
+        MeasurementPolicy(shared_memo=table, memo_owner="w1"),
         memo_scope=workload_memo_scope("A30", "addone", {"n": 8}, {"warps": 1}),
-        memo_owner="w1",
     )
     other.submit(kernel).result()
     assert stub_b.calls == 1
 
     with pytest.raises(ValueError, match="memo_scope"):
-        create_measurement_service(stub_a, GridConfig((1, 1, 1), 1), {}, [], shared_memo=table)
+        create_measurement_service(
+            stub_a, GridConfig((1, 1, 1), 1), {}, [], MeasurementPolicy(shared_memo=table)
+        )
 
 
 def test_workload_memo_scope_sensitivity():
@@ -185,7 +191,9 @@ def test_memo_table_is_bounded():
     kernel_a = SassKernel.from_text(ADD_ONE, KernelMetadata(name="addone", num_warps=1))
     kernel_b = kernel_a.swap(3, 4)
     stub = CountingSimulator()
-    service = create_measurement_service(stub, GridConfig((1, 1, 1), 1), {}, [], memoize=True)
+    service = create_measurement_service(
+        stub, GridConfig((1, 1, 1), 1), {}, [], MeasurementPolicy(memoize=True)
+    )
     service.max_entries = 1
     service.measure_batch([kernel_a, kernel_b, kernel_a])  # b evicts a; a re-measures
     assert stub.calls == 3
@@ -225,7 +233,8 @@ def test_noise_streams_differ_across_candidates_and_reproduce():
 # ---------------------------------------------------------------------------
 def test_greedy_counts_committing_steps_and_stays_in_episode(compiled, simulator):
     result = run_greedy_search(
-        compiled, budget=40, episode_length=2, simulator=simulator, memoize=True
+        compiled, budget=40, episode_length=2, simulator=simulator,
+        policy=MeasurementPolicy(memoize=True),
     )
     # Every history entry is a counted evaluation (probes + committing steps).
     assert result.evaluations == len(result.history)
@@ -235,7 +244,7 @@ def test_greedy_counts_committing_steps_and_stays_in_episode(compiled, simulator
     assert result.speedup >= 0.999
 
 
-def test_greedy_threaded_memoized_matches_inline_with_fewer_raw_measurements(simulator):
+def test_greedy_process_memoized_matches_inline_with_fewer_raw_measurements(simulator):
     config = OptimizationConfig(
         strategy="greedy", scale="test", search_budget=24, episode_length=8,
         autotune=False, verify=False,
@@ -246,7 +255,7 @@ def test_greedy_threaded_memoized_matches_inline_with_fewer_raw_measurements(sim
         gpu=simulator,
         config=config,
         cache=no_cache,
-        measurement=MeasurementPolicy(backend="threaded", max_workers=4, memoize=True),
+        measurement=MeasurementPolicy(backend="process", max_workers=2, memoize=True),
     ).optimize("mmLeakyReLu")
 
     assert memo_report.best_time_ms == inline_report.best_time_ms
@@ -289,7 +298,7 @@ def test_checkpoint_aborts_between_candidates(compiled, simulator):
 
     service = create_measurement_service(
         simulator, compiled.grid, compiled.make_inputs(0), compiled.param_order,
-        checkpoint=checkpoint,
+        MeasurementPolicy(checkpoint=checkpoint),
     )
     with pytest.raises(RuntimeError, match="cancelled"):
         service.measure_batch(kernels)
@@ -308,7 +317,7 @@ def test_checkpoint_fires_on_memo_hits_too(compiled, simulator):
 
     service = create_measurement_service(
         simulator, compiled.grid, compiled.make_inputs(0), compiled.param_order,
-        memoize=True, checkpoint=checkpoint,
+        MeasurementPolicy(memoize=True, checkpoint=checkpoint),
     )
     service.measure_batch(kernels)
     cancelled.append(True)
@@ -323,7 +332,7 @@ def test_progress_reports_cumulative_submissions(compiled, simulator):
     counts = []
     service = create_measurement_service(
         simulator, compiled.grid, compiled.make_inputs(0), compiled.param_order,
-        memoize=True, progress=counts.append,
+        MeasurementPolicy(memoize=True, progress=counts.append),
     )
     service.measure_batch(kernels)
     assert counts == list(range(1, len(kernels) + 1))

@@ -1,12 +1,16 @@
-"""Tests for microbenchmarking, the search baselines, the vendor baselines and the jit cache."""
+"""Tests for microbenchmarking, the search baselines, the vendor baselines and the cache key."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import VendorBaselines, evolutionary_search, greedy_search, random_search
-from repro.core import CuAsmRLOptimizer, JitKernel, cache_key, jit
+from repro.baselines import (
+    VendorBaselines,
+    run_evolutionary_search,
+    run_greedy_search,
+    run_random_search,
+)
+from repro.core import cache_key
 from repro.microbench import build_stall_table, clock_based_stall_estimate, measure_stall_count
-from repro.sim import GPUSimulator, compare_outputs
+from repro.sim import GPUSimulator
 from repro.triton import compile_spec, get_spec
 
 
@@ -52,15 +56,15 @@ def test_unknown_microbench_opcode_rejected():
 # Search baselines (§7)
 # ---------------------------------------------------------------------------
 def test_random_and_greedy_search_never_regress(compiled, simulator):
-    rand = random_search(compiled, budget=8, simulator=simulator, seed=0)
-    greedy = greedy_search(compiled, budget=12, simulator=simulator)
+    rand = run_random_search(compiled, budget=8, simulator=simulator, seed=0)
+    greedy = run_greedy_search(compiled, budget=12, simulator=simulator)
     assert rand.speedup >= 0.999 and greedy.speedup >= 0.999
     assert 0 < rand.evaluations <= 8 and 0 < greedy.evaluations <= 12
     assert rand.best_kernel is not None
 
 
 def test_evolutionary_search_runs(compiled, simulator):
-    result = evolutionary_search(
+    result = run_evolutionary_search(
         compiled, population=3, generations=1, moves_per_individual=3, simulator=simulator, seed=1
     )
     assert result.speedup >= 0.999
@@ -84,33 +88,9 @@ def test_vendor_baselines(simulator):
 
 
 # ---------------------------------------------------------------------------
-# The jit integration and the deploy cache (§4.2)
+# The deploy cache key (§4.2)
 # ---------------------------------------------------------------------------
 def test_cache_key_is_stable_and_descriptive():
     key = cache_key("A100-80GB-PCIe", "softmax", {"n_rows": 8, "n_cols": 512})
     assert "softmax" in key and "n_cols512" in key and "A100" in key
     assert key == cache_key("A100-80GB-PCIe", "softmax", {"n_cols": 512, "n_rows": 8})
-
-
-def test_jit_optimize_then_deploy(tmp_path, simulator):
-    spec = get_spec("softmax")
-    optimizer = CuAsmRLOptimizer(simulator, train_timesteps=16, episode_length=8, autotune=False)
-    kernel = jit(spec, cache_dir=tmp_path, simulator=simulator, optimizer=optimizer, scale="test")
-    assert isinstance(kernel, JitKernel)
-    optimized = kernel.optimize(verify=False)
-    assert optimized.speedup >= 1.0
-    # Deploy-time lookup loads the cached cubin without retraining.
-    deployed = kernel.load()
-    assert deployed.kernel.render() == optimized.result.best_kernel.render()
-    # Running through the jit wrapper produces correct outputs.
-    inputs = deployed.make_inputs(0)
-    run = kernel(inputs)
-    ok, max_err, _ = compare_outputs(run.outputs["out"], deployed.reference(inputs)["out"])
-    assert ok, max_err
-
-
-def test_jit_load_missing_cache_raises(tmp_path, simulator):
-    spec = get_spec("rmsnorm")
-    kernel = jit(spec, cache_dir=tmp_path, simulator=simulator, scale="test")
-    with pytest.raises(Exception):
-        kernel.load()

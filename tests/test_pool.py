@@ -408,13 +408,13 @@ def test_pool_close_tears_workers_down():
 
 def test_pool_measurement_policy_is_worker_scoped():
     """The pool must not mutate the caller's policy, only derive from it."""
-    policy = MeasurementPolicy(backend="threaded", max_workers=2)
+    policy = MeasurementPolicy(backend="process", max_workers=2)
     with SessionPool(
         ["A100-sim"], config=_FAST, measurement=policy, cache=_NO_CACHE
     ) as pool:
         worker_policy = pool.workers[0].session.measurement
         assert worker_policy.memoize and worker_policy.shared_memo is pool.shared_memo
-        assert worker_policy.backend == "threaded"
+        assert worker_policy.backend == "process"
     assert policy.shared_memo is None and not policy.memoize
     # Frozen configs still round-trip through replace with the new fields.
     assert dataclasses.replace(policy, memo_owner="x").memo_owner == "x"

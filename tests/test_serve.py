@@ -166,9 +166,21 @@ def test_cancel_during_run_stops_at_the_next_checkpoint():
         assert queue.stats["cancelled"] == 1
 
 
-def test_session_hooks_cancel_a_real_greedy_search():
-    """The checkpoint is live inside the real measurement path: a greedy
-    search on a real workload stops within one candidate batch."""
+#: Every built-in strategy, at budgets small enough for a quick search.
+_HOOKED_STRATEGIES = ("ppo", "random", "greedy", "evolutionary")
+
+
+def _quick(strategy: str) -> OptimizationConfig:
+    return _FAST.replace(
+        strategy=strategy, train_timesteps=16, population=3, generations=1,
+        moves_per_individual=3,
+    )
+
+
+@pytest.mark.parametrize("strategy", _HOOKED_STRATEGIES)
+def test_session_hooks_cancel_a_real_search(strategy):
+    """The checkpoint is live inside the real measurement path: every
+    strategy's search on a real workload stops within one candidate batch."""
     calls = []
 
     def checkpoint():
@@ -176,7 +188,7 @@ def test_session_hooks_cancel_a_real_greedy_search():
         if len(calls) >= 3:
             raise JobCancelled("stop now")
 
-    with Session(gpu="A100-sim", config=_FAST, cache=_NO_CACHE) as session:
+    with Session(gpu="A100-sim", config=_quick(strategy), cache=_NO_CACHE) as session:
         with pytest.raises(JobCancelled):
             session.optimize(
                 "mmLeakyReLu", hooks=SessionHooks(checkpoint=checkpoint)
@@ -184,15 +196,18 @@ def test_session_hooks_cancel_a_real_greedy_search():
     assert len(calls) >= 3  # the service consulted the checkpoint repeatedly
 
 
-def test_session_hooks_stream_progress_counts():
+@pytest.mark.parametrize("strategy", _HOOKED_STRATEGIES)
+def test_session_hooks_stream_progress_counts(strategy):
     counts = []
-    with Session(gpu="A100-sim", config=_FAST, cache=_NO_CACHE) as session:
+    with Session(gpu="A100-sim", config=_quick(strategy), cache=_NO_CACHE) as session:
         report = session.optimize(
             "mmLeakyReLu", hooks=SessionHooks(progress=counts.append)
         )
     assert not report.failed
     assert counts and counts == sorted(counts)  # cumulative, nondecreasing
     assert counts[-1] >= report.evaluations
+    # The strategy forwarded the hook for every submission the service saw.
+    assert counts[-1] == report.details["measurement"]["submitted"]
 
 
 # ---------------------------------------------------------------------------
