@@ -113,6 +113,8 @@ class AssemblyGame(Env):
                 self.initial_kernel, self.analysis.candidate_indices
             )
             self.masker = ActionMasker(self.action_space_map, self.analysis.stalls)
+            self._initial_mask = self._frozen_mask(self.initial_kernel)
+            self._mask_kernel, self._mask = self.initial_kernel, self._initial_mask
 
             self.observation_space = Box(self.embedder.shape)
             self.action_space = Discrete(self.action_space_map.n)
@@ -244,10 +246,25 @@ class AssemblyGame(Env):
             self._record_open = False
 
     def action_masks(self) -> np.ndarray:
-        return self.masker.mask(self._kernel)
+        """The legal-move mask of the current schedule (read-only).
+
+        Computed once per schedule object and shared by every caller until
+        the schedule changes; the ``-O3`` seed's mask is kept across resets.
+        :meth:`step` validates its action against the same array.
+        """
+        kernel = self._kernel
+        if kernel is not self._mask_kernel:
+            mask = self._initial_mask if kernel is self.initial_kernel else self._frozen_mask(kernel)
+            self._mask_kernel, self._mask = kernel, mask
+        return self._mask
+
+    def _frozen_mask(self, kernel: SassKernel) -> np.ndarray:
+        mask = self.masker.mask(kernel)
+        mask.flags.writeable = False
+        return mask
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, bool, dict]:
-        mask = self.masker.mask(self._kernel)
+        mask = self.action_masks()
         if not mask.any():
             # No valid action: terminate immediately (§3.5).
             observation = self.embedder.embed(self._kernel)

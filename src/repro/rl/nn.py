@@ -5,6 +5,11 @@ a small CNN over the instruction-embedding matrix followed by MLP heads
 (§3.5 of the paper) — is implemented here from scratch.  Each layer caches
 its forward activations and implements ``backward`` returning the gradient
 with respect to its input while accumulating parameter gradients.
+
+An optimizer packs its parameters with :func:`pack_parameters`, after which
+each ``Parameter`` views a slice of one flat value buffer and one flat grad
+buffer.  Layers only ever read ``value`` and accumulate into ``grad`` in
+place, so they work the same packed or not.
 """
 
 from __future__ import annotations
@@ -13,11 +18,18 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with its gradient accumulator."""
+    """A trainable tensor with its gradient accumulator.
+
+    Once an optimizer packs it (:func:`pack_parameters`), ``value`` and
+    ``grad`` are views into that optimizer's flat buffers: update them in
+    place (``p.value[...] = ...``), never by rebinding.
+    """
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+        #: The ``(values, grads)`` flat buffers this parameter views, if packed.
+        self._packed: tuple[np.ndarray, np.ndarray] | None = None
 
     def zero_grad(self) -> None:
         self.grad[:] = 0.0
@@ -25,6 +37,42 @@ class Parameter:
     @property
     def shape(self):
         return self.value.shape
+
+
+def pack_parameters(parameters: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
+    """Move the parameters into one flat value buffer and one flat grad buffer.
+
+    Afterwards each parameter's ``value`` and ``grad`` are reshaped views of
+    its slice of the two buffers, so an optimizer updates every parameter
+    with a few whole-buffer vector ops.  Packing is idempotent: parameters
+    that already make up one packed group, in any order, keep their buffers,
+    so a second optimizer over the same model shares them with the first.
+    Packing part of another group would detach it from that group's
+    optimizer, and raises instead.
+    """
+    group = parameters[0]._packed if parameters else None
+    if (
+        group is not None
+        and all(p._packed is group for p in parameters)
+        and len({id(p) for p in parameters}) == len(parameters)
+        and sum(p.value.size for p in parameters) == group[0].size
+    ):
+        return group
+    if any(p._packed is not None for p in parameters):
+        raise ValueError("parameters are already packed into a different group")
+    total = sum(p.value.size for p in parameters)
+    values, grads = np.empty(total), np.empty(total)
+    group = (values, grads)
+    offset = 0
+    for p in parameters:
+        end = offset + p.value.size
+        values[offset:end] = p.value.reshape(-1)
+        grads[offset:end] = p.grad.reshape(-1)
+        p.value = values[offset:end].reshape(p.value.shape)
+        p.grad = grads[offset:end].reshape(p.grad.shape)
+        p._packed = group
+        offset = end
+    return group
 
 
 def orthogonal_init(shape, gain: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -100,11 +148,12 @@ class Tanh(Layer):
 
 
 class Conv1d(Layer):
-    """1-D convolution over the instruction axis (valid padding via zero-pad).
+    """1-D convolution over the instruction axis, as one matmul over im2col.
 
     Input shape ``(batch, length, in_channels)``; output
     ``(batch, length, out_channels)`` with symmetric zero padding so the
-    instruction count is preserved.
+    instruction count is preserved.  :meth:`_im2col` copies each tap's rows
+    into a zeroed column buffer, so the padding is never materialized.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -124,12 +173,15 @@ class Conv1d(Layer):
         return [self.weight, self.bias]
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """Tap ``k`` of output row ``t`` is input row ``t + k - pad``, or zero."""
         batch, length, channels = x.shape
         pad = self.kernel_size // 2
-        padded = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        cols = np.empty((batch, length, self.kernel_size * channels))
+        cols = np.zeros((batch, length, self.kernel_size * channels))
         for k in range(self.kernel_size):
-            cols[:, :, k * channels : (k + 1) * channels] = padded[:, k : k + length, :]
+            shift = k - pad
+            lo, hi = max(0, -shift), min(length, length - shift)
+            if lo < hi:
+                cols[:, lo:hi, k * channels : (k + 1) * channels] = x[:, lo + shift : hi + shift, :]
         return cols
 
     def forward(self, x: np.ndarray) -> np.ndarray:

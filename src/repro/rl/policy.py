@@ -107,7 +107,7 @@ class ActorCritic:
             value = np.asarray(state[f"p{i}"], dtype=np.float64)
             if value.shape != p.value.shape:
                 raise ValueError(f"parameter {i} shape mismatch: {value.shape} vs {p.value.shape}")
-            p.value = value.copy()
+            p.value[...] = value
 
     def save(self, path) -> None:
         np.savez(path, **self.state_dict())
