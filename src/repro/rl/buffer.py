@@ -58,7 +58,12 @@ class RolloutBuffer:
         self._pos += 1
 
     def compute_returns(self, last_value: float, last_done: bool, *, gamma: float, gae_lambda: float) -> None:
-        """GAE-lambda advantages and returns (CleanRL-style)."""
+        """GAE-lambda advantages and returns (CleanRL-style).
+
+        ``dones[t]`` marks ``observations[t]`` as the first of a new episode
+        and ``last_done`` does the same for the observation after the
+        rollout, so an episode's last step is never bootstrapped.
+        """
         advantages = np.zeros(self.num_steps, dtype=np.float64)
         last_gae = 0.0
         for t in reversed(range(self.num_steps)):

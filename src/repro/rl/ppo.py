@@ -127,6 +127,8 @@ class PPOTrainer:
                 step_done = bool(terminated or truncated)
                 buffer.add(observation, action, log_prob, reward, value, done, mask)
                 observation = next_observation
+                # ``done`` flags the next observation as an episode's first,
+                # so GAE does not bootstrap across the boundary (CleanRL).
                 done = step_done
                 if step_done:
                     self.history.episodic_returns.append((self.global_step, episode_return))
@@ -134,7 +136,6 @@ class PPOTrainer:
                         callback(self, episode_return, info)
                     episode_return = 0.0
                     observation, _ = self.env.reset()
-                    done = False
             _, last_value = self.policy.forward(observation[None, ...])
             buffer.compute_returns(float(last_value[0]), done, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
             stats = self._update(buffer)

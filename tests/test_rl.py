@@ -178,6 +178,63 @@ def test_ppo_learns_the_bandit():
     assert all(u.entropy >= 0 for u in history.updates)
 
 
+class _ThreeStepEnv(Env):
+    """Episodes of exactly three steps; observations differ per step."""
+
+    def __init__(self):
+        self.observation_space = Box((4, 3))
+        self.action_space = Discrete(2)
+        self._steps = 0
+
+    def _observation(self):
+        return np.full((4, 3), 0.5 + self._steps) * np.arange(1, 4)
+
+    def reset(self, *, seed=None):
+        self._steps = 0
+        return self._observation(), {}
+
+    def step(self, action):
+        self._steps += 1
+        return self._observation(), 1.0 + action, self._steps == 3, False, {}
+
+
+def _rollouts(monkeypatch, num_steps):
+    """Train one update of ``num_steps`` on the three-step env; return its buffer."""
+    buffers = []
+    update = PPOTrainer._update
+
+    def capture(self, buffer):
+        buffers.append(buffer)
+        return update(self, buffer)
+
+    monkeypatch.setattr(PPOTrainer, "_update", capture)
+    trainer = PPOTrainer(_ThreeStepEnv(), PPOConfig(num_steps=num_steps, seed=0))
+    trainer.train(total_timesteps=num_steps)
+    (buffer,) = buffers
+    return buffer
+
+
+def test_gae_does_not_bootstrap_across_episode_boundaries(monkeypatch):
+    buffer = _rollouts(monkeypatch, 8)
+    # dones[t] flags the first observation of a new episode.
+    assert buffer.dones.tolist() == [False, False, False, True, False, False, True, False]
+    assert np.abs(buffer.values).min() > 1e-3, "values must be non-zero to tell"
+    for last in (2, 5):
+        assert buffer.advantages[last] == pytest.approx(
+            buffer.rewards[last] - buffer.values[last], rel=1e-12, abs=1e-12
+        )
+    # Mid-episode steps do bootstrap from the next value.
+    assert buffer.advantages[1] != pytest.approx(buffer.rewards[1] - buffer.values[1])
+
+
+def test_gae_last_step_ending_an_episode_is_not_bootstrapped(monkeypatch):
+    buffer = _rollouts(monkeypatch, 6)
+    assert buffer.dones.tolist() == [False, False, False, True, False, False]
+    assert buffer.advantages[5] == pytest.approx(
+        buffer.rewards[5] - buffer.values[5], rel=1e-12, abs=1e-12
+    )
+
+
 def test_actor_critic_checkpoint_round_trip(tmp_path):
     model = ActorCritic((6, 4), 5, seed=0)
     observation = np.random.default_rng(0).normal(size=(6, 4))
