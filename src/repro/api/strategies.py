@@ -148,7 +148,8 @@ class PPOStrategy:
             baseline_time_ms=result.baseline_time_ms,
             best_time_ms=result.best_time_ms,
             best_kernel=result.best_kernel,
-            evaluations=config.train_timesteps,
+            # PPO runs whole rollouts: max(1, T // num_steps) * num_steps moves.
+            evaluations=trainer.agent.global_step,
             details=details,
         )
 

@@ -76,6 +76,20 @@ def test_session_readonly_cache_never_stores(tmp_path, simulator):
 # ---------------------------------------------------------------------------
 # Strategy registry: all four strategies behind one interface
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("timesteps, moves", [(20, 16), (4, 8)])
+def test_ppo_reports_the_moves_it_took(tmp_path, simulator, timesteps, moves):
+    # PPO trains in whole rollouts of episode_length moves: max(1, T // 8) * 8.
+    config = OptimizationConfig(
+        strategy="ppo", scale="test", episode_length=8, train_timesteps=timesteps,
+        autotune=False,
+    )
+    session = Session(gpu=simulator, config=config, cache=CacheConfig(enabled=False))
+    report = session.optimize("layernorm-residual", verify="off")
+    assert report.evaluations == moves
+    # The seed has no legal move at test scale, so every move ends an episode.
+    assert len(report.details["history"].episodic_returns) == moves
+
+
 def test_builtin_strategies_registered():
     assert {"ppo", "greedy", "random", "evolutionary"} <= set(available_strategies())
     with pytest.raises(KeyError):
