@@ -5,7 +5,7 @@ issue loop + launch reuse) against the frozen seed engine
 (:mod:`repro.sim._reference_sm`) on the same host, and writes the numbers to
 ``BENCH_timing.json`` so the perf trajectory is tracked from this PR onward.
 
-Two scenarios are timed per workload:
+Three scenarios are timed per workload:
 
 * **single_env** — the warm steady state of one search loop: one measurement
   service bound to the workload, one candidate measured per call (the shape
@@ -13,6 +13,9 @@ Two scenarios are timed per workload:
 * **greedy_batch** — greedy search's inner loop: every masker-valid
   single-move candidate of the -O3 schedule measured as one batch through an
   :class:`~repro.core.env.AssemblyGame`.
+* **agent** — the PPO agent's own cost: milliseconds per PPO update, and
+  agent moves per second (act + mask + step + embed), training with the
+  ``ppo-short`` preset's settings on a memoizing measurement service.
 
 Usage::
 
@@ -31,9 +34,12 @@ import numpy as np
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
 from repro.analysis.verify import ScheduleVerifier
+from repro.api.presets import preset_spec
 from repro.core.env import AssemblyGame
+from repro.core.trainer import CuAsmRLTrainer
 from repro.sim import GPUSimulator, create_measurement_service
 from repro.sim._reference_sm import reference_measure
+from repro.sim.measure_service import MeasurementPolicy
 from repro.triton.compiler import compile_spec
 from repro.triton.spec import available_kernels, get_spec
 
@@ -238,6 +244,58 @@ def bench_greedy_batch_with_fallback(
     }
 
 
+#: The optimization preset whose PPO settings :func:`bench_agent` trains with.
+AGENT_PRESET = "ppo-short"
+
+
+def bench_agent(simulator, compiled, seconds: float = 2.0) -> dict:
+    """PPO agent throughput: ms per update and moves/s outside the updates.
+
+    One warm trainer runs ``train`` with the preset's budget until
+    ``seconds`` pass.  Its measurement service memoizes schedules, so once a
+    schedule has been simulated a revisit costs a lookup and the agent's own
+    work dominates.  Moves/s divides the moves by the training time spent
+    outside ``PPOTrainer._update``: act, mask, step (measurement included)
+    and embed.
+    """
+    config = preset_spec(AGENT_PRESET).config
+    trainer = CuAsmRLTrainer(
+        compiled,
+        simulator,
+        ppo_config=config.ppo_config(),
+        episode_length=config.episode_length,
+        policy=MeasurementPolicy(memoize=True),
+    )
+    agent = trainer.agent
+    update = agent._update
+    timed = {"seconds": 0.0, "updates": 0}
+
+    def timed_update(buffer):
+        start = time.perf_counter()
+        stats = update(buffer)
+        timed["seconds"] += time.perf_counter() - start
+        timed["updates"] += 1
+        return stats
+
+    agent._update = timed_update
+    agent.train(config.train_timesteps)  # warm-up: first visits simulate
+    timed.update(seconds=0.0, updates=0)
+    first_move = agent.global_step
+    start = time.perf_counter()
+    while time.perf_counter() - start < seconds:
+        agent.train(config.train_timesteps)
+    elapsed = time.perf_counter() - start
+    trainer.env.close()
+    moves = agent.global_step - first_move
+    return {
+        "preset": AGENT_PRESET,
+        "moves": moves,
+        "updates": timed["updates"],
+        "update_ms": round(1000.0 * timed["seconds"] / timed["updates"], 3),
+        "moves_per_sec": round(moves / (elapsed - timed["seconds"]), 1),
+    }
+
+
 def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
     simulator = GPUSimulator()
     workloads = {}
@@ -248,6 +306,7 @@ def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
         workloads[name] = {
             "single_env": bench_single_env(simulator, compiled, inputs, seconds),
             "greedy_batch": bench_greedy_batch_with_fallback(simulator, spec, seconds),
+            "agent": bench_agent(simulator, compiled, seconds),
         }
     report = {
         "benchmark": "timing_engine_throughput",
@@ -283,9 +342,11 @@ def main(argv: list[str]) -> int:
                 f"->{pruner['strict_clean_moves_precise']} "
                 f"(pruner overhead {pruner['overhead_pct']:.1f}%)"
             )
+        agent = result["agent"]
         print(
             f"{name}: {single['evals_per_sec']:.1f} evals/s "
-            f"({single['speedup_vs_seed_engine']:.2f}x vs seed engine), {batch_note}"
+            f"({single['speedup_vs_seed_engine']:.2f}x vs seed engine), {batch_note}; "
+            f"agent {agent['update_ms']:.2f} ms/update, {agent['moves_per_sec']:.0f} moves/s"
         )
     print(f"wrote {output}")
     return 0
