@@ -106,7 +106,7 @@ def test_embed_rejects_listings_not_derived_from_the_seed():
         embedder.embed(foreign)
     first = seed.instruction_indices()[0]
     with pytest.raises(ValueError, match="instruction count"):
-        embedder.embed(seed.replace_line(first, seed.lines[first + 1]).insert_line(0, seed.lines[0]))
+        embedder.embed(seed.insert_line(0, seed.lines[first]))
 
 
 # ---------------------------------------------------------------------------
