@@ -278,14 +278,16 @@ def bench_agent(simulator, compiled, seconds: float = 2.0) -> dict:
         return stats
 
     agent._update = timed_update
-    agent.train(config.train_timesteps)  # warm-up: first visits simulate
-    timed.update(seconds=0.0, updates=0)
-    first_move = agent.global_step
-    start = time.perf_counter()
-    while time.perf_counter() - start < seconds:
-        agent.train(config.train_timesteps)
-    elapsed = time.perf_counter() - start
-    trainer.env.close()
+    try:
+        agent.train(config.train_timesteps)  # warm-up: first visits simulate
+        timed.update(seconds=0.0, updates=0)
+        first_move = agent.global_step
+        start = time.perf_counter()
+        while time.perf_counter() - start < seconds:
+            agent.train(config.train_timesteps)
+        elapsed = time.perf_counter() - start
+    finally:
+        trainer.env.close()
     moves = agent.global_step - first_move
     return {
         "preset": AGENT_PRESET,
