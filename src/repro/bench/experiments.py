@@ -316,11 +316,12 @@ def pool_sharding_throughput(
       ``best_ms`` — the backends only change how fast the simulator is
       consulted.  ``evals_per_sec`` is end-to-end pool throughput, including
       executor startup and memo dedup, and is therefore noisy at quick scale.
-    * **steady-state phase** — a warm measurement service for one bench-scale
-      workload times a fixed candidate batch (``steady_evals_per_sec``),
-      isolating raw measurement throughput from pool scheduling and startup.
-      This is where ``"process"`` wins on multi-core hosts: the timing loop
-      is pure Python, so only worker processes run candidates in parallel.
+    * **steady-state phase** — run once, before the pool phases: one warm
+      measurement service per backend times a fixed candidate batch of one
+      bench-scale workload (``steady_evals_per_sec``), isolating raw
+      measurement throughput from pool scheduling and startup.  This is where
+      ``"process"`` wins on multi-core hosts: the timing loop is pure Python,
+      so only worker processes run candidates in parallel.
     """
     from repro.pool import SessionPool
 
@@ -334,6 +335,9 @@ def pool_sharding_throughput(
     )
     steady_compiled = compile_spec(get_spec(steady_state_kernel), scale=steady_state_scale)
     steady_inputs = steady_compiled.make_inputs(0)
+    steady_rates = _steady_state_throughput(
+        measure_backends, steady_compiled, steady_inputs, max_workers, steady_state_batch
+    )
     rows = []
     for name in measure_backends:
         policy = MeasurementPolicy(backend=name, max_workers=max_workers)
@@ -342,9 +346,7 @@ def pool_sharding_throughput(
             config=config, measurement=policy, cache=_NO_CACHE,
         ) as pool:
             result = pool.optimize_many(kernels)
-        steady = _steady_state_throughput(
-            name, steady_compiled, steady_inputs, max_workers, steady_state_batch
-        )
+        steady = steady_rates[name]
         rows.append(
             {
                 "backend": name,
@@ -363,50 +365,57 @@ def pool_sharding_throughput(
     return rows
 
 
-#: Shortest timed window of :func:`_steady_state_throughput`.
+#: Shortest time each backend spends timing in :func:`_steady_state_throughput`.
 STEADY_STATE_MIN_SECONDS = 0.5
 
 
 def _steady_state_throughput(
-    backend: str, compiled, inputs: dict, max_workers: int, batch: int
-) -> dict:
-    """Evaluations/sec of one warm measurement service over a candidate batch.
+    backends, compiled, inputs: dict, max_workers: int, batch: int
+) -> dict[str, dict]:
+    """Evaluations/sec of one warm measurement service per backend.
 
-    The service is warmed with one submission per worker before timing, so
+    Every service is warmed with one submission per worker before timing, so
     executor startup, including each worker binding its own launch
     (amortized over a whole search in real runs), stays out of the
-    steady-state number.  The batch is then timed repeatedly for at least
-    :data:`STEADY_STATE_MIN_SECONDS`: a single batch of fast candidates is
-    over in a fraction of a second, which a shared host's stalls can swing
-    by a fifth.
+    steady-state number.  Then the service timed least so far times the next
+    batch, until each has timed :data:`STEADY_STATE_MIN_SECONDS`.  A shared
+    host slows down for seconds at a time; taking turns exposes every backend
+    to the same slowdowns, where back-to-back windows would let one land on a
+    single backend.
     """
     import time as _time
 
     from repro.sim.measure_service import create_measurement_service
 
-    service = create_measurement_service(
-        GPUSimulator(),
-        compiled.grid,
-        inputs,
-        compiled.param_order,
-        MeasurementPolicy(backend=backend, max_workers=max_workers),
-    )
+    services = {}
     try:
-        warm = service.measure_batch([compiled.kernel] * max_workers)[0]
-        timings = []
-        started = _time.perf_counter()
-        while True:
-            timings += service.measure_batch([compiled.kernel] * batch)
-            elapsed = _time.perf_counter() - started
-            if elapsed >= STEADY_STATE_MIN_SECONDS:
-                break
+        for backend in backends:
+            policy = MeasurementPolicy(backend=backend, max_workers=max_workers)
+            services[backend] = create_measurement_service(
+                GPUSimulator(), compiled.grid, inputs, compiled.param_order, policy
+            )
+        warm = {
+            backend: service.measure_batch([compiled.kernel] * max_workers)[0]
+            for backend, service in services.items()
+        }
+        timings: dict[str, list] = {backend: [] for backend in services}
+        elapsed = dict.fromkeys(services, 0.0)
+        while min(elapsed.values()) < STEADY_STATE_MIN_SECONDS:
+            backend = min(elapsed, key=elapsed.__getitem__)
+            started = _time.perf_counter()
+            timings[backend] += services[backend].measure_batch([compiled.kernel] * batch)
+            elapsed[backend] += _time.perf_counter() - started
     finally:
-        service.close()
-    assert all(timing == warm for timing in timings)
-    return {
-        "time_ms": warm.time_ms,
-        "evals_per_sec": len(timings) / elapsed,
-    }
+        for service in services.values():
+            service.close()
+    rates = {}
+    for backend in services:
+        assert all(timing == warm[backend] for timing in timings[backend])
+        rates[backend] = {
+            "time_ms": warm[backend].time_ms,
+            "evals_per_sec": len(timings[backend]) / elapsed[backend],
+        }
+    return rates
 
 
 # ---------------------------------------------------------------------------
