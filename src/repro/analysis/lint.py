@@ -61,12 +61,12 @@ def _load_seed(target: str, scale: str) -> tuple[str, SassKernel]:
     # works even if the Triton front end is unavailable.
     import repro.triton.kernels  # noqa: F401  (registers the bundled specs)
     from repro.triton.compiler import compile_spec
-    from repro.triton.spec import all_specs, get_spec
+    from repro.triton.spec import available_kernels, get_spec
 
     try:
         spec = get_spec(target)
     except KeyError as exc:
-        known = ", ".join(sorted(all_specs()))
+        known = ", ".join(available_kernels())
         raise SystemExit(
             f"lint: unknown kernel {target!r} (not a file either); known specs: {known}"
         ) from exc

@@ -18,6 +18,9 @@ optimize-once / deploy-from-cache workflow (§4):
   :func:`register_preset`); composed with kernels and backends into the
   declarative scenario matrix of :mod:`repro.scenarios`.
 
+Every registry is a :class:`repro.utils.registry.Registry`: case-insensitive
+names and aliases, tag filters, one ``KeyError`` form for unknown names.
+
 Scale-out lives in :mod:`repro.pool`: a :class:`~repro.pool.SessionPool`
 shards ``optimize_many`` workloads across several worker sessions and returns
 a :class:`PoolReport`; :class:`PoolConfig` here shapes it.

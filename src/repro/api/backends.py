@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.arch.ampere import A100, AmpereConfig
 from repro.arch.hopper import H100
 from repro.sim.gpu import GPUSimulator
+from repro.utils.registry import Registry
 
 BackendFactory = Callable[[], GPUSimulator]
 
@@ -44,8 +45,7 @@ class BackendSpec:
         return self.aliases[0] if self.aliases else self.name
 
 
-_BACKENDS: dict[str, BackendSpec] = {}
-_ALIASES: dict[str, str] = {}
+BACKENDS: Registry[BackendSpec] = Registry("GPU backend")
 
 
 def register_backend(
@@ -65,35 +65,14 @@ def register_backend(
             aliases=tuple(aliases),
             tags=tuple(tags),
         )
-        _BACKENDS[name] = spec
-        _ALIASES[name.lower()] = name
-        for alias in spec.aliases:
-            _ALIASES[alias.lower()] = name
+        BACKENDS.add(name, spec, aliases=spec.aliases)
         return factory
 
     return decorator
 
 
-def available_backends(*, tags: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Canonical names of every registered backend, optionally tag-filtered.
-
-    With ``tags``, only backends carrying *all* the given tags are returned.
-    """
-    names = sorted(_BACKENDS)
-    if tags is not None:
-        wanted = set(tags)
-        names = [name for name in names if wanted <= set(_BACKENDS[name].tags)]
-    return tuple(names)
-
-
-def backend_spec(name: str) -> BackendSpec:
-    """Look a backend up by canonical name or alias (case-insensitive)."""
-    try:
-        return _BACKENDS[_ALIASES[name.lower()]]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown GPU backend {name!r}; available: {list(available_backends())}"
-        ) from exc
+available_backends = BACKENDS.names
+backend_spec = BACKENDS.get
 
 
 def create_backend(name: str) -> GPUSimulator:

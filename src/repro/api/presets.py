@@ -1,18 +1,18 @@
 """Optimization-preset registry: named :class:`OptimizationConfig` presets.
 
 Completes the registry quartet (kernels, backends, regimes, optimization
-presets) the scenario layer composes.  Same idiom as
-:mod:`repro.api.backends`: canonical names, case-insensitive aliases,
-tag-filtered enumeration.  Scenarios reference presets by name and may layer
-field overrides on top (``OptimizationConfig.replace``).
+presets) the scenario layer composes.  Presets live in :data:`PRESETS`, a
+:class:`repro.utils.registry.Registry`: canonical names, case-insensitive
+aliases, tag-filtered enumeration.  Scenarios reference presets by name and
+may layer field overrides on top (``OptimizationConfig.replace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.api.config import OptimizationConfig
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,8 +26,7 @@ class PresetSpec:
     tags: tuple[str, ...] = ()
 
 
-_PRESETS: dict[str, PresetSpec] = {}
-_ALIASES: dict[str, str] = {}
+PRESETS: Registry[PresetSpec] = Registry("optimization preset")
 
 
 def register_preset(
@@ -43,30 +42,11 @@ def register_preset(
         name=name, description=description, config=config,
         aliases=tuple(aliases), tags=tuple(tags),
     )
-    _PRESETS[name] = spec
-    _ALIASES[name.lower()] = name
-    for alias in spec.aliases:
-        _ALIASES[alias.lower()] = name
-    return spec
+    return PRESETS.add(name, spec, aliases=spec.aliases)
 
 
-def available_presets(*, tags: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Canonical names of every registered preset, optionally tag-filtered."""
-    names = sorted(_PRESETS)
-    if tags is not None:
-        wanted = set(tags)
-        names = [name for name in names if wanted <= set(_PRESETS[name].tags)]
-    return tuple(names)
-
-
-def preset_spec(name: str) -> PresetSpec:
-    """Look a preset up by canonical name or alias (case-insensitive)."""
-    try:
-        return _PRESETS[_ALIASES[name.lower()]]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown optimization preset {name!r}; available: {list(available_presets())}"
-        ) from exc
+available_presets = PRESETS.names
+preset_spec = PRESETS.get
 
 
 # ---------------------------------------------------------------------------

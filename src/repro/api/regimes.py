@@ -3,18 +3,18 @@
 The paper measures with one fixed CUDA-events protocol (§3.6); the harness
 wants to sweep *regimes* — deterministic vs. noisy measurement, full-length
 vs. quick smoke protocols — without every consumer hand-building
-:class:`~repro.api.config.MeasurementPolicy` objects.  Same registry idiom
-as :mod:`repro.api.backends`: canonical names, case-insensitive aliases,
-tag-filtered enumeration.  The scenario layer (:mod:`repro.scenarios`)
-references regimes by name.
+:class:`~repro.api.config.MeasurementPolicy` objects.  Regimes live in
+:data:`REGIMES`, a :class:`repro.utils.registry.Registry`: canonical names,
+case-insensitive aliases, tag-filtered enumeration.  The scenario layer
+(:mod:`repro.scenarios`) references regimes by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.api.config import MeasurementPolicy
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,8 +28,7 @@ class RegimeSpec:
     tags: tuple[str, ...] = ()
 
 
-_REGIMES: dict[str, RegimeSpec] = {}
-_ALIASES: dict[str, str] = {}
+REGIMES: Registry[RegimeSpec] = Registry("measurement regime")
 
 
 def register_regime(
@@ -45,30 +44,11 @@ def register_regime(
         name=name, description=description, policy=policy,
         aliases=tuple(aliases), tags=tuple(tags),
     )
-    _REGIMES[name] = spec
-    _ALIASES[name.lower()] = name
-    for alias in spec.aliases:
-        _ALIASES[alias.lower()] = name
-    return spec
+    return REGIMES.add(name, spec, aliases=spec.aliases)
 
 
-def available_regimes(*, tags: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Canonical names of every registered regime, optionally tag-filtered."""
-    names = sorted(_REGIMES)
-    if tags is not None:
-        wanted = set(tags)
-        names = [name for name in names if wanted <= set(_REGIMES[name].tags)]
-    return tuple(names)
-
-
-def regime_spec(name: str) -> RegimeSpec:
-    """Look a regime up by canonical name or alias (case-insensitive)."""
-    try:
-        return _REGIMES[_ALIASES[name.lower()]]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown measurement regime {name!r}; available: {list(available_regimes())}"
-        ) from exc
+available_regimes = REGIMES.names
+regime_spec = REGIMES.get
 
 
 # ---------------------------------------------------------------------------

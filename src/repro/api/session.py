@@ -44,7 +44,7 @@ from repro.sim.functional import ProbabilisticTester, ProbabilisticTestResult
 from repro.sim.gpu import GPUSimulator, KernelRun, KernelTiming
 from repro.triton.autotuner import Autotuner
 from repro.triton.compiler import CompiledKernel, compile_spec
-from repro.triton.spec import KernelSpec, get_spec
+from repro.triton.spec import SCALES, KernelSpec, get_spec
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.session")
@@ -109,7 +109,11 @@ class SessionHooks:
 
 
 class Session:
-    """Facade over compilation, schedule search, verification and deployment."""
+    """Facade over compilation, schedule search, verification and deployment.
+
+    An unknown ``config.strategy`` (``KeyError``) or ``config.scale``
+    (``ValueError``) fails at construction, not on the first job.
+    """
 
     def __init__(
         self,
@@ -122,6 +126,9 @@ class Session:
     ):
         self.simulator = resolve_backend(gpu)
         self.config = config or OptimizationConfig()
+        get_strategy(self.config.strategy)  # fail fast on unknown names
+        if self.config.scale not in SCALES:
+            raise ValueError(f"unknown scale {self.config.scale!r}; expected one of {SCALES}")
         self.measurement = measurement or MeasurementPolicy()
         cache_config = cache or CacheConfig()
         if cache_dir is not None:
@@ -268,7 +275,8 @@ class Session:
         strategy's measurement service (see :class:`SessionHooks`).
         """
         self._ensure_open()
-        strategy_name = strategy or self.config.strategy
+        search = get_strategy(strategy or self.config.strategy)
+        strategy_name = search.name
         verify_mode = normalize_verify_mode(verify, default=self.config.verify)
         policy = self.measurement
         if hooks is not None and hooks.any_set():
@@ -280,7 +288,7 @@ class Session:
                 resume_state=hooks.resume_state,
             )
         search_started = time.perf_counter()
-        outcome = get_strategy(strategy_name).run(
+        outcome = search.run(
             StrategyContext(
                 compiled=compiled, simulator=self.simulator, config=self.config, policy=policy
             )

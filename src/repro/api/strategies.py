@@ -4,8 +4,8 @@ The paper frames SASS scheduling as a game played by a PPO agent (§3), and
 discusses training-free alternatives — random search, greedy hill-climbing,
 evolutionary search — as §7 ablations.  Here all four are interchangeable
 behind ``Session.optimize(spec, strategy=...)``: each is a frozen-dataclass
-strategy registered by name, consuming one :class:`StrategyContext` and
-producing one :class:`StrategyOutcome`.
+strategy registered by name in :data:`STRATEGIES`, consuming one
+:class:`StrategyContext` and producing one :class:`StrategyOutcome`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.trainer import CuAsmRLTrainer
 from repro.sass.kernel import SassKernel
 from repro.sim.gpu import GPUSimulator, MeasurementConfig
 from repro.triton.compiler import CompiledKernel
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -69,30 +70,21 @@ class SearchStrategy(Protocol):
         ...
 
 
-_STRATEGIES: dict[str, SearchStrategy] = {}
+STRATEGIES: Registry[SearchStrategy] = Registry("strategy")
 
 
 def register_strategy(name: str):
     """Class decorator: instantiate the strategy dataclass and register it."""
 
     def decorator(cls):
-        _STRATEGIES[name] = cls()
+        STRATEGIES.add(name, cls())
         return cls
 
     return decorator
 
 
-def get_strategy(name: str) -> SearchStrategy:
-    try:
-        return _STRATEGIES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {list(available_strategies())}"
-        ) from exc
-
-
-def available_strategies() -> tuple[str, ...]:
-    return tuple(sorted(_STRATEGIES))
+get_strategy = STRATEGIES.get
+available_strategies = STRATEGIES.names
 
 
 def _from_search(result: ScheduleSearchResult) -> StrategyOutcome:

@@ -1,9 +1,9 @@
 """Workload schedulers: how a :class:`SessionPool` shards jobs across workers.
 
-Schedulers are registered by name, exactly like search strategies and GPU
-backends, so ``PoolConfig(scheduler="least_loaded")`` is the only change
-needed to swap the sharding policy — and downstream code can register custom
-policies (locality-aware, cost-model-driven, ...) without touching the pool.
+Schedulers live in :data:`SCHEDULERS`, a :class:`repro.utils.registry.Registry`
+like every other axis, so ``PoolConfig(scheduler="least_loaded")`` is the only
+change needed to swap the sharding policy — and downstream code can register
+custom policies (locality-aware, cost-model-driven, ...) without touching it.
 
 A scheduler sees the jobs of one ``optimize_many`` call plus a view of every
 worker (including the load it is already carrying from earlier calls) and
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
+
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -54,30 +56,21 @@ class PoolScheduler(Protocol):
         ...
 
 
-_SCHEDULERS: dict[str, PoolScheduler] = {}
+SCHEDULERS: Registry[PoolScheduler] = Registry("pool scheduler")
 
 
 def register_scheduler(name: str):
     """Class decorator: instantiate the scheduler dataclass and register it."""
 
     def decorator(cls):
-        _SCHEDULERS[name] = cls()
+        SCHEDULERS.add(name, cls())
         return cls
 
     return decorator
 
 
-def get_scheduler(name: str) -> PoolScheduler:
-    try:
-        return _SCHEDULERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown pool scheduler {name!r}; available: {list(available_schedulers())}"
-        ) from exc
-
-
-def available_schedulers() -> tuple[str, ...]:
-    return tuple(sorted(_SCHEDULERS))
+get_scheduler = SCHEDULERS.get
+available_schedulers = SCHEDULERS.names
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ class RemoteApp:
         """Admit and queue one submission; returns the fresh job record.
 
         Raises :class:`ValueError` for malformed payloads, :class:`KeyError`
-        for unknown backends, :class:`QuotaExceeded` /
+        for unknown backends or strategies, :class:`QuotaExceeded` /
         :class:`~repro.errors.AdmissionError` for refusals (both carry the
         minted rejected job id).
         """
@@ -222,6 +222,9 @@ class RemoteApp:
         kernel = payload.get("kernel")
         if not kernel or not isinstance(kernel, str):
             raise ValueError("submission payload needs a 'kernel' (workload name)")
+        for field in ("backend", "strategy"):
+            if payload.get(field) is not None and not isinstance(payload[field], str):
+                raise ValueError(f"submission {field!r} must be a name")
         shapes = payload.get("shapes")
         if shapes is not None and not isinstance(shapes, dict):
             raise ValueError("'shapes' must be an object of dimension sizes")

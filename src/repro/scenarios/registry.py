@@ -10,7 +10,8 @@ for adversarial variants.  Registration canonicalizes every axis (aliases
 resolve, unknown names fail fast) and assigns the stable string id
 ``kernel/backend/scale/regime[/variant]``, e.g. ``softmax/A100/test/noisy``.
 
-Consumers enumerate with :func:`all_scenarios` or
+Scenarios live in :data:`SCENARIOS`, a :class:`repro.utils.registry.Registry`
+keyed by id.  Consumers enumerate with :func:`all_scenarios` or
 :func:`scenarios_matching`; nothing in tests, benchmarks or examples should
 hard-code workload lists anymore.
 """
@@ -26,9 +27,8 @@ from repro.api.backends import BackendSpec, backend_spec
 from repro.api.config import MeasurementPolicy, OptimizationConfig
 from repro.api.presets import PresetSpec, preset_spec
 from repro.api.regimes import RegimeSpec, regime_spec
-from repro.triton.spec import KernelSpec, get_spec
-
-_SCALES = ("test", "bench", "paper")
+from repro.triton.spec import SCALES, KernelSpec, get_spec
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +109,7 @@ class Scenario:
         }
 
 
-_SCENARIOS: dict[str, Scenario] = {}
+SCENARIOS: Registry[Scenario] = Registry("scenario")
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
@@ -120,8 +120,8 @@ def register_scenario(scenario: Scenario) -> Scenario:
     scale must be one of ``test``/``bench``/``paper``, and the resulting id
     must be unique.
     """
-    if scenario.scale not in _SCALES:
-        raise ValueError(f"unknown scale {scenario.scale!r}; expected one of {_SCALES}")
+    if scenario.scale not in SCALES:
+        raise ValueError(f"unknown scale {scenario.scale!r}; expected one of {SCALES}")
     canonical = dataclasses.replace(
         scenario,
         kernel=get_spec(scenario.kernel).name,
@@ -133,31 +133,17 @@ def register_scenario(scenario: Scenario) -> Scenario:
         tags=tuple(scenario.tags),
     )
     scenario_id = canonical.id
-    existing = _SCENARIOS.get(scenario_id)
-    if existing is not None and existing != canonical:
+    if scenario_id in SCENARIOS and SCENARIOS.get(scenario_id) != canonical:
         raise ValueError(
             f"scenario id {scenario_id!r} already registered; "
             "use a distinct variant= suffix"
         )
-    _SCENARIOS[scenario_id] = canonical
-    return canonical
+    return SCENARIOS.add(scenario_id, canonical)
 
 
-def all_scenarios() -> tuple[Scenario, ...]:
-    """Every registered scenario, ordered by id."""
-    return tuple(_SCENARIOS[key] for key in sorted(_SCENARIOS))
-
-
-def get_scenario(scenario_id: str) -> Scenario:
-    """Look a scenario up by its exact id."""
-    try:
-        return _SCENARIOS[scenario_id]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown scenario {scenario_id!r}; "
-            f"{len(_SCENARIOS)} registered — enumerate with all_scenarios() "
-            "or filter with scenarios_matching()"
-        ) from exc
+#: Every registered scenario, ordered by id.
+all_scenarios = SCENARIOS.values
+get_scenario = SCENARIOS.get
 
 
 def scenarios_matching(
@@ -176,21 +162,19 @@ def scenarios_matching(
     (``/H100/``).  ``tags`` keeps scenarios carrying *all* the given tags.
     ``kernel``/``backend``/``regime`` accept aliases.
     """
-    wanted_tags = set(tags) if tags is not None else None
     kernel_name = get_spec(kernel).name if kernel is not None else None
     backend_name = backend_spec(backend).name if backend is not None else None
     regime_name = regime_spec(regime).name if regime is not None else None
 
     selected = []
-    for scenario in all_scenarios():
+    for scenario_id in SCENARIOS.names(tags=tags):
+        scenario = SCENARIOS.get(scenario_id)
         if pattern is not None:
             if any(ch in pattern for ch in "*?["):
                 if not fnmatchcase(scenario.id, pattern):
                     continue
             elif pattern not in scenario.id:
                 continue
-        if wanted_tags is not None and not wanted_tags <= set(scenario.tags):
-            continue
         if kernel_name is not None and scenario.kernel != kernel_name:
             continue
         if backend_name is not None and scenario.backend != backend_name:

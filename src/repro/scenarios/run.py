@@ -30,6 +30,7 @@ from pathlib import Path
 from repro.api.config import CacheConfig
 from repro.pool import SessionPool
 from repro.scenarios.registry import Scenario, all_scenarios, scenarios_matching
+from repro.triton.spec import SCALES
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tags", default=None, help="comma-separated tag filter (all must match)")
     parser.add_argument("--kernel", default=None, help="kernel name or alias filter")
     parser.add_argument("--backend", default=None, help="backend name or alias filter")
-    parser.add_argument("--scale", default=None, choices=("test", "bench", "paper"))
+    parser.add_argument("--scale", default=None, choices=SCALES)
     parser.add_argument("--regime", default=None, help="measurement regime filter")
     parser.add_argument(
         "--max-scenarios", type=int, default=None, metavar="N",

@@ -47,6 +47,7 @@ from repro.api.backends import backend_spec
 from repro.api.config import ServeConfig
 from repro.api.report import JobRecord, JobStatus, RunReport
 from repro.api.session import SessionHooks
+from repro.api.strategies import get_strategy
 from repro.errors import (
     AdmissionError,
     JobCancelled,
@@ -315,7 +316,8 @@ class JobQueue:
         and exempts it from stealing.  ``use_store=False`` forces a fresh
         optimization even when the result store already holds this key.
         ``tenant`` is recorded for accounting (the remote front door charges
-        its quota before submitting).
+        its quota before submitting).  An unknown ``backend`` or ``strategy``
+        raises ``KeyError`` before any job is minted.
 
         With ``ServeConfig.max_pending`` set, a submission arriving while
         that many jobs are already waiting is refused: the job is minted
@@ -337,6 +339,8 @@ class JobQueue:
                     f"no pool worker targets backend {canonical!r}; "
                     f"workers: {[worker.name for worker in self.pool.workers]}"
                 )
+        if strategy is not None:
+            strategy = get_strategy(strategy).name
         if pin_worker is not None and not 0 <= pin_worker < len(self.pool.workers):
             raise ValueError(f"pin_worker {pin_worker} out of range")
         self.gc()  # opportunistic TTL/bound sweep of terminal records

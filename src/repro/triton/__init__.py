@@ -12,7 +12,7 @@ from repro.triton.ir import TileProgram, Value, ValueKind
 from repro.triton.lowering import LoweredKernel, lower_program
 from repro.triton.ptx import render_ptx
 from repro.triton.ptxas import ControlCodeAssigner, compile_lowered, insert_reuse_flags
-from repro.triton.spec import KernelSpec, all_specs, available_kernels, get_spec, register_spec
+from repro.triton.spec import KernelSpec, available_kernels, get_spec, register_spec
 
 # Importing the kernels package registers the evaluated workloads.
 from repro.triton import kernels  # noqa: F401  (side-effect import)
@@ -34,6 +34,5 @@ __all__ = [
     "KernelSpec",
     "register_spec",
     "get_spec",
-    "all_specs",
     "available_kernels",
 ]

@@ -5,23 +5,26 @@ benchmark one of the evaluated workloads (Table 2 of the paper): the tile
 program builder, the launch grid, input generation, a numpy reference oracle,
 the autotuning configuration space and the paper / reduced shape sets.
 
-Specs live in a registry with the same lookup idiom as the GPU backend
-registry (:mod:`repro.api.backends`): canonical names, case-insensitive
-aliases, tag-filtered enumeration.  The scenario layer
-(:mod:`repro.scenarios`) composes this registry with backends and
-measurement regimes, so registering a spec here is the *only* step needed to
-pull a new workload into the whole test/bench/serve matrix.
+Specs live in :data:`KERNELS`, a :class:`repro.utils.registry.Registry`:
+canonical names, case-insensitive aliases, tag-filtered enumeration.  The
+scenario layer (:mod:`repro.scenarios`) composes this registry with backends
+and measurement regimes, so registering a spec here is the *only* step
+needed to pull a new workload into the whole test/bench/serve matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from repro.sim.launch import GridConfig
 from repro.triton.ir import TileProgram
+from repro.utils.registry import Registry
+
+#: The shape-set names :meth:`KernelSpec.shapes` accepts, smallest first.
+SCALES = ("test", "bench", "paper")
 
 
 @dataclass(frozen=True)
@@ -63,45 +66,13 @@ class KernelSpec:
         return {"paper": self.paper_shapes, "bench": self.bench_shapes, "test": self.test_shapes}[scale]
 
 
-_REGISTRY: dict[str, KernelSpec] = {}
-_ALIASES: dict[str, str] = {}
+KERNELS: Registry[KernelSpec] = Registry("kernel")
 
 
 def register_spec(spec: KernelSpec) -> KernelSpec:
-    """Register a spec so the harness can enumerate all evaluated kernels.
-
-    The canonical name and every alias resolve case-insensitively through
-    :func:`get_spec`, mirroring :func:`repro.api.backends.backend_spec`.
-    """
-    _REGISTRY[spec.name] = spec
-    _ALIASES[spec.name.lower()] = spec.name
-    for alias in spec.aliases:
-        _ALIASES[alias.lower()] = spec.name
-    return spec
+    """Register a spec so the harness can enumerate all evaluated kernels."""
+    return KERNELS.add(spec.name, spec, aliases=spec.aliases)
 
 
-def get_spec(name: str) -> KernelSpec:
-    """Look a kernel up by canonical name or alias (case-insensitive)."""
-    try:
-        return _REGISTRY[_ALIASES[name.lower()]]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown kernel {name!r}; available: {list(available_kernels())}"
-        ) from exc
-
-
-def available_kernels(*, tags: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Canonical names of every registered kernel, optionally tag-filtered.
-
-    With ``tags``, only kernels carrying *all* the given tags are returned —
-    the same filter semantics as :func:`repro.scenarios.scenarios_matching`.
-    """
-    names = sorted(_REGISTRY)
-    if tags is not None:
-        wanted = set(tags)
-        names = [name for name in names if wanted <= set(_REGISTRY[name].tags)]
-    return tuple(names)
-
-
-def all_specs() -> dict[str, KernelSpec]:
-    return dict(_REGISTRY)
+get_spec = KERNELS.get
+available_kernels = KERNELS.names

@@ -157,7 +157,9 @@ def test_scenarios_matching_filters():
 
 
 def test_get_scenario_unknown_id_is_helpful():
-    with pytest.raises(KeyError, match="all_scenarios"):
+    with pytest.raises(
+        KeyError, match="unknown scenario 'softmax/B200/test/default'; available: "
+    ):
         get_scenario("softmax/B200/test/default")
 
 

@@ -27,9 +27,9 @@ from repro.core.masking import ActionMasker
 from repro.sass import ControlCode, Instruction, KernelMetadata, SassKernel
 from repro.sass.operands import ImmediateOperand, MemoryOperand, RegisterOperand
 from repro.triton.compiler import compile_spec
-from repro.triton.spec import all_specs, get_spec
+from repro.triton.spec import available_kernels, get_spec
 
-WORKLOADS = sorted(all_specs())
+WORKLOADS = available_kernels()
 
 _COMPILED = {}
 

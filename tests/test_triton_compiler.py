@@ -10,7 +10,7 @@ from repro.sim import GPUSimulator, compare_outputs
 from repro.triton import (
     Autotuner,
     TileProgram,
-    all_specs,
+    available_kernels,
     compile_lowered,
     compile_spec,
     get_spec,
@@ -18,7 +18,7 @@ from repro.triton import (
     render_ptx,
 )
 
-ALL_KERNELS = sorted(all_specs())
+ALL_KERNELS = available_kernels()
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,9 @@ from repro.analysis import ScheduleVerifier, run_pre_game_analysis
 from repro.core.actions import ActionSpace
 from repro.core.masking import ActionMasker
 from repro.triton.compiler import compile_spec
-from repro.triton.spec import all_specs, get_spec
+from repro.triton.spec import available_kernels, get_spec
 
-WORKLOADS = sorted(all_specs())
+WORKLOADS = available_kernels()
 
 _STATE = {}
 
