@@ -24,8 +24,9 @@ The precision dataflow layer adds three passes on top:
 * sharper alias disambiguation in :mod:`repro.analysis.deps`
   (``alias_mode="precise"`` with provenance tracking, vs the sound
   ``"conservative"`` over-approximation);
-* :mod:`repro.analysis.funcdiff` — bit-exact candidate-vs-seed differential
-  execution (rule ``V701``) and the control-code round-trip audit (``V702``).
+* :mod:`repro.analysis.funcdiff` — the output check (numpy reference within
+  fp16 tolerance, rule ``V703``; bit-exact against the seed schedule, rule
+  ``V701``) and the control-code round-trip audit (``V702``).
 """
 
 from repro.analysis.cfg import BasicBlock, ControlFlowInfo, build_cfg
@@ -41,11 +42,7 @@ from repro.analysis.deps import (
     ldgsts_hazard,
     may_alias,
 )
-from repro.analysis.funcdiff import (
-    FunctionalDiffer,
-    FunctionalDiffResult,
-    audit_control_roundtrip,
-)
+from repro.analysis.funcdiff import OutputCheck, OutputCheckResult, audit_control_roundtrip
 from repro.analysis.liveness import (
     REGISTER_BUDGET,
     LivenessInfo,
@@ -86,8 +83,8 @@ __all__ = [
     "build_dependence_graph",
     "ldgsts_hazard",
     "may_alias",
-    "FunctionalDiffer",
-    "FunctionalDiffResult",
+    "OutputCheck",
+    "OutputCheckResult",
     "audit_control_roundtrip",
     "REGISTER_BUDGET",
     "LivenessInfo",

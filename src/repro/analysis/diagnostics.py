@@ -12,7 +12,7 @@ parsing message text.  Codes are grouped by family:
 ``V4xx``  memory hazards (LDGSTS shared-base, conservative aliasing)
 ``V5xx``  advisory checks that masking does not enforce
 ``V6xx``  register pressure (budget exceeded, dead definitions)
-``V7xx``  functional verification (differential output diff, round-trips)
+``V7xx``  functional verification (output checks, control-code round-trips)
 ========  ==================================================================
 
 Severity semantics mirror the differential guarantee against
@@ -172,6 +172,12 @@ RULES: dict[str, Rule] = {
             "control-roundtrip",
             Severity.ERROR,
             "control code does not survive an encode/decode round-trip",
+        ),
+        _rule(
+            "V703",
+            "reference-mismatch",
+            Severity.ERROR,
+            "candidate output misses the numpy reference beyond fp16 tolerance",
         ),
     )
 }

@@ -1,27 +1,30 @@
-"""Functional differential verification (the ``verify="functional"`` tier).
+"""The output check and the control-code round-trip audit (the V7xx rules).
 
 The timing verifier (:mod:`repro.analysis.verify`) proves a candidate is a
 dependence-preserving permutation of the seed — but its dependence model is
 static, so a schedule that defeats the model (or a bug in the model itself)
-can slip through with wrong semantics.  Probabilistic testing
-(:mod:`repro.sim.functional`) compares against a numpy oracle under fp16
-tolerances, which by design forgives small numeric drift — exactly the kind
-of drift a semantics-breaking reorder of same-address accesses produces.
+can slip through with wrong semantics.  :class:`OutputCheck` executes the
+candidate instead.  Per trial it draws randomized inputs once and runs the
+candidate on a fresh copy of them:
 
-This module closes the gap with *differential* execution: the candidate and
-the seed schedule run through the functional engine on identical inputs and
-their outputs are diffed **bit-exactly**.  Any difference at all means the
-reorder changed observable behaviour, regardless of tolerance — rule
-``V701``.  The paranoid tier adds :func:`audit_control_roundtrip`: every
-control code in the spliced listing must survive ``render`` → ``parse``
-unchanged (rule ``V702``), catching encode/decode disagreements before a
-schedule is persisted.
+* the outputs must match the numpy reference within the fp16 tolerance of
+  :func:`repro.sim.functional.compare_outputs` — the paper's probabilistic
+  testing (§4.1); a miss is rule ``V703``;
+* given the seed schedule, they must also be **bit-identical** to the
+  seed's outputs on the same inputs — rule ``V701``.  The tolerance by design
+  forgives small numeric drift, exactly the kind a semantics-breaking reorder
+  of same-address accesses produces.
+
+The paranoid splice audit adds :func:`audit_control_roundtrip`: every control
+code in the spliced listing must survive ``render`` → ``parse`` unchanged (rule
+``V702``), catching encode/decode disagreements before a schedule is
+persisted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,30 +33,37 @@ from repro.errors import SassParseError
 from repro.sass.control import ControlCode
 from repro.sass.instruction import Instruction
 from repro.sass.kernel import SassKernel
+from repro.sim.functional import compare_outputs
 from repro.sim.gpu import GPUSimulator
 from repro.sim.launch import GridConfig
 
+if TYPE_CHECKING:
+    from repro.triton.compiler import CompiledKernel
+
+Tensors = dict[str, np.ndarray]
+
 
 @dataclass(frozen=True)
-class FunctionalDiffResult:
-    """Outcome of one candidate-vs-seed differential run."""
+class OutputCheckResult:
+    """Outcome of one output check: passed iff it found nothing."""
 
-    passed: bool
-    trials: int
-    mismatched_outputs: tuple[str, ...] = ()
-    max_abs_error: float = 0.0
     diagnostics: tuple[Diagnostic, ...] = ()
-    message: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "trials": self.trials,
-            "mismatched_outputs": list(self.mismatched_outputs),
-            "max_abs_error": self.max_abs_error,
-            "message": self.message,
-            "diagnostics": [diag.as_dict() for diag in self.diagnostics],
-        }
+    @property
+    def passed(self) -> bool:
+        return not self.diagnostics
+
+    @property
+    def message(self) -> str:
+        return self.diagnostics[0].message if self.diagnostics else ""
+
+    @property
+    def mismatched_outputs(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(str(d.details["output"]) for d in self.diagnostics))
+
+    @property
+    def max_abs_error(self) -> float:
+        return max((float(d.details["max_abs_error"]) for d in self.diagnostics), default=0.0)
 
 
 def _bit_identical(candidate: np.ndarray, reference: np.ndarray) -> bool:
@@ -66,108 +76,105 @@ def _bit_identical(candidate: np.ndarray, reference: np.ndarray) -> bool:
     )
 
 
-def _copy_inputs(inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Fresh buffers per run so in-place output writes cannot leak across."""
-    return {name: np.array(array, copy=True) for name, array in inputs.items()}
+#: Message template and hint of each rule the output check emits.
+_FINDINGS = {
+    "V703": (
+        "output {output!r} misses the numpy reference (max abs err {error:.4g}, trial {trial})",
+        "the schedule computes wrong values; reject it",
+    ),
+    "V701": (
+        "output {output!r} differs from the seed schedule (max abs err {error:.4g}, trial {trial})",
+        "the schedule changes observable behaviour; reject it",
+    ),
+}
 
 
-@dataclass
-class FunctionalDiffer:
-    """Runs candidate and seed schedules on identical inputs and diffs outputs.
+def _finding(rule: str, output: str, trial: int, error: float) -> Diagnostic:
+    message, hint = _FINDINGS[rule]
+    return make_diagnostic(
+        rule,
+        message.format(output=output, error=error, trial=trial),
+        line=0,
+        hint=hint,
+        details={"output": output, "trial": trial, "max_abs_error": error},
+    )
 
-    Mirrors :class:`repro.sim.functional.ProbabilisticTester`, but the
-    reference is the *seed schedule itself* (not a numpy oracle) and the
-    comparison is bit-exact — a reordering is only accepted when it is
-    observationally indistinguishable from the schedule it claims to speed up.
+
+@dataclass(frozen=True)
+class OutputCheck:
+    """Runs a schedule on randomized inputs and checks what it writes.
+
+    ``input_factory(rng)`` draws the inputs of one trial (zeroed outputs
+    included) and ``reference(inputs)`` is the numpy oracle of the outputs.
     """
 
     simulator: GPUSimulator
-    input_factory: Callable[[np.random.Generator], dict[str, np.ndarray]]
+    input_factory: Callable[[np.random.Generator], Tensors]
+    reference: Callable[[Tensors], Tensors]
     grid: GridConfig
     param_order: list[str]
-    scalars: dict[str, int] = field(default_factory=dict)
-    output_names: list[str] = field(default_factory=list)
+    output_names: list[str]
 
     @classmethod
-    def from_compiled(cls, compiled, simulator: GPUSimulator | None = None) -> "FunctionalDiffer":
-        """Build a differ from a :class:`~repro.triton.compiler.CompiledKernel`."""
+    def from_compiled(
+        cls, compiled: CompiledKernel, simulator: GPUSimulator | None = None
+    ) -> OutputCheck:
+        """The check of a :class:`~repro.triton.compiler.CompiledKernel`."""
         return cls(
             simulator=simulator or GPUSimulator(),
             input_factory=compiled.make_inputs,
+            reference=compiled.reference,
             grid=compiled.grid,
             param_order=compiled.param_order,
             output_names=list(compiled.spec.output_names),
         )
 
-    def _outputs(self, kernel: SassKernel, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def _outputs(self, kernel: SassKernel, inputs: Tensors) -> Tensors:
+        # A fresh copy per run, so in-place output writes cannot leak across.
+        copies = {name: np.array(array, copy=True) for name, array in inputs.items()}
         run = self.simulator.run(
-            kernel,
-            self.grid,
-            _copy_inputs(inputs),
-            self.param_order,
-            scalars=self.scalars,
-            output_names=self.output_names,
+            kernel, self.grid, copies, self.param_order, output_names=self.output_names
         )
         return run.outputs
 
-    def diff(
+    def run(
         self,
-        seed_kernel: SassKernel,
         candidate: SassKernel,
         *,
+        seed_kernel: SassKernel | None = None,
         trials: int = 1,
         seed: int = 0,
-    ) -> FunctionalDiffResult:
-        """Diff ``candidate`` against ``seed_kernel`` on ``trials`` random inputs."""
+    ) -> OutputCheckResult:
+        """Check ``candidate`` on ``trials`` random inputs drawn from ``seed``.
+
+        Against the numpy reference always (``V703``); bit-exactly against
+        ``seed_kernel``'s outputs too when one is given (``V701``).  The first
+        failing trial is conclusive; later trials add no signal.
+        """
         rng = np.random.default_rng(seed)
-        mismatched: list[str] = []
-        diagnostics: list[Diagnostic] = []
-        worst = 0.0
-        total = max(trials, 1)
-        for trial in range(total):
+        for trial in range(max(trials, 1)):
             inputs = self.input_factory(rng)
-            expected = self._outputs(seed_kernel, inputs)
+            expected = self.reference(inputs)
             actual = self._outputs(candidate, inputs)
+            found: list[Diagnostic] = []
             for name, reference in expected.items():
-                candidate_out = actual.get(name)
-                if candidate_out is not None and _bit_identical(candidate_out, reference):
-                    continue
-                if candidate_out is None:
-                    max_err = float("inf")
-                    message = f"candidate did not produce output {name!r}"
-                else:
+                ok, error = False, float("inf")  # a missing output misses too
+                if name in actual:
+                    ok, error, _ = compare_outputs(actual[name], reference)
+                if not ok:
+                    found.append(_finding("V703", name, trial, error))
+            if not found and seed_kernel is not None:
+                for name, reference in self._outputs(seed_kernel, inputs).items():
+                    if _bit_identical(actual[name], reference):
+                        continue
                     delta = np.abs(
-                        np.asarray(candidate_out, dtype=np.float64)
+                        np.asarray(actual[name], dtype=np.float64)
                         - np.asarray(reference, dtype=np.float64)
                     )
-                    max_err = float(delta.max(initial=0.0))
-                    message = (
-                        f"output {name!r} differs from the seed schedule "
-                        f"(max abs err {max_err:.4g}, trial {trial})"
-                    )
-                worst = max(worst, max_err)
-                if name not in mismatched:
-                    mismatched.append(name)
-                diagnostics.append(
-                    make_diagnostic(
-                        "V701",
-                        message,
-                        line=0,
-                        hint="the schedule changes observable behaviour; reject it",
-                        details={"output": name, "trial": trial, "max_abs_error": max_err},
-                    )
-                )
-            if mismatched:
-                # One failing trial is conclusive; later trials add no signal.
-                return FunctionalDiffResult(
-                    passed=False,
-                    trials=trial + 1,
-                    mismatched_outputs=tuple(mismatched),
-                    max_abs_error=worst,
-                    diagnostics=tuple(diagnostics),
-                    message=diagnostics[0].message,
-                )
-        return FunctionalDiffResult(passed=True, trials=total)
+                    found.append(_finding("V701", name, trial, float(delta.max(initial=0.0))))
+            if found:
+                return OutputCheckResult(tuple(found))
+        return OutputCheckResult()
 
 
 def audit_control_roundtrip(kernel: SassKernel) -> list[Diagnostic]:

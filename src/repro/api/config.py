@@ -229,18 +229,20 @@ class OptimizationConfig:
     moves_per_individual: int = 8
     #: Grid-search the kernel configuration space first (stage 1 of §3.1).
     autotune: bool = True
-    #: Verification mode: ``"off"`` skips verification; ``"final"`` statically
-    #: verifies the best schedule against the seed's dependence graph and
-    #: probabilistically tests it (§4.1), falling back to -O3 on any failure;
-    #: ``"functional"`` additionally runs the best schedule and the -O3 seed
-    #: through the functional engine on identical inputs and diffs the outputs
-    #: bit-exactly (rule ``V701``); ``"paranoid"`` further lints the seed
-    #: listing, re-verifies the schedule disassembled back out of the spliced
-    #: cubin and audits every control code for an exact encode/decode
-    #: round-trip (rule ``V702``).  Booleans are accepted for compatibility:
-    #: ``True`` means ``"final"``, ``False`` means ``"off"``.
+    #: Verification mode, one stage list walked in order and falling back to
+    #: -O3 on the first rejection: ``"off"`` skips it; ``"final"`` statically
+    #: verifies the best schedule against the seed's dependence graph, then
+    #: runs the output check: outputs against the numpy reference within fp16
+    #: tolerance (probabilistic testing, §4.1; rule ``V703``);
+    #: ``"functional"`` makes the output check bit-exact against the -O3
+    #: seed's outputs on the same inputs too (rule ``V701``); ``"paranoid"``
+    #: also lints the seed listing first and ends with the splice audit: it
+    #: re-verifies the schedule disassembled back out of the spliced cubin and
+    #: checks every control code for an exact encode/decode round-trip (rule
+    #: ``V702``).  Booleans are accepted for compatibility: ``True`` means
+    #: ``"final"``, ``False`` means ``"off"``.
     verify: str | bool = "final"
-    #: Trials of the probabilistic tester.
+    #: Random-input trials of the output check.
     verify_trials: int = 1
     #: Seed for strategy randomness (PPO init, random/evolutionary search).
     seed: int = 0

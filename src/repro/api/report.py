@@ -38,11 +38,12 @@ class RunReport:
     best_time_ms: float
     #: Schedule evaluations spent (environment steps / measurements).
     evaluations: int
-    #: Verification outcome (static verifier + probabilistic tester must both
-    #: pass); ``None`` when verification was skipped (``verify="off"``).
+    #: Verification outcome (every stage of the verify mode must pass; the
+    #: run's one verification record); ``None`` when verification was skipped
+    #: (``verify="off"``).
     verified: bool | None = None
     #: Structured verifier findings (``Diagnostic.as_dict()`` payloads) from
-    #: the static schedule audit; empty when clean or not verified.
+    #: the verify stages; empty when clean or not verified.
     diagnostics: tuple = ()
     #: Deploy-cache key the artifact was stored under, if cached.
     cache_key: str | None = None

@@ -18,16 +18,13 @@ return the same :class:`~repro.api.report.RunReport` shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.analysis.funcdiff import (
-    FunctionalDiffer,
-    FunctionalDiffResult,
-    audit_control_roundtrip,
-)
+from repro.analysis.funcdiff import OutputCheck, OutputCheckResult, audit_control_roundtrip
 from repro.analysis.verify import ScheduleVerifier, VerificationResult
 from repro.api.backends import resolve_backend
 from repro.api.config import CacheConfig, MeasurementPolicy, OptimizationConfig
@@ -39,8 +36,9 @@ from repro.core.trainer import OptimizationResult
 from repro.rl.ppo import TrainingHistory
 from repro.errors import OptimizationError, SessionClosed
 from repro.sass.assembler import splice_kernel
+from repro.sass.cubin import Cubin
 from repro.sass.disassembler import disassemble
-from repro.sim.functional import ProbabilisticTester, ProbabilisticTestResult
+from repro.sass.kernel import SassKernel
 from repro.sim.gpu import GPUSimulator, KernelRun, KernelTiming
 from repro.triton.autotuner import Autotuner
 from repro.triton.compiler import CompiledKernel, compile_spec
@@ -56,14 +54,15 @@ VERIFY_MODES = ("off", "final", "functional", "paranoid")
 def normalize_verify_mode(value: "str | bool | None", default: "str | bool" = "final") -> str:
     """Normalize a ``verify=`` argument to one of :data:`VERIFY_MODES`.
 
-    ``"functional"`` adds differential execution (candidate vs. seed schedule
-    on identical inputs, outputs diffed bit-exactly — rule ``V701``) on top of
-    ``"final"``; ``"paranoid"`` adds the spliced-cubin re-verification and the
-    control-code round-trip audit (rule ``V702``) on top of ``"functional"``.
+    ``"final"`` statically verifies the best schedule and checks its outputs
+    against the numpy reference; ``"functional"`` makes that output check
+    bit-exact against the seed schedule too (rule ``V701``); ``"paranoid"``
+    adds the seed lint and the splice audit (rule ``V702``).  The stages are
+    listed in ``_VERIFY_STAGES``.
 
     Booleans are accepted for backwards compatibility: ``True`` is
-    ``"final"`` (static + probabilistic verification of the best schedule),
-    ``False`` is ``"off"``.  ``None`` falls through to ``default``.
+    ``"final"``, ``False`` is ``"off"``.  ``None`` falls through to
+    ``default``.
     """
     if value is None:
         value = default
@@ -73,6 +72,95 @@ def normalize_verify_mode(value: "str | bool | None", default: "str | bool" = "f
     if mode not in VERIFY_MODES:
         raise ValueError(f"verify must be one of {VERIFY_MODES} or a bool, got {value!r}")
     return mode
+
+
+@dataclasses.dataclass
+class _Candidate:
+    """The best schedule of one run, on its way through the verify cascade."""
+
+    session: "Session"
+    compiled: CompiledKernel
+    kernel: SassKernel
+    mode: str
+    #: The spliced cubin, once the splice audit has made it; the artifact
+    #: ships it when the candidate is kept.
+    cubin: Cubin | None = None
+
+    @property
+    def name(self) -> str:
+        return self.compiled.kernel.metadata.name
+
+    @functools.cached_property
+    def verifier(self) -> ScheduleVerifier:
+        return ScheduleVerifier(self.compiled.kernel)
+
+
+def _lint_seed(candidate: _Candidate) -> VerificationResult:
+    lint = candidate.verifier.lint_seed()
+    if lint.diagnostics:
+        _LOG.warning(
+            "%s: seed listing lint found %d finding(s):\n%s",
+            candidate.name,
+            len(lint.diagnostics),
+            lint.render(candidate.name),
+        )
+    return lint
+
+
+def _verify_static(candidate: _Candidate) -> VerificationResult:
+    return candidate.verifier.verify(candidate.kernel)
+
+
+def _check_outputs(candidate: _Candidate) -> VerificationResult:
+    seed = candidate.compiled.kernel
+    bit_exact = candidate.mode in ("functional", "paranoid") and candidate.kernel is not seed
+    result = candidate.session.verify_kernel(
+        candidate.compiled, candidate.kernel, seed_kernel=seed if bit_exact else None
+    )
+    return VerificationResult(result.diagnostics)
+
+
+def _audit_splice(candidate: _Candidate) -> VerificationResult:
+    """Re-verify the schedule disassembled back out of the spliced cubin.
+
+    Reports findings only when it rejects: a faithful read-back repeats the
+    static stage's warnings.  A cubin that cannot be disassembled is logged
+    and passes; the splice format is exercised by its own tests.
+    """
+    candidate.cubin = splice_kernel(candidate.compiled.cubin, candidate.kernel)
+    try:
+        respliced = disassemble(candidate.cubin, kernel_name=candidate.name)
+    except Exception as exc:
+        _LOG.warning(
+            "%s: could not disassemble the spliced cubin for paranoid re-verification: %s",
+            candidate.name,
+            exc,
+        )
+        return VerificationResult(())
+    found = candidate.verifier.verify(respliced).diagnostics
+    result = VerificationResult(found + tuple(audit_control_roundtrip(respliced)))
+    return result if not result.ok else VerificationResult(())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stage:
+    """One stage of the verify cascade."""
+
+    name: str
+    #: The least strict of :data:`VERIFY_MODES` that runs this stage.
+    since: str
+    check: Callable[[_Candidate], VerificationResult]
+    #: Whether an error finding sends the run back to the -O3 seed.
+    rejects: bool = True
+
+
+#: The verify cascade, in order: each mode runs every stage it reaches.
+_VERIFY_STAGES = (
+    _Stage("seed lint", "paranoid", _lint_seed, rejects=False),
+    _Stage("static verification", "final", _verify_static),
+    _Stage("output check", "final", _check_outputs),
+    _Stage("splice audit", "paranoid", _audit_splice),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,8 +199,9 @@ class SessionHooks:
 class Session:
     """Facade over compilation, schedule search, verification and deployment.
 
-    An unknown ``config.strategy`` (``KeyError``) or ``config.scale``
-    (``ValueError``) fails at construction, not on the first job.
+    An unknown ``config.strategy`` (``KeyError``), ``config.scale`` or
+    ``config.verify`` (``ValueError``) fails at construction, not on the
+    first job.
     """
 
     def __init__(
@@ -129,6 +218,7 @@ class Session:
         get_strategy(self.config.strategy)  # fail fast on unknown names
         if self.config.scale not in SCALES:
             raise ValueError(f"unknown scale {self.config.scale!r}; expected one of {SCALES}")
+        normalize_verify_mode(self.config.verify)
         self.measurement = measurement or MeasurementPolicy()
         cache_config = cache or CacheConfig()
         if cache_dir is not None:
@@ -295,87 +385,32 @@ class Session:
         )
         search_elapsed = time.perf_counter() - search_started
 
-        verification: ProbabilisticTestResult | None = None
         best_kernel = outcome.best_kernel
         best_time_ms = outcome.best_time_ms
         diagnostics: list[dict] = []
-        verified: bool | None = None
-        verifier: ScheduleVerifier | None = None
-        if verify_mode != "off":
-            verifier = ScheduleVerifier(compiled.kernel)
-            verified = True
-            if verify_mode == "paranoid":
-                seed_lint = verifier.lint_seed()
-                if seed_lint.diagnostics:
-                    _LOG.warning(
-                        "%s: seed listing lint found %d finding(s):\n%s",
-                        compiled.kernel.metadata.name,
-                        len(seed_lint.diagnostics),
-                        seed_lint.render(compiled.kernel.metadata.name),
-                    )
-                    diagnostics.extend(d.as_dict() for d in seed_lint.diagnostics)
-            static = verifier.verify(best_kernel)
-            diagnostics.extend(d.as_dict() for d in static.diagnostics)
-            if not static.ok:
+        verified: bool | None = None if verify_mode == "off" else True
+        candidate = _Candidate(self, compiled, best_kernel, verify_mode)
+        for stage in _VERIFY_STAGES:
+            if VERIFY_MODES.index(verify_mode) < VERIFY_MODES.index(stage.since):
+                continue
+            result = stage.check(candidate)
+            diagnostics.extend(d.as_dict() for d in result.diagnostics)
+            if stage.rejects and not result.ok:
                 _LOG.warning(
-                    "%s/%s: best schedule failed static verification; falling back to -O3\n%s",
-                    compiled.kernel.metadata.name,
+                    "%s/%s: best schedule failed the %s; falling back to -O3\n%s",
+                    candidate.name,
                     strategy_name,
-                    static.render(compiled.kernel.metadata.name),
+                    stage.name,
+                    result.render(candidate.name),
                 )
                 best_kernel = compiled.kernel
                 best_time_ms = outcome.baseline_time_ms
                 verified = False
-            else:
-                verification = self.verify_kernel(compiled, best_kernel)
-                if not verification.passed:
-                    _LOG.warning(
-                        "%s/%s: best schedule failed probabilistic testing (%s); "
-                        "falling back to -O3",
-                        compiled.kernel.metadata.name,
-                        strategy_name,
-                        verification.message,
-                    )
-                    best_kernel = compiled.kernel
-                    best_time_ms = outcome.baseline_time_ms
-                    verified = False
-            if (
-                verified
-                and verify_mode in ("functional", "paranoid")
-                and best_kernel is not compiled.kernel
-            ):
-                func_diff = self.functional_diff(compiled, best_kernel)
-                if not func_diff.passed:
-                    _LOG.warning(
-                        "%s/%s: best schedule failed functional differential "
-                        "verification (%s); falling back to -O3",
-                        compiled.kernel.metadata.name,
-                        strategy_name,
-                        func_diff.message,
-                    )
-                    diagnostics.extend(d.as_dict() for d in func_diff.diagnostics)
-                    best_kernel = compiled.kernel
-                    best_time_ms = outcome.baseline_time_ms
-                    verified = False
-
-        artifact = self._make_artifact(compiled, outcome, best_kernel, best_time_ms, verification)
-        if verify_mode == "paranoid" and verifier is not None and verified:
-            splice_audit = self._verify_spliced_artifact(compiled, artifact, verifier)
-            if splice_audit is not None and not splice_audit.ok:
-                _LOG.warning(
-                    "%s/%s: schedule disassembled from the spliced cubin failed "
-                    "re-verification; falling back to -O3\n%s",
-                    compiled.kernel.metadata.name,
-                    strategy_name,
-                    splice_audit.render(compiled.kernel.metadata.name),
-                )
-                diagnostics.extend(d.as_dict() for d in splice_audit.diagnostics)
-                best_kernel = compiled.kernel
-                best_time_ms = outcome.baseline_time_ms
-                verified = False
-                artifact = self._make_artifact(
-                    compiled, outcome, best_kernel, best_time_ms, verification
-                )
+                candidate.cubin = None
+                break
+        artifact = self._make_artifact(
+            compiled, outcome, best_kernel, best_time_ms, candidate.cubin
+        )
         key = self.key_for(compiled.spec, compiled.shapes)
         cached = False
         if store and self.cache is not None and not self.cache_config.readonly:
@@ -417,9 +452,9 @@ class Session:
         self,
         compiled: CompiledKernel,
         outcome: StrategyOutcome,
-        best_kernel,
+        best_kernel: SassKernel,
         best_time_ms: float,
-        verification: ProbabilisticTestResult | None,
+        cubin: Cubin | None,
     ) -> OptimizedKernel:
         history = outcome.details.get("history")
         result = OptimizationResult(
@@ -428,44 +463,14 @@ class Session:
             best_time_ms=best_time_ms,
             best_kernel=best_kernel,
             history=history if isinstance(history, TrainingHistory) else None,
-            verification=verification,
             episodes=list(outcome.details.get("episodes", [])),
         )
         return OptimizedKernel(
             compiled=compiled,
             optimized=compiled.with_kernel(best_kernel),
-            cubin=splice_kernel(compiled.cubin, best_kernel),
+            cubin=cubin if cubin is not None else splice_kernel(compiled.cubin, best_kernel),
             result=result,
         )
-
-    def _verify_spliced_artifact(
-        self,
-        compiled: CompiledKernel,
-        artifact: OptimizedKernel,
-        verifier: ScheduleVerifier,
-    ) -> VerificationResult | None:
-        """Paranoid-mode audit: disassemble the spliced cubin and re-verify.
-
-        Returns ``None`` when the cubin cannot be disassembled (logged; the
-        splice format is exercised by its own tests, so this is best-effort).
-        """
-        try:
-            respliced = disassemble(artifact.cubin, kernel_name=compiled.kernel.metadata.name)
-        except Exception as exc:
-            _LOG.warning(
-                "%s: could not disassemble the spliced cubin for paranoid "
-                "re-verification: %s",
-                compiled.kernel.metadata.name,
-                exc,
-            )
-            return None
-        result = verifier.verify(respliced)
-        roundtrip = audit_control_roundtrip(respliced)
-        if roundtrip:
-            result = dataclasses.replace(
-                result, diagnostics=result.diagnostics + tuple(roundtrip)
-            )
-        return result
 
     def deploy(
         self,
@@ -521,31 +526,20 @@ class Session:
     # ------------------------------------------------------------------
     # Verification (§4.1)
     # ------------------------------------------------------------------
-    def verify_kernel(self, compiled: CompiledKernel, kernel) -> ProbabilisticTestResult:
-        """Probabilistic testing of a schedule against the numpy reference."""
-        tester = ProbabilisticTester(
-            simulator=self.simulator,
-            input_factory=lambda rng: compiled.spec.make_inputs(rng, compiled.shapes),
-            reference=lambda inputs: compiled.reference(inputs),
-            grid=compiled.grid,
-            param_order=compiled.param_order,
-            output_names=list(compiled.spec.output_names),
-        )
-        return tester.run(kernel, trials=self.config.verify_trials, seed=self.config.seed)
-
-    def functional_diff(self, compiled: CompiledKernel, kernel) -> FunctionalDiffResult:
-        """Differential execution of ``kernel`` against the -O3 seed schedule.
-
-        Both schedules run through the functional engine on identical random
-        inputs; any bit-level output difference is a ``V701`` error.  This is
-        the ``verify="functional"`` tier — strictly sharper than probabilistic
-        testing, whose fp16 tolerances can forgive a semantics-breaking
-        reorder.
-        """
-        differ = FunctionalDiffer.from_compiled(compiled, self.simulator)
-        return differ.diff(
-            compiled.kernel,
+    def verify_kernel(
+        self,
+        compiled: CompiledKernel,
+        kernel: SassKernel,
+        *,
+        seed_kernel: SassKernel | None = None,
+    ) -> OutputCheckResult:
+        """The output check of ``kernel``: probabilistic testing against the
+        numpy reference (``V703``) and, given ``seed_kernel``, a bit-exact
+        comparison with the seed schedule's outputs on the same inputs
+        (``V701``), over ``config.verify_trials`` trials."""
+        return OutputCheck.from_compiled(compiled, self.simulator).run(
             kernel,
+            seed_kernel=seed_kernel,
             trials=self.config.verify_trials,
             seed=self.config.seed,
         )

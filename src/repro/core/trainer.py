@@ -18,7 +18,6 @@ from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer, TrainingHistory
 from repro.sass.instruction import Instruction
 from repro.sass.kernel import SassKernel
-from repro.sim.functional import ProbabilisticTestResult
 from repro.sim.gpu import GPUSimulator
 from repro.sim.measure_service import MeasurementPolicy
 from repro.triton.compiler import CompiledKernel
@@ -48,7 +47,6 @@ class OptimizationResult:
     best_kernel: SassKernel
     #: PPO training diagnostics; ``None`` for training-free strategies.
     history: TrainingHistory | None = None
-    verification: ProbabilisticTestResult | None = None
     episodes: list[EpisodeRecord] = field(default_factory=list)
 
     @property
@@ -63,7 +61,6 @@ class OptimizationResult:
             "speedup": self.speedup,
             "episodes": len(self.episodes),
             "best_episodic_return": None if self.history is None else self.history.best_return(),
-            "verified": None if self.verification is None else self.verification.passed,
         }
 
 

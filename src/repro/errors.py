@@ -166,10 +166,6 @@ class JobCancelled(ReproError):
     """
 
 
-class VerificationError(ReproError):
-    """Probabilistic testing detected an output mismatch."""
-
-
 # --------------------------------------------------------------------------
 # Infrastructure failures (retryable)
 # --------------------------------------------------------------------------

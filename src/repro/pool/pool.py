@@ -413,7 +413,7 @@ class SessionPool:
         specs: Iterable[str | KernelSpec],
         *,
         strategy: str | None = None,
-        verify: bool | None = None,
+        verify: str | bool | None = None,
         store: bool = True,
         on_error: str = "report",
         costs: Sequence[float] | None = None,

@@ -183,7 +183,7 @@ class RemoteClient:
         backend: str | None = None,
         shapes: dict | None = None,
         strategy: str | None = None,
-        verify: bool | None = None,
+        verify: str | bool | None = None,
         cost: float = 1.0,
         use_store: bool = True,
     ) -> RemoteJobHandle:

@@ -46,7 +46,7 @@ from repro.analysis.verify import verify_schedule
 from repro.api.backends import backend_spec
 from repro.api.config import ServeConfig
 from repro.api.report import JobRecord, JobStatus, RunReport
-from repro.api.session import SessionHooks
+from repro.api.session import SessionHooks, normalize_verify_mode
 from repro.api.strategies import get_strategy
 from repro.errors import (
     AdmissionError,
@@ -296,7 +296,7 @@ class JobQueue:
         backend: str | None = None,
         shapes: dict | None = None,
         strategy: str | None = None,
-        verify: bool | None = None,
+        verify: str | bool | None = None,
         store: bool = True,
         cost: float = 1.0,
         use_store: bool = True,
@@ -317,7 +317,8 @@ class JobQueue:
         optimization even when the result store already holds this key.
         ``tenant`` is recorded for accounting (the remote front door charges
         its quota before submitting).  An unknown ``backend`` or ``strategy``
-        raises ``KeyError`` before any job is minted.
+        raises ``KeyError``, and an unknown ``verify`` mode ``ValueError``,
+        before any job is minted.
 
         With ``ServeConfig.max_pending`` set, a submission arriving while
         that many jobs are already waiting is refused: the job is minted
@@ -341,6 +342,8 @@ class JobQueue:
                 )
         if strategy is not None:
             strategy = get_strategy(strategy).name
+        if verify is not None:
+            verify = normalize_verify_mode(verify)
         if pin_worker is not None and not 0 <= pin_worker < len(self.pool.workers):
             raise ValueError(f"pin_worker {pin_worker} out of range")
         self.gc()  # opportunistic TTL/bound sweep of terminal records

@@ -2,15 +2,11 @@
 
 Replaces the NVIDIA A100 in the paper's loop: kernel runtimes measured here
 are the reward signal of the assembly game, and the functional interpreter
-backs probabilistic testing.
+backs probabilistic testing (:func:`compare_outputs` holds its tolerance).
 """
 
 from repro.sim.executor import RegisterFile, StepOutcome, WarpExecutor, WarpState, access_bytes
-from repro.sim.functional import (
-    ProbabilisticTester,
-    ProbabilisticTestResult,
-    compare_outputs,
-)
+from repro.sim.functional import compare_outputs
 from repro.sim.gpu import GPUSimulator, KernelRun, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig, LaunchContext, bind_tensors
 from repro.sim.measure_service import (
@@ -78,7 +74,5 @@ __all__ = [
     "TimingResult",
     "ProfileReport",
     "build_profile",
-    "ProbabilisticTester",
-    "ProbabilisticTestResult",
     "compare_outputs",
 ]

@@ -1,37 +1,18 @@
-"""Probabilistic testing (§4.1 of the paper).
+"""Output comparison for probabilistic testing (§4.1 of the paper).
 
 ``@cuasmrl.jit(ret_ptr=...)`` marks which kernel argument is the output
-buffer.  Probabilistic testing generates randomized inputs, runs both the
-candidate SASS schedule and a trusted reference (the original ``-O3``
-schedule or a numpy oracle), and compares the outputs.  Formal verification
-is impossible for SASS (no official semantics) and exhaustive testing is
-intractable, so this sanity check plus the manual move inspection of §5.7 is
-what the paper relies on — and what the reproduction implements.
+buffer.  Probabilistic testing runs a candidate SASS schedule on randomized
+inputs and compares its outputs to a trusted numpy oracle.  Formal
+verification is impossible for SASS (no official semantics) and exhaustive
+testing is intractable, so this sanity check plus the manual move inspection
+of §5.7 is what the paper relies on.  :func:`compare_outputs` holds the
+fp16-friendly tolerance; :class:`repro.analysis.funcdiff.OutputCheck` runs
+the trials, and adds a bit-exact comparison against the seed schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
-
-from repro.errors import VerificationError
-from repro.sass.kernel import SassKernel
-from repro.sim.gpu import GPUSimulator
-from repro.sim.launch import GridConfig
-from repro.utils.rng import as_rng
-
-
-@dataclass
-class ProbabilisticTestResult:
-    """Outcome of one probabilistic-testing round."""
-
-    passed: bool
-    max_abs_error: float
-    mean_abs_error: float
-    trials: int
-    message: str = ""
 
 
 def compare_outputs(
@@ -51,83 +32,3 @@ def compare_outputs(
     rel_err = abs_err / denom
     passed = bool(np.all((abs_err <= atol) | (rel_err <= rtol)))
     return passed, float(abs_err.max(initial=0.0)), float(abs_err.mean()) if abs_err.size else 0.0
-
-
-@dataclass
-class ProbabilisticTester:
-    """Runs randomized-input comparisons between a SASS kernel and a reference.
-
-    Parameters
-    ----------
-    simulator:
-        The GPU simulator to execute SASS on.
-    input_factory:
-        ``(rng) -> dict[name, np.ndarray]`` producing randomized input
-        tensors (and zero-initialized outputs).
-    reference:
-        ``(inputs) -> dict[name, np.ndarray]`` numpy oracle producing the
-        expected values of the output tensors.
-    grid / param_order / scalars / output_names:
-        Launch description of the kernel under test.
-    """
-
-    simulator: GPUSimulator
-    input_factory: Callable[[np.random.Generator], dict[str, np.ndarray]]
-    reference: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
-    grid: GridConfig
-    param_order: list[str]
-    scalars: dict[str, int] = field(default_factory=dict)
-    output_names: list[str] = field(default_factory=list)
-    rtol: float = 2e-2
-    atol: float = 2e-2
-
-    def run(self, kernel: SassKernel, *, trials: int = 2, seed: int = 0) -> ProbabilisticTestResult:
-        """Run ``trials`` randomized comparisons; raise nothing, report result."""
-        rng = as_rng(seed)
-        worst_max = 0.0
-        worst_mean = 0.0
-        for trial in range(max(trials, 1)):
-            inputs = self.input_factory(rng)
-            expected = self.reference(inputs)
-            run = self.simulator.run(
-                kernel,
-                self.grid,
-                inputs,
-                self.param_order,
-                scalars=self.scalars,
-                output_names=self.output_names or list(expected.keys()),
-            )
-            for name, ref in expected.items():
-                if name not in run.outputs:
-                    return ProbabilisticTestResult(
-                        passed=False,
-                        max_abs_error=float("inf"),
-                        mean_abs_error=float("inf"),
-                        trials=trial + 1,
-                        message=f"kernel did not produce output {name!r}",
-                    )
-                ok, max_err, mean_err = compare_outputs(
-                    run.outputs[name], ref, rtol=self.rtol, atol=self.atol
-                )
-                worst_max = max(worst_max, max_err)
-                worst_mean = max(worst_mean, mean_err)
-                if not ok:
-                    return ProbabilisticTestResult(
-                        passed=False,
-                        max_abs_error=max_err,
-                        mean_abs_error=mean_err,
-                        trials=trial + 1,
-                        message=f"output {name!r} mismatch (max abs err {max_err:.4g})",
-                    )
-        return ProbabilisticTestResult(
-            passed=True,
-            max_abs_error=worst_max,
-            mean_abs_error=worst_mean,
-            trials=max(trials, 1),
-        )
-
-    def check(self, kernel: SassKernel, *, trials: int = 2, seed: int = 0) -> None:
-        """Like :meth:`run` but raises :class:`VerificationError` on failure."""
-        result = self.run(kernel, trials=trials, seed=seed)
-        if not result.passed:
-            raise VerificationError(result.message or "probabilistic testing failed")

@@ -1,5 +1,6 @@
 """Tests for the precision dataflow layer: liveness & register pressure,
-space-tagged def-use keys, and the functional differential tier (V701/V702).
+space-tagged def-use keys, the output check (V701/V703), the splice audit
+(V702) and the verify cascade that runs them in every verify mode.
 
 The centerpiece is the hand-seeded semantics break: two stores to the *same*
 address whose swap the timing verifier admits (same-address stores are only a
@@ -11,12 +12,14 @@ bit-identical, so the ``verify="functional"`` tier must catch it and the
 
 import dataclasses
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
 
+import repro.api.session as session_module
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
-from repro.analysis.funcdiff import FunctionalDiffer, audit_control_roundtrip
+from repro.analysis.funcdiff import OutputCheck, audit_control_roundtrip
 from repro.analysis.liveness import (
     REGISTER_BUDGET,
     compute_liveness,
@@ -24,9 +27,16 @@ from repro.analysis.liveness import (
 )
 from repro.analysis.defuse import build_def_use
 from repro.analysis.verify import ScheduleVerifier
-from repro.api import OptimizationConfig, Session, StrategyOutcome, register_strategy
+from repro.api import (
+    CacheConfig,
+    OptimizationConfig,
+    Session,
+    StrategyOutcome,
+    register_strategy,
+)
+from repro.api.strategies import STRATEGIES
 from repro.sass import KernelMetadata, SassKernel
-from repro.sass.assembler import assemble
+from repro.sass.assembler import assemble, splice_kernel
 from repro.sim import GPUSimulator, GridConfig
 from repro.triton.compiler import CompiledKernel
 from repro.triton.spec import KernelSpec
@@ -60,10 +70,11 @@ def _double_store_inputs(rng) -> dict:
     return {"x": x, "y": np.zeros_like(x)}
 
 
-def _double_store_differ(simulator=None) -> FunctionalDiffer:
-    return FunctionalDiffer(
+def _double_store_differ(simulator=None) -> OutputCheck:
+    return OutputCheck(
         simulator=simulator or GPUSimulator(),
         input_factory=_double_store_inputs,
+        reference=lambda inputs: {"y": _reference_final_store(inputs["x"])},
         grid=GridConfig((1, 1, 1), 1),
         param_order=["x", "y"],
         output_names=["y"],
@@ -121,7 +132,7 @@ def test_timing_verifier_admits_the_same_address_store_swap():
 def test_functional_differ_catches_the_swap_with_v701():
     kernel = _double_store_kernel()
     differ = _double_store_differ()
-    result = differ.diff(kernel, kernel.swap(_STORE_A, _STORE_B), trials=1)
+    result = differ.run(kernel.swap(_STORE_A, _STORE_B), seed_kernel=kernel, trials=1)
     assert not result.passed
     assert result.mismatched_outputs == ("y",)
     assert 0 < result.max_abs_error < 2e-2  # inside probabilistic tolerance
@@ -131,10 +142,10 @@ def test_functional_differ_catches_the_swap_with_v701():
 def test_functional_differ_accepts_self_and_benign_reorders():
     kernel = _double_store_kernel()
     differ = _double_store_differ()
-    assert differ.diff(kernel, kernel, trials=2).passed
+    assert differ.run(kernel, seed_kernel=kernel, trials=2).passed
     # Swapping the two independent FADDs is genuinely behaviour-preserving.
     benign = kernel.swap(5, 6)
-    assert differ.diff(kernel, benign, trials=2).passed
+    assert differ.run(benign, seed_kernel=kernel, trials=2).passed
 
 
 def test_session_functional_tier_catches_what_final_admits(tmp_path):
@@ -192,6 +203,218 @@ def test_serve_terminal_rules_surface_v701():
     )
     job = SimpleNamespace(invalidation_rules=[])
     assert JobQueue._terminal_rules(job, report) == ("V701",)
+
+
+# ---------------------------------------------------------------------------
+# The verify cascade: every mode against planted candidates
+# ---------------------------------------------------------------------------
+_MODES = ("off", "final", "functional", "paranoid")
+_RAW_BREAK = (4, 5)  # the LDG and the FADD that reads its destination
+
+#: Planted "best" schedules, as moves applied to the seed listing.
+_PLANTS = {
+    "seed": lambda kernel: kernel,
+    "fadd-swap": lambda kernel: kernel.swap(5, 6),
+    "store-swap": lambda kernel: kernel.swap(_STORE_A, _STORE_B),
+    "raw-break": lambda kernel: kernel.swap(*_RAW_BREAK),
+}
+
+
+@dataclasses.dataclass
+class _Planted:
+    """A search strategy that "finds" one planted schedule, 10% faster."""
+
+    name: str
+    move: Callable[[SassKernel], SassKernel]
+
+    def run(self, context):
+        baseline = context.compiled.measure(
+            context.simulator, measurement=context.measurement
+        ).time_ms
+        kernel = self.move(context.compiled.kernel)
+        return StrategyOutcome(
+            strategy=self.name,
+            baseline_time_ms=baseline,
+            best_time_ms=baseline if kernel is context.compiled.kernel else baseline * 0.9,
+            best_kernel=kernel,
+            evaluations=1,
+        )
+
+
+for _name, _move in _PLANTS.items():
+    STRATEGIES.add(f"cascade-{_name}-test", _Planted(f"cascade-{_name}-test", _move))
+
+
+def _wrong_oracle_compiled() -> CompiledKernel:
+    """The double-store kernel checked against a numpy oracle that expects x + 2."""
+    compiled = _double_store_compiled()
+    spec = dataclasses.replace(
+        compiled.spec,
+        reference=lambda inputs, shapes: {
+            "y": (inputs["x"].astype(np.float32) + 2.0).astype(np.float16)
+        },
+    )
+    return dataclasses.replace(compiled, spec=spec)
+
+
+def _reorder_splice_readback(monkeypatch) -> None:
+    """Make the paranoid audit read a RAW-broken schedule back out of the cubin."""
+    real = session_module.disassemble
+    monkeypatch.setattr(
+        session_module,
+        "disassemble",
+        lambda *args, **kwargs: real(*args, **kwargs).swap(*_RAW_BREAK),
+    )
+
+
+_KEEP = "keep"
+_RAW = frozenset({"V101", "V202"})
+_V701 = frozenset({"V701"})
+_V703 = frozenset({"V703"})
+
+#: (candidate, oracle, splice read-back) -> outcome in final / functional /
+#: paranoid mode: _KEEP, or the error rules of a fall-back to the seed.
+#: "off" always keeps the candidate unverified.
+_TABLE = {
+    ("seed", "numpy", "faithful"): (_KEEP, _KEEP, _KEEP),
+    ("fadd-swap", "numpy", "faithful"): (_KEEP, _KEEP, _KEEP),
+    ("store-swap", "numpy", "faithful"): (_KEEP, _V701, _V701),
+    ("raw-break", "numpy", "faithful"): (_RAW, _RAW, _RAW),
+    ("seed", "wrong", "faithful"): (_V703, _V703, _V703),
+    ("fadd-swap", "wrong", "faithful"): (_V703, _V703, _V703),
+    ("store-swap", "wrong", "faithful"): (_V703, _V703, _V703),
+    ("raw-break", "wrong", "faithful"): (_RAW, _RAW, _RAW),
+    ("seed", "numpy", "reordered"): (_KEEP, _KEEP, _RAW),
+    ("fadd-swap", "numpy", "reordered"): (_KEEP, _KEEP, _RAW),
+    ("store-swap", "numpy", "reordered"): (_KEEP, _V701, _V701),
+    ("raw-break", "numpy", "reordered"): (_RAW, _RAW, _RAW),
+}
+
+
+@pytest.mark.parametrize("plant", list(_TABLE), ids="/".join)
+def test_verify_cascade_acceptance_table(plant, monkeypatch):
+    candidate, oracle, readback = plant
+    compiled = _double_store_compiled() if oracle == "numpy" else _wrong_oracle_compiled()
+    if readback == "reordered":
+        _reorder_splice_readback(monkeypatch)
+    planted = _PLANTS[candidate](compiled.kernel)
+    for trials in (1, 2):
+        session = Session(
+            gpu=GPUSimulator(),
+            config=OptimizationConfig(scale="test", autotune=False, verify_trials=trials),
+            cache=CacheConfig(enabled=False),
+        )
+        for mode, expected in zip(_MODES, (_KEEP, *_TABLE[plant])):
+            where = f"verify={mode!r}, verify_trials={trials}"
+            report = session.optimize_compiled(
+                compiled, strategy=f"cascade-{candidate}-test", verify=mode, store=False
+            )
+            kept = report.artifact.result.best_kernel
+            errors = {d["rule"] for d in report.diagnostics if d["severity"] == "error"}
+            if expected == _KEEP:
+                assert report.verified is (None if mode == "off" else True), where
+                assert kept == planted, where
+                speedup = 1.0 if candidate == "seed" else 0.9
+                assert report.best_time_ms == report.baseline_time_ms * speedup, where
+                assert errors == set(), where
+            else:
+                assert report.verified is False, where
+                assert kept == compiled.kernel, where
+                assert report.best_time_ms == report.baseline_time_ms, where
+                assert errors == expected, where
+            # The artifact ships the kept schedule, never an audited reject.
+            assert report.artifact.optimized.kernel == kept, where
+            spliced = splice_kernel(compiled.cubin, kept)
+            assert report.artifact.cubin.fingerprint() == spliced.fingerprint(), where
+        session.close()
+
+
+@pytest.mark.parametrize(
+    "mode, readback, runs, splices",
+    [
+        ("final", "faithful", 1, 1),
+        ("functional", "faithful", 2, 1),
+        ("paranoid", "faithful", 2, 1),
+        # The audit rejects the spliced candidate, so the seed is spliced too.
+        ("paranoid", "reordered", 2, 2),
+    ],
+)
+def test_verify_cascade_work_per_trial(mode, readback, runs, splices, monkeypatch):
+    """One whole-grid run of a non-seed candidate per trial, plus one seed
+    run when the check is bit-exact; the audited cubin is the one shipped."""
+    if readback == "reordered":
+        _reorder_splice_readback(monkeypatch)
+    calls = {"run": 0, "splice": 0}
+    real_run, real_splice = GPUSimulator.run, session_module.splice_kernel
+
+    def counting_run(self, *args, **kwargs):
+        calls["run"] += 1
+        return real_run(self, *args, **kwargs)
+
+    def counting_splice(*args, **kwargs):
+        calls["splice"] += 1
+        return real_splice(*args, **kwargs)
+
+    monkeypatch.setattr(GPUSimulator, "run", counting_run)
+    monkeypatch.setattr(session_module, "splice_kernel", counting_splice)
+    session = Session(
+        gpu=GPUSimulator(),
+        config=OptimizationConfig(scale="test", autotune=False, verify_trials=1),
+        cache=CacheConfig(enabled=False),
+    )
+    report = session.optimize_compiled(
+        _double_store_compiled(), strategy="cascade-fadd-swap-test", verify=mode, store=False
+    )
+    session.close()
+    assert report.verified is (readback == "faithful")
+    assert calls == {"run": runs, "splice": splices}
+
+
+def test_reference_mismatch_reports_v703():
+    kernel = _double_store_kernel()
+    check = dataclasses.replace(
+        _double_store_differ(),
+        reference=lambda inputs: {"y": np.zeros_like(inputs["x"]) + 3},
+    )
+    result = check.run(kernel, trials=2)
+    assert not result.passed
+    assert [d.rule for d in result.diagnostics] == ["V703"]
+    assert result.diagnostics[0].details["output"] == "y"
+    assert result.diagnostics[0].details["trial"] == 0
+    assert result.max_abs_error > 1.0
+
+    from repro.serve.queue import JobQueue
+
+    session = Session(
+        gpu=GPUSimulator(),
+        config=OptimizationConfig(scale="test", autotune=False, verify_trials=1),
+        cache=CacheConfig(enabled=False),
+    )
+    for mode in ("final", "functional"):
+        report = session.optimize_compiled(
+            _wrong_oracle_compiled(), strategy="cascade-seed-test", verify=mode, store=False
+        )
+        assert report.verified is False
+        job = SimpleNamespace(invalidation_rules=[])
+        assert JobQueue._terminal_rules(job, report) == ("V703",)
+    session.close()
+
+
+def test_report_is_the_only_verification_record():
+    session = Session(
+        gpu=GPUSimulator(),
+        config=OptimizationConfig(scale="test", autotune=False, verify_trials=1),
+        cache=CacheConfig(enabled=False),
+    )
+    report = session.optimize_compiled(
+        _double_store_compiled(),
+        strategy="cascade-store-swap-test",
+        verify="functional",
+        store=False,
+    )
+    session.close()
+    assert report.verified is False
+    assert "verified" not in report.artifact.result.summary()
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,23 @@ def test_unknown_strategy_is_refused_at_submit():
         assert queue.jobs() == []
 
 
+@pytest.mark.parametrize("build", [_session, _pool], ids=["Session", "SessionPool"])
+def test_unknown_verify_mode_fails_at_construction(build):
+    with pytest.raises(ValueError, match=r"verify must be one of .*, got 'frantic'"):
+        build(_FAST.replace(verify="frantic"))
+
+
+def test_unknown_verify_mode_is_refused_at_submit():
+    with _pool(_FAST) as pool:
+        queue = pool.serve()
+        with pytest.raises(ValueError, match="got 'frantic'"):
+            queue.submit("softmax", verify="frantic")
+        assert queue.jobs() == []
+        # Booleans still mean "final" / "off".
+        report = queue.submit("softmax", verify=False).result(timeout=300)
+        assert not report.failed and report.verified is None
+
+
 def test_remote_submit_refuses_names_that_are_not_strings():
     with _pool(_FAST) as pool, RemoteApp(pool, remote=RemoteConfig(journal=False)) as app:
         for field in ("backend", "strategy"):

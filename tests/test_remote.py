@@ -499,6 +499,13 @@ def test_http_error_mapping(http_stack):
         client._request("GET", "/no/such/route")
 
 
+def test_http_refuses_an_unknown_verify_mode(http_stack):
+    client, app = http_stack
+    with pytest.raises(ValueError, match="frantic"):
+        client.submit("softmax", verify="frantic")
+    assert app.queue.jobs() == []
+
+
 def test_http_batch_mixed_outcomes(http_stack):
     client, _app = http_stack
     outcomes = client.submit_many([{"kernel": "softmax"}, {"oops": True}])

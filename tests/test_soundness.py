@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
 from repro.analysis import ScheduleVerifier, run_pre_game_analysis
 from repro.analysis.deps import ALIAS_MODES, build_dependence_graph
-from repro.analysis.funcdiff import FunctionalDiffer
+from repro.analysis.funcdiff import OutputCheck
 from repro.core.actions import ActionSpace
 from repro.core.masking import ActionMasker
 from repro.sass import ControlCode, Instruction, KernelMetadata, SassKernel
@@ -140,12 +140,12 @@ def test_newly_permitted_moves_are_safe(workload):
     if not newly_permitted:
         return  # nothing sharpened away on this workload — vacuously safe
 
-    differ = FunctionalDiffer.from_compiled(compiled)
+    differ = OutputCheck.from_compiled(compiled)
     # The first few suffice: differential execution is the expensive part and
     # every newly-permitted move exercises the same dissolved V402 edges.
     for candidate in newly_permitted[:3]:
         assert precise.is_legal(candidate)
-        result = differ.diff(kernel, candidate, trials=1)
+        result = differ.run(candidate, seed_kernel=kernel, trials=1)
         assert result.passed, result.message
 
 

@@ -21,7 +21,7 @@ from repro.analysis import (
 )
 from repro.analysis.diagnostics import RULES, Severity, make_diagnostic, worst_severity
 from repro.analysis.lint import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main as lint_main
-from repro.api import OptimizationConfig, Session
+from repro.api import CacheConfig, OptimizationConfig, Session
 from repro.api.backends import available_backends
 from repro.api.session import normalize_verify_mode
 from repro.baselines.search import run_greedy_search
@@ -334,6 +334,29 @@ def test_session_verify_modes(mode):
         assert report.diagnostics == ()
     assert "invalid_actions" in report.details
     assert "diagnostics" in report.summary()
+
+
+def test_session_verify_modes_on_a_real_candidate():
+    """mmLeakyReLu's greedy best is not the seed, so the bit-exact check and
+    the splice audit see a real candidate (softmax's best is the seed)."""
+    config = OptimizationConfig(
+        scale="test", strategy="greedy", search_budget=4, autotune=False
+    )
+    session = Session("A100-sim", config=config, cache=CacheConfig(enabled=False))
+    seed = session.compile("mmLeakyReLu").kernel
+    reports = {
+        mode: session.optimize("mmLeakyReLu", verify=mode, store=False)
+        for mode in ("off", "final", "functional", "paranoid")
+    }
+    session.close()
+    kept = reports["off"].artifact.result.best_kernel
+    assert kept != seed
+    for mode, report in reports.items():
+        assert report.verified is (None if mode == "off" else True), mode
+        assert report.artifact.result.best_kernel == kept, mode
+        assert report.best_time_ms == reports["off"].best_time_ms, mode
+        assert report.best_time_ms < report.baseline_time_ms, mode
+        assert report.diagnostics == (), mode
 
 
 def test_result_store_invalidate_counts_once():
