@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.arch.registers import REGISTER_BANKS
+
 
 @dataclass(frozen=True)
 class MemoryTimings:
@@ -62,7 +64,7 @@ class AmpereConfig:
     #: Threads per warp.
     warp_size: int = 32
     #: Register-file banks per sub-partition (operand collector model).
-    register_banks: int = 4
+    register_banks: int = REGISTER_BANKS
     #: Size of the operand reuse cache, in operands, per sub-partition.
     reuse_cache_slots: int = 8
     #: Tensor-core HMMA issue interval in cycles (throughput limit).

@@ -10,30 +10,59 @@ the paper attributes the discovered HMMA/LDGSTS reordering win to keeping the
 reuse cache valid.
 
 This module gives the simulator a simple but faithful model of both effects.
+The production issue loop keeps one reuse cache (a set of register indices)
+per sub-partition and calls :func:`bank_conflicts` and :func:`fetch_stalls`;
+:class:`RegisterBankModel` holds the same state for the frozen reference
+engine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+#: Register-file banks per sub-partition on every shipped backend.
+REGISTER_BANKS = 4
 
-def register_bank(reg_index: int, num_banks: int = 4) -> int:
-    """Bank assignment of a 32-bit register (Ampere: index modulo bank count)."""
-    return reg_index % num_banks
+
+def bank_conflicts(reads: Sequence[int], num_banks: int) -> int:
+    """Extra cycles to fetch the distinct registers ``reads`` in one cycle.
+
+    A register lives in bank ``index % num_banks``; every read beyond the
+    first in a bank costs a cycle.
+    """
+    return len(reads) - len({reg % num_banks for reg in reads})
+
+
+def fetch_stalls(
+    cache: set[int], reads: Sequence[int], reuse_reads: Sequence[int], num_banks: int, slots: int
+) -> int:
+    """Operand-fetch stall of one issue against a partition's reuse ``cache``.
+
+    Registers the cache holds skip the register file; the rest pay
+    :func:`bank_conflicts`.  Then the ``.reuse``-flagged reads are latched,
+    evicting the lowest cached index while the cache holds ``slots``
+    registers.  ``reads`` are sorted and distinct, ``reuse_reads`` the
+    flagged ones among them in the same order.
+    """
+    stall = bank_conflicts([reg for reg in reads if reg not in cache], num_banks)
+    for reg in reuse_reads:
+        if len(cache) >= slots and reg not in cache:
+            cache.discard(min(cache))
+        cache.add(reg)
+    return stall
 
 
 @dataclass
 class RegisterBankModel:
-    """Tracks operand-collector state for one warp on one sub-partition.
+    """Operand-collector state of one sub-partition (reference engine).
 
-    The model answers a single question per issued instruction: *how many
-    extra cycles of operand-fetch stall does this instruction pay?*  It keeps
-    a small reuse cache keyed by register index; entries are installed by
-    ``.reuse`` flags and invalidated whenever the owning warp is switched out
-    (the hypothesis of §5.7.1) or the register is overwritten.
+    It keeps a small reuse cache keyed by register index; entries are
+    installed by ``.reuse`` flags and invalidated whenever the owning warp is
+    switched out (the hypothesis of §5.7.1) or the register is overwritten.
     """
 
-    num_banks: int = 4
+    num_banks: int = REGISTER_BANKS
     reuse_slots: int = 8
     _reuse_cache: set[int] = field(default_factory=set)
 
@@ -44,62 +73,6 @@ class RegisterBankModel:
     def invalidate_register(self, reg_index: int) -> None:
         """Drop a register from the cache when it is overwritten."""
         self._reuse_cache.discard(reg_index)
-
-    def cached_registers(self) -> frozenset[int]:
-        return frozenset(self._reuse_cache)
-
-    def operand_fetch_stalls(self, read_registers, reuse_registers) -> int:
-        """Extra cycles to fetch the given source registers.
-
-        Parameters
-        ----------
-        read_registers:
-            Iterable of register indices the instruction reads.
-        reuse_registers:
-            Subset of those registers flagged ``.reuse`` by the schedule.
-
-        Returns
-        -------
-        int
-            Number of extra stall cycles caused by bank conflicts, after
-            accounting for operands served from the reuse cache.
-        """
-        reads = list(dict.fromkeys(read_registers))  # stable unique
-        return self.operand_fetch_stalls_decoded(reads, set(reuse_registers))
-
-    def operand_fetch_stalls_decoded(self, reads, reuse) -> int:
-        """The fetch-stall model on pre-normalized operands (the hot path).
-
-        ``reads`` and ``reuse`` must already be unique, in the stable order the
-        generic :meth:`operand_fetch_stalls` derives per call — which is what a
-        :class:`repro.sim.program` ``DecodedInstr`` precomputes — so the dedup
-        pass is skipped and the common cases (empty reuse cache, no reuse
-        flags) short-circuit.
-        """
-        cache = self._reuse_cache
-        if cache:
-            fetched = [r for r in reads if r not in cache]
-        else:
-            fetched = reads
-        conflicts = 0
-        if len(fetched) > 1:
-            num_banks = self.num_banks
-            bank_counts: dict[int, int] = {}
-            for reg in fetched:
-                bank = reg % num_banks
-                bank_counts[bank] = bank_counts.get(bank, 0) + 1
-            for count in bank_counts.values():
-                if count > 1:
-                    conflicts += count - 1
-        if reuse:
-            slots = self.reuse_slots
-            for reg in reads:
-                if reg in reuse:
-                    if len(cache) >= slots and reg not in cache:
-                        # Evict an arbitrary (but deterministic) entry.
-                        cache.discard(min(cache))
-                    cache.add(reg)
-        return conflicts
 
     def notify_write(self, written_registers) -> None:
         """Invalidate cache entries clobbered by an instruction's writes."""

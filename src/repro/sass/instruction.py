@@ -8,8 +8,8 @@ def/use sets needed by dependence analysis and action masking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, TypeVar
 
 from repro.sass import opcodes as opcodes_mod
 from repro.sass.control import DEFAULT_CONTROL, ControlCode
@@ -21,6 +21,8 @@ from repro.sass.operands import (
     RegisterOperand,
     UniformRegisterOperand,
 )
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,11 @@ class Instruction:
         Free-form trailing comment preserved for round-tripping.
 
     Instructions are immutable, so derived metadata (def/use sets, operand
-    partitions, opcode info) is computed once and cached on the instance under
-    ``_cached_*`` attributes.  The caches are an identity-level optimization —
-    every simulator issue of an instruction used to rebuild these frozensets —
-    and are stripped on pickling so candidate schedules ship lean to process
-    workers.
+    partitions, opcode info, the rendered line) is computed once and cached on
+    the instance under ``_cached_*`` attributes.  The caches are an
+    identity-level optimization — every simulator issue of an instruction used
+    to rebuild these frozensets — and are stripped on pickling: the
+    simulator's compiled handlers among them do not pickle.
     """
 
     opcode: str
@@ -54,7 +56,7 @@ class Instruction:
     predicate: PredicateOperand | None = None
     comment: str = ""
 
-    def _cache(self, name: str, value):
+    def _cache(self, name: str, value: _T) -> _T:
         """Memoize a derived value on this (frozen, immutable) instruction."""
         object.__setattr__(self, name, value)
         return value
@@ -276,7 +278,21 @@ class Instruction:
     # Rendering
     # ------------------------------------------------------------------
     def render(self, *, with_control: bool = True) -> str:
-        """Render the instruction back to SASS text."""
+        """Render the instruction back to SASS text.
+
+        The default form, with the control code, is cached: it is the line
+        :meth:`SassKernel.content_digest <repro.sass.kernel.SassKernel.content_digest>`
+        hashes for every candidate schedule, and swapped schedules share
+        their instruction objects.
+        """
+        if not with_control:
+            return self._render(with_control=False)
+        cached: str | None = self.__dict__.get("_cached_render")
+        if cached is None:
+            cached = self._cache("_cached_render", self._render(with_control=True))
+        return cached
+
+    def _render(self, *, with_control: bool) -> str:
         parts: list[str] = []
         if with_control:
             parts.append(self.control.render())

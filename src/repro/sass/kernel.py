@@ -76,10 +76,9 @@ class SassKernel:
 
     def __getstate__(self):
         """Drop the pinned decoded program and the multiset cache when pickling
-        (process backends ship candidate schedules to workers; the program
+        (the program holds compiled closures, which do not pickle; it
         re-decodes from the shared cache on the other side).  The content
-        digest is kept — it is small, deterministic and saves the worker a
-        re-hash."""
+        digest is kept — it is small, deterministic and saves a re-hash."""
         state = dict(self.__dict__)
         state.pop("_decoded_program", None)
         state.pop("_multiset_cache", None)
@@ -111,12 +110,8 @@ class SassKernel:
         """
         digest = getattr(self, "_content_digest", None)
         if digest is None:
-            hasher = hashlib.sha256()
-            hasher.update(self.metadata.name.encode("utf-8"))
-            for line in self._lines:
-                hasher.update(b"\n")
-                hasher.update(line.render().encode("utf-8"))
-            digest = hasher.hexdigest()
+            text = "\n".join([self.metadata.name, *(line.render() for line in self._lines)])
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             self._content_digest = digest
         return digest
 

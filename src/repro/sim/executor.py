@@ -13,6 +13,13 @@ previous (stale) value.  This is how real Ampere hardware behaves for
 fixed-latency instructions whose stall counts are too small, it is what makes
 the dependency-based microbenchmarks of §4.3 work, and it is how probabilistic
 testing catches schedules that violate dependencies.
+
+Each instruction is compiled once into a handler closure whose operand
+accessors and destination writers index a warp's :class:`RegisterFile`, flat
+per-space lists of value, ready cycle and stale value.
+:meth:`WarpExecutor.step` issues one decoded record
+(:class:`repro.sim.program.DecodedInstr`) whose pc and wait mask its driver
+(:mod:`repro.sim.sm`) has already resolved.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 
 from repro.arch.latency_table import execution_latency
 from repro.errors import ExecutionError
+from repro.sass.control import NUM_BARRIERS
 from repro.sass.instruction import Instruction
 from repro.sass.operands import (
     ConstantMemoryOperand,
@@ -54,76 +62,48 @@ def access_bytes(instr: Instruction) -> int:
     return _DEFAULT_ACCESS_BYTES
 
 
-@dataclass(slots=True)
-class _Slot:
-    """A register slot: current value, when it becomes visible, and the stale value."""
-
-    value: object = 0
-    ready: int = 0
-    stale: object = 0
-
-    def read(self, cycle: int):
-        return self.value if cycle >= self.ready else self.stale
-
-    def write(self, value, ready: int) -> None:
-        self.stale = self.value
-        self.value = value
-        self.ready = ready
-
-
 class RegisterFile:
-    """Timing-aware storage for one warp's registers / predicates / uniforms."""
+    """Timing-aware storage for one warp's registers, predicates and uniform registers.
 
-    def __init__(self) -> None:
-        self._regs: dict[int, _Slot] = {}
-        self._preds: dict[int, _Slot] = {}
-        self._uregs: dict[int, _Slot] = {}
+    Each space is three flat lists indexed by register number: the current
+    value, the cycle from which reads see it, and the stale value reads see
+    before that cycle.  The lists are sized from the highest index the
+    program names (:attr:`repro.sim.program.DecodedProgram.register_counts`),
+    and the compiled operand accessors and destination writers index them
+    directly.  An unwritten register reads 0 and an unwritten predicate False.
+    """
 
-    def _slot(self, table: dict[int, _Slot], index: int) -> _Slot:
-        slot = table.get(index)
-        if slot is None:
-            slot = _Slot()
-            table[index] = slot
-        return slot
+    __slots__ = (
+        "reg_value", "reg_ready_at", "reg_stale",
+        "pred_value", "pred_ready_at", "pred_stale",
+        "ureg_value", "ureg_ready_at", "ureg_stale",
+    )
 
-    # registers -------------------------------------------------------
-    def read_reg(self, index: int, cycle: int):
-        return self._slot(self._regs, index).read(cycle)
-
-    def write_reg(self, index: int, value, ready: int) -> None:
-        self._slot(self._regs, index).write(value, ready)
-
-    def reg_ready(self, index: int) -> int:
-        return self._slot(self._regs, index).ready
-
-    # predicates ------------------------------------------------------
-    def read_pred(self, index: int, cycle: int) -> bool:
-        return bool(self._slot(self._preds, index).read(cycle))
-
-    def write_pred(self, index: int, value: bool, ready: int) -> None:
-        self._slot(self._preds, index).write(bool(value), ready)
-
-    # uniform registers ------------------------------------------------
-    def read_ureg(self, index: int, cycle: int):
-        return self._slot(self._uregs, index).read(cycle)
-
-    def write_ureg(self, index: int, value, ready: int) -> None:
-        self._slot(self._uregs, index).write(value, ready)
+    def __init__(self, num_regs: int, num_preds: int, num_uregs: int) -> None:
+        self.reg_value: list = [0] * num_regs
+        self.reg_ready_at = [0] * num_regs
+        self.reg_stale: list = [0] * num_regs
+        self.pred_value = [False] * num_preds
+        self.pred_ready_at = [0] * num_preds
+        self.pred_stale = [False] * num_preds
+        self.ureg_value: list = [0] * num_uregs
+        self.ureg_ready_at = [0] * num_uregs
+        self.ureg_stale: list = [0] * num_uregs
 
 
-@dataclass
+@dataclass(slots=True)
 class WarpState:
     """Mutable per-warp execution state."""
 
     warp_id: int
     ctaid: tuple[int, int, int]
-    registers: RegisterFile = field(default_factory=RegisterFile)
+    registers: RegisterFile
     #: Listing index of the next line to execute.
     pc: int = 0
     #: Earliest cycle at which the warp may issue its next instruction.
     next_issue: int = 0
-    #: Scoreboard: slot index -> cycle at which the barrier clears.
-    scoreboard: dict[int, int] = field(default_factory=dict)
+    #: Scoreboard: cycle at which each barrier slot clears.
+    scoreboard: list[int] = field(default_factory=lambda: [0] * NUM_BARRIERS)
     finished: bool = False
     waiting_at_barrier: bool = False
     #: dynamic instruction count (profiling)
@@ -131,10 +111,11 @@ class WarpState:
 
     def barrier_clear_cycle(self, wait_mask) -> int:
         """Cycle at which every scoreboard slot in ``wait_mask`` is clear."""
-        return max((self.scoreboard.get(slot, 0) for slot in wait_mask), default=0)
+        return max([self.scoreboard[slot] for slot in wait_mask], default=0)
 
     def set_barrier(self, slot: int, clear_cycle: int) -> None:
-        self.scoreboard[slot] = max(self.scoreboard.get(slot, 0), clear_cycle)
+        if clear_cycle > self.scoreboard[slot]:
+            self.scoreboard[slot] = clear_cycle
 
 
 @dataclass(slots=True)
@@ -156,9 +137,10 @@ class WarpExecutor:
     """Executes instructions for warps of a single thread block.
 
     The executor is driver-agnostic: both the sequential functional runner and
-    the SM timing simulator call :meth:`step` with an issue cycle they chose,
-    and the executor updates the warp state, performs the architectural
-    effects and reports latency/completion information back.
+    the SM timing simulator resolve the warp's next instruction and the cycle
+    its wait mask allows, then call :meth:`step` with its decoded record.  The
+    executor updates the warp state, performs the architectural effects and
+    reports latency/completion information back.
     """
 
     def __init__(
@@ -179,12 +161,11 @@ class WarpExecutor:
         #: Callable (MemoryRequest, issue_cycle) -> latency; defaults to a
         #: fixed latency per opcode class when no timing model is attached.
         self.memory_latency = memory_latency
-        #: The :class:`repro.sim.program.DecodedProgram` driving :meth:`step`:
-        #: labels are skipped through the precomputed pc table and execution
-        #: dispatches through per-instruction compiled handlers instead of
-        #: re-scanning the listing and re-splitting opcodes per issue.  The
-        #: simulators pass their kernel's cached program; direct construction
-        #: from bare lines decodes one ad hoc.
+        #: The :class:`repro.sim.program.DecodedProgram` whose records the
+        #: drivers pass to :meth:`step`: execution dispatches through
+        #: per-instruction compiled handlers instead of re-splitting opcodes
+        #: per issue.  The simulators pass their kernel's cached program;
+        #: direct construction from bare lines decodes one ad hoc.
         if program is None:
             # Deferred import: program.py imports this module at load time.
             from repro.sim.program import build_program_from_lines
@@ -194,41 +175,6 @@ class WarpExecutor:
         #: Per-listing-index handlers: the full ones, or the program's timing
         #: view (data-only instructions elided) when only cycles are wanted.
         self.handlers = program.timing_handlers if timing_only else program.handlers
-
-    # ------------------------------------------------------------------
-    # Operand evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, operand: Operand, warp: WarpState, cycle: int):
-        if isinstance(operand, RegisterOperand):
-            if operand.is_rz:
-                value = 0
-            else:
-                value = warp.registers.read_reg(operand.index, cycle)
-            return self._apply_modifiers(value, operand)
-        if isinstance(operand, UniformRegisterOperand):
-            return 0 if operand.is_urz else warp.registers.read_ureg(operand.index, cycle)
-        if isinstance(operand, PredicateOperand):
-            value = True if operand.is_pt else warp.registers.read_pred(operand.index, cycle)
-            return (not value) if operand.negated else value
-        if isinstance(operand, ImmediateOperand):
-            return operand.value
-        if isinstance(operand, ConstantMemoryOperand):
-            return self.launch.constant(operand.bank, operand.offset)
-        if isinstance(operand, SpecialRegisterOperand):
-            return self._special_register(operand.name, warp, cycle)
-        if isinstance(operand, MemoryOperand):
-            return self._address(operand, warp, cycle)
-        if isinstance(operand, LabelOperand):
-            return operand.name
-        raise ExecutionError(f"cannot evaluate operand {operand!r}")
-
-    @staticmethod
-    def _apply_modifiers(value, operand: RegisterOperand):
-        if operand.absolute:
-            value = np.abs(value) if isinstance(value, np.ndarray) else abs(value)
-        if operand.negated:
-            value = -value
-        return value
 
     def _special_register(self, name: str, warp: WarpState, cycle: int):
         ctaid_x, ctaid_y, ctaid_z = warp.ctaid
@@ -248,85 +194,49 @@ class WarpExecutor:
             return mapping[name]
         raise ExecutionError(f"unmodelled special register {name}")
 
-    def _address(self, operand: MemoryOperand, warp: WarpState, cycle: int) -> int:
-        address = operand.offset
-        if operand.base is not None and not operand.base.is_rz:
-            address += int(warp.registers.read_reg(operand.base.index, cycle))
-        if operand.uniform_base is not None and not operand.uniform_base.is_urz:
-            address += int(warp.registers.read_ureg(operand.uniform_base.index, cycle))
-        return int(address)
-
     # ------------------------------------------------------------------
     # The main step function
     # ------------------------------------------------------------------
-    def step(self, warp: WarpState, issue_cycle: int) -> StepOutcome:
-        """Issue the instruction at ``warp.pc`` at ``issue_cycle``."""
-        program = self.program
-        # Label skipping and control/handler metadata come from the decoded
-        # program instead of per-issue recomputation.
-        pc = program.next_instr_pc[warp.pc]
-        if pc >= program.num_lines:
-            warp.finished = True
-            return StepOutcome(
-                instruction=Instruction("EXIT"),
-                issue_cycle=issue_cycle,
-                completion_cycle=issue_cycle,
-                exited=True,
-            )
-        warp.pc = pc
-        rec = program.decoded[pc]
-        instr: Instruction = rec.instr
-        wait_mask = rec.wait_mask
-        stall = rec.stall
-        predicate_fn = rec.predicate_fn
-        handler = self.handlers[pc]
-        write_barrier = rec.write_barrier
-        read_barrier = rec.read_barrier
+    def step(self, warp: WarpState, rec, issue_cycle: int) -> StepOutcome:
+        """Issue ``rec``, the decoded instruction at ``warp.pc``, at ``issue_cycle``.
 
-        # Wait barriers stall the issue until the scoreboard slots clear.
-        if wait_mask:
-            issue_cycle = max(issue_cycle, warp.barrier_clear_cycle(wait_mask))
-
+        The driver has resolved ``warp.pc`` to an instruction line and folded
+        the wait mask's barrier clear cycle into ``issue_cycle``.
+        """
         warp.issued += 1
-        outcome = StepOutcome(instruction=instr, issue_cycle=issue_cycle, completion_cycle=issue_cycle)
+        outcome = StepOutcome(rec.instr, issue_cycle, issue_cycle)
+        gap = rec.issue_gap
 
         # Guard predicate: a predicated-off instruction still occupies the
         # issue slot (and its stall count) but has no architectural effect.
-        if predicate_fn is not None:
-            if not predicate_fn(self, warp, issue_cycle):
-                outcome.predicated_off = True
-                warp.pc += 1
-                warp.next_issue = issue_cycle + (stall if stall > 1 else 1)
-                return outcome
+        predicate_fn = rec.predicate_fn
+        if predicate_fn is not None and not predicate_fn(self, warp, issue_cycle):
+            outcome.predicated_off = True
+            warp.pc += 1
+            warp.next_issue = issue_cycle + gap
+            return outcome
 
+        handler = self.handlers[warp.pc]
         if handler is None:
-            raise ExecutionError(f"unmodelled opcode {instr.opcode!r}")
+            raise ExecutionError(f"unmodelled opcode {rec.instr.opcode!r}")
         handler(self, warp, issue_cycle, outcome)
 
         if not outcome.branched and not outcome.exited:
             warp.pc += 1
-        warp.next_issue = issue_cycle + (stall if stall > 1 else 1)
+        warp.next_issue = issue_cycle + gap
 
         # Scoreboard barriers set by this instruction.
-        if write_barrier is not None:
-            warp.set_barrier(write_barrier, outcome.completion_cycle)
-        if read_barrier is not None:
+        if rec.write_barrier is not None:
+            warp.set_barrier(rec.write_barrier, outcome.completion_cycle)
+        if rec.read_barrier is not None:
             # Source operands are consumed a few cycles after issue (the
             # request leaves the register file for the LSU).
-            warp.set_barrier(read_barrier, issue_cycle + 10)
+            warp.set_barrier(rec.read_barrier, issue_cycle + 10)
         return outcome
 
     # ------------------------------------------------------------------
     # Memory helpers
     # ------------------------------------------------------------------
-    def _memory_latency(self, request: MemoryRequest, instr: Instruction, issue_cycle: int) -> int:
-        if self.memory_latency is not None:
-            return self.memory_latency(request, issue_cycle)
-        return execution_latency(instr.opcode)
-
-    def _fragment_from_bytes(self, raw: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        return raw.view(dtype).astype(np.float32)
-
     def _fragment_to_bytes(self, fragment, dtype: np.dtype, nbytes: int) -> np.ndarray:
         array = np.asarray(fragment, dtype=np.float32).reshape(-1)
         out = array.astype(dtype)
@@ -370,67 +280,92 @@ _CONST_ZERO = _const(0)
 
 
 # ---------------------------------------------------------------------------
-# Operand access compilation (mirrors WarpExecutor._eval branch by branch)
+# Operand access compilation (mirrors the reference executor's ``_eval``
+# branch by branch).  A read before a register's ready cycle sees its stale
+# value: the timing-aware visibility of the module docstring.
 # ---------------------------------------------------------------------------
+def _reg_reader(index: int):
+    def read(ex, warp, cycle):
+        regs = warp.registers
+        if cycle >= regs.reg_ready_at[index]:
+            return regs.reg_value[index]
+        return regs.reg_stale[index]
+
+    return read
+
+
+def _pred_reader(index: int):
+    def read(ex, warp, cycle):
+        regs = warp.registers
+        if cycle >= regs.pred_ready_at[index]:
+            return regs.pred_value[index]
+        return regs.pred_stale[index]
+
+    return read
+
+
+def _ureg_reader(index: int):
+    def read(ex, warp, cycle):
+        regs = warp.registers
+        if cycle >= regs.ureg_ready_at[index]:
+            return regs.ureg_value[index]
+        return regs.ureg_stale[index]
+
+    return read
+
+
 def _compile_register_eval(op: RegisterOperand):
     if op.is_rz:
         # abs(0) / -0 are still 0, so modifiers collapse away.
         return _CONST_ZERO
-    index = op.index
+    read = _reg_reader(op.index)
     if op.absolute and op.negated:
 
         def fn(ex, warp, cycle):
-            value = warp.registers.read_reg(index, cycle)
+            value = read(ex, warp, cycle)
             value = np.abs(value) if isinstance(value, np.ndarray) else abs(value)
             return -value
 
     elif op.absolute:
 
         def fn(ex, warp, cycle):
-            value = warp.registers.read_reg(index, cycle)
+            value = read(ex, warp, cycle)
             return np.abs(value) if isinstance(value, np.ndarray) else abs(value)
 
     elif op.negated:
 
         def fn(ex, warp, cycle):
-            return -warp.registers.read_reg(index, cycle)
+            return -read(ex, warp, cycle)
 
     else:
-
-        def fn(ex, warp, cycle):
-            return warp.registers.read_reg(index, cycle)
-
+        return read
     return fn
 
 
 def _compile_address(op: MemoryOperand):
-    """Compiled replica of :meth:`WarpExecutor._address`."""
+    """Compiled address of a memory operand: its offset plus its register bases."""
     offset = op.offset
-    base_index = None
+    base = None
     if op.base is not None and not op.base.is_rz:
-        base_index = op.base.index
-    uniform_index = None
+        base = _reg_reader(op.base.index)
+    uniform = None
     if op.uniform_base is not None and not op.uniform_base.is_urz:
-        uniform_index = op.uniform_base.index
+        uniform = _ureg_reader(op.uniform_base.index)
 
-    if base_index is not None and uniform_index is not None:
-
-        def fn(ex, warp, cycle):
-            return int(
-                offset
-                + int(warp.registers.read_reg(base_index, cycle))
-                + int(warp.registers.read_ureg(uniform_index, cycle))
-            )
-
-    elif base_index is not None:
+    if base is not None and uniform is not None:
 
         def fn(ex, warp, cycle):
-            return int(offset + int(warp.registers.read_reg(base_index, cycle)))
+            return int(offset + int(base(ex, warp, cycle)) + int(uniform(ex, warp, cycle)))
 
-    elif uniform_index is not None:
+    elif base is not None:
 
         def fn(ex, warp, cycle):
-            return int(offset + int(warp.registers.read_ureg(uniform_index, cycle)))
+            return int(offset + int(base(ex, warp, cycle)))
+
+    elif uniform is not None:
+
+        def fn(ex, warp, cycle):
+            return int(offset + int(uniform(ex, warp, cycle)))
 
     else:
         return _const(int(offset))
@@ -439,59 +374,47 @@ def _compile_address(op: MemoryOperand):
 
 def compile_operand_eval(op: Operand):
     """Compile one operand into an accessor ``fn(ex, warp, cycle) -> value``."""
-    kind = type(op)
-    if kind is RegisterOperand:
+    if isinstance(op, RegisterOperand):
         return _compile_register_eval(op)
-    if kind is UniformRegisterOperand:
-        if op.is_urz:
-            return _CONST_ZERO
-        index = op.index
-
-        def fn(ex, warp, cycle):
-            return warp.registers.read_ureg(index, cycle)
-
-        return fn
-    if kind is PredicateOperand:
+    if isinstance(op, UniformRegisterOperand):
+        return _CONST_ZERO if op.is_urz else _ureg_reader(op.index)
+    if isinstance(op, PredicateOperand):
         if op.is_pt:
             return _const(not op.negated)
-        index = op.index
-        if op.negated:
+        read = _pred_reader(op.index)
+        if not op.negated:
+            return read
 
-            def fn(ex, warp, cycle):
-                return not warp.registers.read_pred(index, cycle)
-
-        else:
-
-            def fn(ex, warp, cycle):
-                return warp.registers.read_pred(index, cycle)
+        def fn(ex, warp, cycle):
+            return not read(ex, warp, cycle)
 
         return fn
-    if kind is ImmediateOperand:
+    if isinstance(op, ImmediateOperand):
         return _const(op.value)
-    if kind is ConstantMemoryOperand:
+    if isinstance(op, ConstantMemoryOperand):
         bank, offset = op.bank, op.offset
 
         def fn(ex, warp, cycle):
             return ex.launch.constant(bank, offset)
 
         return fn
-    if kind is SpecialRegisterOperand:
+    if isinstance(op, SpecialRegisterOperand):
         name = op.name
 
         def fn(ex, warp, cycle):
             return ex._special_register(name, warp, cycle)
 
         return fn
-    if kind is MemoryOperand:
+    if isinstance(op, MemoryOperand):
         return _compile_address(op)
-    if kind is LabelOperand:
+    if isinstance(op, LabelOperand):
         return _const(op.name)
+    message = f"cannot evaluate operand {op!r}"
 
-    # Operand subclasses / future types: exact fallback through _eval.
-    def fn(ex, warp, cycle):
-        return ex._eval(op, warp, cycle)
+    def fail(ex, warp, cycle):
+        raise ExecutionError(message)
 
-    return fn
+    return fail
 
 
 def compiled_predicate(instr: Instruction):
@@ -509,6 +432,45 @@ def compiled_predicate(instr: Instruction):
 # ---------------------------------------------------------------------------
 def _write_noop(warp, value, ready):
     return None
+
+
+def _reg_writer(index: int):
+    def write(warp, value, ready):
+        regs = warp.registers
+        regs.reg_stale[index] = regs.reg_value[index]
+        regs.reg_value[index] = value
+        regs.reg_ready_at[index] = ready
+
+    return write
+
+
+def _pred_writer(index: int):
+    def write(warp, value, ready):
+        regs = warp.registers
+        regs.pred_stale[index] = regs.pred_value[index]
+        regs.pred_value[index] = bool(value)
+        regs.pred_ready_at[index] = ready
+
+    return write
+
+
+def _ureg_writer(index: int):
+    def write(warp, value, ready):
+        regs = warp.registers
+        regs.ureg_stale[index] = regs.ureg_value[index]
+        regs.ureg_value[index] = value
+        regs.ureg_ready_at[index] = ready
+
+    return write
+
+
+def _constant_writer(write, constant):
+    """``write`` storing ``constant`` whatever value the handler computed."""
+
+    def write_constant(warp, value, ready):
+        write(warp, constant, ready)
+
+    return write_constant
 
 
 def _compile_write(instr: Instruction):
@@ -529,43 +491,20 @@ def _build_write(instr: Instruction):
         dest = dests[0]
         if isinstance(dest, RegisterOperand):
             if not dest.is_rz:
-                index = dest.index
-
-                def primary(warp, value, ready, _i=index):
-                    warp.registers.write_reg(_i, value, ready)
-
-                writers.append(primary)
+                writers.append(_reg_writer(dest.index))
         elif isinstance(dest, PredicateOperand):
             if not dest.is_pt:
-                index = dest.index
-
-                def primary(warp, value, ready, _i=index):
-                    warp.registers.write_pred(_i, bool(value), ready)
-
-                writers.append(primary)
+                writers.append(_pred_writer(dest.index))
         elif isinstance(dest, UniformRegisterOperand):
             if not dest.is_urz:
-                index = dest.index
-
-                def primary(warp, value, ready, _i=index):
-                    warp.registers.write_ureg(_i, value, ready)
-
-                writers.append(primary)
+                writers.append(_ureg_writer(dest.index))
         # Secondary destinations (e.g. the second predicate of ISETP, the
         # carry predicate of IADD3.X) are written as "don't care" values.
         for extra in dests[1:]:
             if isinstance(extra, PredicateOperand) and not extra.is_pt:
-
-                def secondary(warp, value, ready, _i=extra.index):
-                    warp.registers.write_pred(_i, False, ready)
-
-                writers.append(secondary)
+                writers.append(_constant_writer(_pred_writer(extra.index), False))
             elif isinstance(extra, RegisterOperand) and not extra.is_rz:
-
-                def secondary(warp, value, ready, _i=extra.index):
-                    warp.registers.write_reg(_i, 0, ready)
-
-                writers.append(secondary)
+                writers.append(_constant_writer(_reg_writer(extra.index), 0))
     if not writers:
         return _write_noop
     if len(writers) == 1:

@@ -40,10 +40,6 @@ class KernelTiming:
     time_ms: float
     timing: TimingResult
 
-    @property
-    def time_us(self) -> float:
-        return self.time_ms * 1e3
-
 
 @dataclass
 class KernelRun:

@@ -12,8 +12,8 @@ searches and :class:`repro.core.env.AssemblyGame` to
 * ``process`` — fan candidates out over a *process* pool, sidestepping the
   GIL for the cycle-accurate timing loop (which is pure Python and therefore
   does not parallelize on threads); the workload ships to each worker process
-  once via the pool initializer, individual submissions only pickle the
-  candidate schedule;
+  once via the pool initializer, individual submissions only ship the
+  candidate's rendered lines, and each worker parses a line once;
 * memoization — an orthogonal wrapper that dedups repeated schedules by a
   content digest of the instruction sequence.  Greedy and evolutionary search
   re-measure identical schedules constantly (the committing step, reverted
@@ -42,7 +42,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
-from repro.sass.kernel import SassKernel
+from repro.sass.kernel import KernelMetadata, SassKernel
+from repro.sass.parser import parse_line
 from repro.sim.gpu import GPUSimulator, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig
 
@@ -251,21 +252,38 @@ _PROCESS_WORKLOAD: tuple | None = None
 #: The worker's reusable launch, bound lazily from the workload on the first
 #: measurement and reused (memory restored) for every later candidate.
 _PROCESS_LAUNCH = None
+#: The worker's parsed lines by rendered text.  A search's candidates reorder
+#: the same lines, so each line is parsed once and its instruction object,
+#: with its compiled handlers, serves every later candidate.
+_PROCESS_LINES: dict = {}
 
 
 def _process_worker_init(workload: tuple) -> None:
     global _PROCESS_WORKLOAD, _PROCESS_LAUNCH
     _PROCESS_WORKLOAD = workload
     _PROCESS_LAUNCH = None
+    _PROCESS_LINES.clear()
 
 
-def _process_measure(candidate: SassKernel) -> KernelTiming:
+def _process_measure(metadata: KernelMetadata, texts: tuple[str, ...]) -> KernelTiming:
+    """Measure the schedule whose lines render as ``texts``.
+
+    The rendered listing is a schedule's identity (its content digest), and
+    parsing a rendered line gives back an equal line, so the rebuilt kernel
+    times exactly like the one submitted.
+    """
     global _PROCESS_LAUNCH
     simulator, grid, tensors, param_order, measurement = _PROCESS_WORKLOAD
     if _PROCESS_LAUNCH is None:
         _PROCESS_LAUNCH = simulator.build_launch(grid, tensors, param_order)
+    lines = []
+    for text in texts:
+        line = _PROCESS_LINES.get(text)
+        if line is None:
+            line = _PROCESS_LINES[text] = parse_line(text)
+        lines.append(line)
     return simulator.measure_with_launch(
-        candidate, _PROCESS_LAUNCH, measurement=measurement
+        SassKernel(lines, metadata), _PROCESS_LAUNCH, measurement=measurement
     )
 
 
@@ -318,7 +336,8 @@ class ProcessMeasurementBackend(_WorkloadMeasurer):
         self._tick()
         with self._lock:
             self.stats.measured += 1
-        return self._pool.submit(_process_measure, candidate)
+        texts = tuple(line.render() for line in candidate.lines)
+        return self._pool.submit(_process_measure, candidate.metadata, texts)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -279,14 +279,12 @@ class MemoryTimingModel:
         self._inflight: list[int] = []
         #: cycle at which DRAM is next free (bandwidth serialisation).
         self._dram_free_at: float = 0.0
-        self._busy_until: int = 0
 
     def reset(self) -> None:
         self.stats = MemoryTimingStats()
         self._touched_lines.clear()
         self._inflight.clear()
         self._dram_free_at = 0.0
-        self._busy_until = 0
 
     # ------------------------------------------------------------------
     def request_latency(self, request: MemoryRequest, issue_cycle: int) -> int:
@@ -342,9 +340,4 @@ class MemoryTimingModel:
 
         self._inflight.append(completion)
         self.stats.busy_cycles += int(completion - issue_cycle)
-        self._busy_until = max(self._busy_until, completion)
         return completion - issue_cycle
-
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until

@@ -9,15 +9,17 @@ once per *static* instruction and once per *kernel*:
 
 * :class:`DecodedInstr` — everything the issue loop needs about one
   instruction: the bound opcode handler, sorted read registers, the
-  ``.reuse``-flagged operand registers, the written-register set, wait mask /
-  stall / barrier fields of the control code, and the memory / tensor-core
-  classification.  Records are cached on the (immutable) instruction object
-  itself, so the mutated schedules of a search — which share almost all
-  instruction objects with their parent — decode almost for free.
+  ``.reuse``-flagged reads, the bank conflicts of its operand fetch, the
+  written-register set, wait mask / issue gap / barrier fields of the control
+  code, and the memory / tensor-core classification.  Records are cached on
+  the (immutable) instruction object itself, so the mutated schedules of a
+  search — which share almost all instruction objects with their parent —
+  decode almost for free.
 * :class:`DecodedProgram` — the per-kernel view: label positions, a
   ``next_instr_pc`` table with labels pre-skipped (what ``_peek`` used to do
-  per issued instruction), the decoded record per listing index, and two
-  handler tables: the full handlers and the *timing view*.
+  per issued instruction), the decoded record per listing index, two
+  handler tables (the full handlers and the *timing view*), and the sizes of
+  the flat register lists (:class:`repro.sim.executor.RegisterFile`).
 * :class:`TimingSlice` — which registers the timing view must keep exact: a
   flow-insensitive backward slice from every address, guard predicate and
   branch.  An instruction writing none of them runs its timing-only handler
@@ -53,6 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.arch.registers import REGISTER_BANKS, bank_conflicts
 from repro.sass.instruction import Instruction, Label
 from repro.sass.kernel import SassKernel
 from repro.sass.operands import (
@@ -88,13 +91,18 @@ class DecodedInstr:
     predicate_fn: Callable | None
     #: Sorted general-purpose registers read (operand-collector fetch set).
     read_regs: tuple[int, ...]
-    #: Sorted registers carrying the ``.reuse`` flag.
-    reuse_regs: tuple[int, ...]
+    #: The reads carrying the ``.reuse`` flag, in ``read_regs`` order.
+    reuse_reads: tuple[int, ...]
+    #: Bank conflicts of fetching ``read_regs`` with an empty reuse cache on
+    #: :data:`~repro.arch.registers.REGISTER_BANKS` banks (every shipped
+    #: backend); the issue loop recounts for other bank counts.
+    bank_conflicts: int
     #: Registers written (reuse-cache invalidation set).
     written_regs: frozenset[int]
     #: Scoreboard slots waited on before issue.
     wait_mask: tuple[int, ...]
-    stall: int
+    #: Cycles from this issue to the warp's next: the stall count, at least 1.
+    issue_gap: int
     read_barrier: int | None
     write_barrier: int | None
     is_memory: bool
@@ -149,21 +157,22 @@ def decode_instruction(instr: Instruction) -> DecodedInstr:
     timing_handler = compile_timing_handler(instr)
     guard_keys = _operand_keys((instr.predicate,))
     source_keys = tuple(dict.fromkeys(guard_keys + _operand_keys(instr.source_operands())))
+    read_regs = tuple(sorted(instr.read_registers()))
+    reused = {
+        op.index
+        for op in instr.operands
+        if isinstance(op, RegisterOperand) and op.reuse and not op.is_rz
+    }
     record = DecodedInstr(
         instr=instr,
         handler=compile_instruction(instr),
         predicate_fn=compiled_predicate(instr),
-        read_regs=tuple(sorted(instr.read_registers())),
-        reuse_regs=tuple(
-            sorted(
-                op.index
-                for op in instr.operands
-                if isinstance(op, RegisterOperand) and op.reuse and not op.is_rz
-            )
-        ),
+        read_regs=read_regs,
+        reuse_reads=tuple(reg for reg in read_regs if reg in reused),
+        bank_conflicts=bank_conflicts(read_regs, REGISTER_BANKS),
         written_regs=instr.written_registers(),
         wait_mask=tuple(sorted(control.wait_mask)),
-        stall=control.stall,
+        issue_gap=max(control.stall, 1),
         read_barrier=control.read_barrier,
         write_barrier=control.write_barrier,
         is_memory=instr.is_memory,
@@ -248,6 +257,18 @@ class DecodedProgram:
     #: where :attr:`timing_slice` elides the instruction, else the full one.
     timing_handlers: tuple
     timing_slice: TimingSlice
+    #: Lengths of a warp's flat register lists: one past the highest
+    #: general, predicate and uniform register index the program names.
+    register_counts: tuple[int, int, int]
+
+
+def _register_counts(records) -> tuple[int, int, int]:
+    top = {"r": 0, "p": 0, "ur": 0}
+    for rec in records:
+        for space, index in rec.dest_keys + rec.source_keys:
+            if index >= top[space]:
+                top[space] = index + 1
+    return top["r"], top["p"], top["ur"]
 
 
 def build_program_from_lines(lines, multiset_cache: dict | None = None) -> DecodedProgram:
@@ -257,7 +278,8 @@ def build_program_from_lines(lines, multiset_cache: dict | None = None) -> Decod
     directly from lines, without a kernel to key the digest cache on.  The
     per-instruction records still hit their caches on the instruction objects.
     ``multiset_cache`` (a kernel's :meth:`~repro.sass.kernel.SassKernel.multiset_cache`)
-    supplies or keeps the timing slice, which every reordering shares.
+    supplies or keeps the timing slice and the register counts, which every
+    reordering shares.
     """
     lines = tuple(lines)
     num_lines = len(lines)
@@ -271,11 +293,14 @@ def build_program_from_lines(lines, multiset_cache: dict | None = None) -> Decod
         decode_instruction(line) if isinstance(line, Instruction) else None
         for line in lines
     )
-    timing_slice = multiset_cache.get("timing_slice") if multiset_cache is not None else None
-    if timing_slice is None:
-        timing_slice = compute_timing_slice([rec for rec in decoded if rec is not None])
+    # One entry, so a concurrent decode never sees half of it.
+    order_free = multiset_cache.get("order_free") if multiset_cache is not None else None
+    if order_free is None:
+        records = [rec for rec in decoded if rec is not None]
+        order_free = (compute_timing_slice(records), _register_counts(records))
         if multiset_cache is not None:
-            multiset_cache["timing_slice"] = timing_slice
+            multiset_cache["order_free"] = order_free
+    timing_slice, register_counts = order_free
     handlers = tuple(rec.handler if rec is not None else None for rec in decoded)
     timing_handlers = tuple(
         rec.timing_handler if rec is not None and timing_slice.elides(rec) else handler
@@ -290,6 +315,7 @@ def build_program_from_lines(lines, multiset_cache: dict | None = None) -> Decod
         handlers=handlers,
         timing_handlers=timing_handlers,
         timing_slice=timing_slice,
+        register_counts=register_counts,
     )
 
 

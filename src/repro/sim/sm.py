@@ -22,6 +22,16 @@ to the seed engine preserved in :mod:`repro.sim._reference_sm` — the
 equivalence suite holds both to the same :class:`TimingResult` on every
 bundled workload.
 
+One issue pays only for what varies.  Both drivers resolve the warp's next
+instruction and fold its wait mask into the issue cycle, then hand the
+decoded record to :meth:`~repro.sim.executor.WarpExecutor.step`.  A fetch
+from an empty operand-reuse cache costs the bank conflicts its record
+precomputes for the four banks of every shipped backend.  The dynamic fetch
+model (:func:`repro.arch.registers.fetch_stalls`) runs only while the
+partition's reuse cache holds registers, for a ``.reuse``-flagged
+instruction, or for another bank count; a write invalidates cache entries
+only while there are some.
+
 The loop runs the program's *timing view*
 (:attr:`~repro.sim.program.DecodedProgram.timing_handlers`).  Much of a full
 simulation moves and computes values no cycle count depends on: tile gathers
@@ -42,10 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.ampere import A100, AmpereConfig
-from repro.arch.registers import RegisterBankModel
+from repro.arch.registers import REGISTER_BANKS, fetch_stalls
 from repro.errors import SimulatorError
 from repro.sass.kernel import SassKernel
-from repro.sim.executor import WarpExecutor, WarpState
+from repro.sim.executor import RegisterFile, WarpExecutor, WarpState
 from repro.sim.launch import LaunchContext
 from repro.sim.memory import MemoryTimingModel, MemoryTimingStats
 from repro.sim.program import DecodedProgram, decode_program
@@ -71,19 +81,27 @@ class FunctionalRunner:
         self.program: DecodedProgram = decode_program(kernel)
 
     def run_block(self, ctaid: tuple[int, int, int]) -> int:
-        """Execute one thread block; returns total dynamic instructions."""
+        """Execute one thread block; returns total dynamic instructions.
+
+        Running off the end of the listing finishes a warp and counts as one
+        instruction, like an ``EXIT``.
+        """
+        program = self.program
         shared = self.launch.new_shared_memory()
         executor = WarpExecutor(
             self.kernel.lines,
             self.launch,
             shared,
-            label_positions=self.program.label_positions,
-            program=self.program,
+            label_positions=program.label_positions,
+            program=program,
         )
         warps = [
-            WarpState(warp_id=w, ctaid=ctaid)
+            WarpState(warp_id=w, ctaid=ctaid, registers=RegisterFile(*program.register_counts))
             for w in range(self.kernel.metadata.num_warps)
         ]
+        next_instr_pc = program.next_instr_pc
+        decoded = program.decoded
+        num_lines = program.num_lines
         total = 0
         # Phase execution: every warp runs until it reaches a block barrier or
         # exits; then the next phase starts.  This matches how cooperative
@@ -100,9 +118,17 @@ class FunctionalRunner:
                 while True:
                     if warp.issued > MAX_DYNAMIC_INSTRUCTIONS_PER_WARP:
                         raise SimulatorError("warp exceeded the dynamic instruction limit")
-                    outcome = executor.step(warp, warp.next_issue)
                     total += 1
                     progressed = True
+                    pc = next_instr_pc[warp.pc]
+                    if pc >= num_lines:
+                        warp.finished = True
+                        break
+                    warp.pc = pc
+                    rec = decoded[pc]
+                    # Wait barriers stall the issue until the scoreboard slots clear.
+                    cycle = max(warp.next_issue, warp.barrier_clear_cycle(rec.wait_mask))
+                    outcome = executor.step(warp, rec, cycle)
                     if outcome.exited or warp.finished:
                         break
                     if outcome.hit_block_barrier:
@@ -142,10 +168,6 @@ class TimingResult:
     partitions: int
     warps: int
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions_issued / max(self.cycles, 1)
-
 
 class TimingSimulator:
     """Cycle-approximate model of one SM executing one thread block.
@@ -179,7 +201,10 @@ class TimingSimulator:
             timing_only=True,
         )
         num_warps = self.kernel.metadata.num_warps
-        warps = [WarpState(warp_id=w, ctaid=ctaid) for w in range(num_warps)]
+        warps = [
+            WarpState(warp_id=w, ctaid=ctaid, registers=RegisterFile(*program.register_counts))
+            for w in range(num_warps)
+        ]
         partitions = config.partitions_per_sm
         part_of = [w % partitions for w in range(num_warps)]
         partition_warps = [
@@ -190,10 +215,13 @@ class TimingSimulator:
         partition_mem_ok = [0] * partitions
         partition_tensor_ok = [0] * partitions
         partition_last_warp: list[int | None] = [None] * partitions
-        bank_models = [
-            RegisterBankModel(num_banks=config.register_banks, reuse_slots=config.reuse_cache_slots)
-            for _ in range(partitions)
-        ]
+        # Operand reuse cache per partition (register indices; see
+        # repro.arch.registers).  While it is empty, an issue's bank
+        # conflicts are its decoded record's, and no write can clobber it.
+        reuse_caches: list[set[int]] = [set() for _ in range(partitions)]
+        num_banks = config.register_banks
+        reuse_slots = config.reuse_cache_slots
+        default_banks = num_banks == REGISTER_BANKS
 
         # Cached per-warp scheduling state (the event-driven core).
         candidate_cycle = [0] * num_warps
@@ -238,8 +266,8 @@ class TimingSimulator:
                         w.next_issue = release
                 waiting = 0
                 # Barrier invalidates the operand reuse caches.
-                for model in bank_models:
-                    model.invalidate()
+                for cache in reuse_caches:
+                    cache.clear()
                 for wid in range(num_warps):
                     candidate_valid[wid] = False
 
@@ -266,9 +294,10 @@ class TimingSimulator:
                     if free > cand:
                         cand = free
                     if rec.wait_mask:
-                        clear = warp.barrier_clear_cycle(rec.wait_mask)
-                        if clear > cand:
-                            cand = clear
+                        scoreboard = warp.scoreboard
+                        for slot in rec.wait_mask:
+                            if scoreboard[slot] > cand:
+                                cand = scoreboard[slot]
                     if rec.is_memory:
                         mem_ok = partition_mem_ok[p]
                         if mem_ok > cand:
@@ -290,23 +319,29 @@ class TimingSimulator:
             warp = warps[best_wid]
             rec = warp_rec[best_wid]
             partition = part_of[best_wid]
-            bank_model = bank_models[partition]
+            cache = reuse_caches[partition]
             # A warp switch on the scheduler invalidates the operand reuse
             # cache (the §5.7.1 hypothesis for why the reordering wins).
             if partition_last_warp[partition] != best_wid:
-                bank_model.invalidate()
+                cache.clear()
                 partition_last_warp[partition] = best_wid
 
             # Operand fetch: bank conflicts / reuse cache.
-            conflict_stall = bank_model.operand_fetch_stalls_decoded(rec.read_regs, rec.reuse_regs)
+            if cache or rec.reuse_reads or not default_banks:
+                conflict_stall = fetch_stalls(
+                    cache, rec.read_regs, rec.reuse_reads, num_banks, reuse_slots
+                )
+            else:
+                conflict_stall = rec.bank_conflicts
             bank_conflict_stalls += conflict_stall
-            issue_at = best_cycle + conflict_stall
 
-            outcome = executor.step(warp, issue_at)
-            bank_model.notify_write(rec.written_regs)
+            # The candidate cycle already covers the wait mask.
+            issue_cycle = best_cycle + conflict_stall
+            outcome = executor.step(warp, rec, issue_cycle)
+            if cache:
+                cache.difference_update(rec.written_regs)
 
             issued += 1
-            issue_cycle = outcome.issue_cycle
             recent_issue_cycles.add(issue_cycle)
             completion = outcome.completion_cycle
             if completion > last_completion:

@@ -8,7 +8,7 @@ import pytest
 from repro.api import CacheConfig, MeasurementPolicy, OptimizationConfig, Session
 from repro.baselines.search import run_greedy_search
 from repro.core.env import AssemblyGame
-from repro.sass import KernelMetadata, SassKernel
+from repro.sass import KernelMetadata, SassKernel, parse_line
 from repro.sim import (
     GPUSimulator,
     GridConfig,
@@ -18,6 +18,7 @@ from repro.sim import (
     create_measurement_service,
 )
 from repro.triton import compile_spec, get_spec
+from repro.triton.spec import available_kernels
 
 ADD_ONE = """
 [B------:R-:W1:-:S01] S2R R0, SR_CTAID.X ;
@@ -76,6 +77,14 @@ def test_pooled_backends_match_inline(compiled, simulator, backend):
     # field-by-field, bit-identical comparison.
     assert inline_timings == pooled_timings
     assert inline.stats.measured == pooled.stats.measured == len(kernels)
+
+
+def test_process_workers_parse_back_every_bundled_line():
+    """Process workers rebuild each candidate from its rendered lines, so
+    every line of every bundled kernel must parse back to an equal line."""
+    for name in available_kernels():
+        for line in compile_spec(get_spec(name), scale="test").kernel.lines:
+            assert parse_line(line.render()) == line
 
 
 def test_unknown_backend_rejected():

@@ -1,5 +1,9 @@
 """Tests for the SASS line parser, instruction def/use sets and the kernel container."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import pytest
 
 from repro.errors import SassError
@@ -98,3 +102,33 @@ def test_render_round_trip_through_parser():
     kernel = SassKernel.from_text(EXAMPLE, KernelMetadata(name="example"))
     again = SassKernel.from_text(kernel.render(), kernel.metadata)
     assert [l.render() for l in again.lines] == [l.render() for l in kernel.lines]
+
+
+def _digest_of_fresh_renders(kernel):
+    """The content digest as first defined: the name, then ``"\n"`` and the
+    render of each line, rendered here from copies that have no cache."""
+    hasher = hashlib.sha256()
+    hasher.update(kernel.metadata.name.encode("utf-8"))
+    for line in kernel.lines:
+        hasher.update(b"\n")
+        hasher.update(dataclasses.replace(line).render().encode("utf-8"))
+    return hasher.hexdigest()
+
+
+def test_cached_render_keeps_the_content_digest():
+    kernel = SassKernel.from_text(EXAMPLE, KernelMetadata(name="example"))
+    idx = kernel.instruction_indices()
+    # Only the default form (with the control code) is cached.
+    first = kernel.lines[idx[0]]
+    assert "[B" not in first.render(with_control=False)
+    assert first.render().startswith("[B------:R-:W2:Y:S02]")
+    assert kernel.content_digest() == _digest_of_fresh_renders(kernel)
+
+    swapped = kernel.swap(idx[0], idx[1])
+    assert all("_cached_render" in line.__dict__ for line in swapped.instructions)
+    assert swapped.content_digest() == _digest_of_fresh_renders(swapped)
+    assert swapped.content_digest() != kernel.content_digest()
+
+    clone = pickle.loads(pickle.dumps(first))
+    assert "_cached_render" not in clone.__dict__
+    assert clone.render() == first.render()

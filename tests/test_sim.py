@@ -335,3 +335,40 @@ def test_data_chosen_shape_keeps_its_condition_exact(fill):
         return
     produced = sim.measure(kernel, grid, tensors, ["x"])
     assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
+
+
+# Registers above R254 (RZ is R255) and the highest uniform register below
+# URZ reach an address, a guard and the stored data.  The flat register file
+# is sized from the listing, as the seed engine's dict-based file accepted any
+# index.
+HIGH_REGISTERS = """
+[B------:R-:W-:-:S04] MOV R300, c[0x0][0x160] ;
+[B------:R-:W-:-:S04] MOV R302, c[0x0][0x168] ;
+[B------:R-:W-:-:S04] UMOV UR62, 0x200 ;
+[B------:R-:W0:-:S02] LDG.E.128 R400, [R300.64+UR62] ;
+[B------:R-:W-:-:S05] ISETP.GT.AND P6, PT, R302, 0x0, PT ;
+[B0-----:R-:W-:-:S04] FADD R404, R400, 1.0 ;
+[B------:R0:W-:-:S02] @P6 STG.E.128 [R302.64], R404 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+def test_registers_above_r254_simulate_like_the_seed_engine():
+    from repro.sim import decode_program
+    from repro.sim._reference_sm import reference_measure
+
+    kernel = SassKernel.from_text(HIGH_REGISTERS, KernelMetadata(name="high", num_warps=1))
+    assert decode_program(kernel).register_counts == (405, 7, 63)
+
+    sim = GPUSimulator()
+    grid = GridConfig((1, 1, 1), 1)
+    x = np.arange(512, dtype=np.float16).reshape(2, 256)
+    tensors = {"x": x, "y": np.zeros((1, 256), np.float16)}
+    produced = sim.measure(kernel, grid, tensors, ["x", "y"])
+    reference = reference_measure(sim, kernel, grid, tensors, ["x", "y"])
+    assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
+    assert produced.time_ms == reference.time_ms
+    # UR62 offsets the load by one row; the guarded store writes it plus one.
+    run = sim.run(kernel, grid, tensors, ["x", "y"], output_names=["y"])
+    ok, max_err, _ = compare_outputs(run.outputs["y"], x[1:].astype(np.float32) + 1)
+    assert ok, max_err

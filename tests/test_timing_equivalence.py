@@ -17,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.ampere import A100
+from repro.sass import KernelMetadata, SassKernel
 from repro.sass.instruction import Instruction
 from repro.sim import (
     GPUSimulator,
     GlobalMemory,
+    GridConfig,
     LaunchContext,
     MeasurementConfig,
     bind_tensors,
@@ -320,3 +323,76 @@ def test_kernel_and_instructions_pickle_without_decoded_state(compiled_workloads
             assert not any(k.startswith("_cached_") for k in line.__dict__)
     assert clone.content_digest() == kernel.content_digest()
     assert clone.render() == kernel.render()
+
+
+# ---------------------------------------------------------------------------
+# A register file other backends do not have: two banks, two reuse slots
+# ---------------------------------------------------------------------------
+# Every shipped backend has four register banks, so the walks above always
+# take the bank conflicts each decoded record precomputes for four.  Two banks
+# send every issue through the recounting fetch model; the reuse listing
+# below also fills the two reuse slots and evicts from them.
+FEW_BANKS = dataclasses.replace(A100, register_banks=2, reuse_cache_slots=2)
+
+
+def test_few_banks_change_the_bank_conflicts(compiled_workloads):
+    for name in ("bmm", "fused_ff"):
+        compiled = compiled_workloads[name]
+        inputs = compiled.make_inputs(0)
+        stalls = {
+            config.register_banks: GPUSimulator(config)
+            .time_block(compiled.kernel, compiled.grid, inputs, compiled.param_order)
+            .bank_conflict_stalls
+            for config in (A100, FEW_BANKS)
+        }
+        assert stalls[2] > stalls[4]
+
+
+@pytest.mark.parametrize("name", ["bmm", "fused_ff"])
+@settings(max_examples=10, deadline=None)
+@given(moves=st.lists(st.tuples(st.integers(0, 31), st.booleans()), max_size=3))
+def test_swap_walks_agree_on_a_two_bank_register_file(name, moves, compiled_workloads):
+    simulator = GPUSimulator(FEW_BANKS)
+    compiled = compiled_workloads[name]
+    inputs = compiled.make_inputs(0)
+    kernel = compiled.kernel
+    for pick, downward in moves:
+        indices = kernel.memory_instruction_indices()
+        index = indices[pick % len(indices)]
+        block = kernel.block_of(index)
+        neighbor = index + 1 if downward else index - 1
+        if block[0] <= neighbor < block[1] and isinstance(kernel.lines[neighbor], Instruction):
+            kernel = kernel.swap(index, neighbor)
+    try:
+        reference = reference_measure(
+            simulator, kernel, compiled.grid, inputs, compiled.param_order
+        )
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            simulator.measure(kernel, compiled.grid, inputs, compiled.param_order)
+        return
+    produced = simulator.measure(kernel, compiled.grid, inputs, compiled.param_order)
+    assert produced.time_ms == reference.time_ms
+    assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
+
+
+# The first FFMA latches R2, R6 and R10 (two slots keep R6 and R10), the MOV
+# overwrites cached R6, and the last FFMA reads R2, R6 and R14, all from one
+# bank: a stale R6 entry would hide one of its conflicts.
+REUSE_THEN_OVERWRITE = """
+[B------:R-:W-:-:S01] FFMA R8, R2.reuse, R6.reuse, R10.reuse ;
+[B------:R-:W-:-:S01] MOV R6, 0x2 ;
+[B------:R-:W-:-:S01] FFMA R12, R2, R6, R14 ;
+[B------:R-:W-:-:S05] EXIT ;
+"""
+
+
+@pytest.mark.parametrize("config", [A100, FEW_BANKS], ids=["A100", "two-banks"])
+def test_overwritten_register_leaves_the_reuse_cache(config):
+    kernel = SassKernel.from_text(REUSE_THEN_OVERWRITE, KernelMetadata(name="reuse", num_warps=1))
+    simulator = GPUSimulator(config)
+    grid = GridConfig((1, 1, 1), 1)
+    tensors = {"x": np.zeros(8, np.float16)}
+    produced = simulator.measure(kernel, grid, tensors, ["x"])
+    reference = reference_measure(simulator, kernel, grid, tensors, ["x"])
+    assert dataclasses.asdict(produced.timing) == dataclasses.asdict(reference.timing)
