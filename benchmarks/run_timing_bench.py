@@ -5,7 +5,7 @@ issue loop + launch reuse) against the frozen seed engine
 (:mod:`repro.sim._reference_sm`) on the same host, and writes the numbers to
 ``BENCH_timing.json`` so the perf trajectory is tracked from this PR onward.
 
-Three scenarios are timed per workload:
+Four scenarios are timed per workload:
 
 * **single_env** — the warm steady state of one search loop: one measurement
   service bound to the workload, one candidate measured per call (the shape
@@ -16,6 +16,9 @@ Three scenarios are timed per workload:
 * **agent** — the PPO agent's own cost: milliseconds per PPO update, and
   agent moves per second (act + mask + step + embed), training with the
   ``ppo-short`` preset's settings on a memoizing measurement service.
+* **store_audit** — the serving store's static audit of one hit: the median
+  milliseconds of a seed's first audit (which builds its dependence graph)
+  and of a repeat audit (which reads the graph pinned on the seed).
 
 Usage::
 
@@ -33,10 +36,11 @@ from pathlib import Path
 import numpy as np
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
-from repro.analysis.verify import ScheduleVerifier
+from repro.analysis.verify import ScheduleVerifier, verify_schedule
 from repro.api.presets import preset_spec
 from repro.core.env import AssemblyGame
 from repro.core.trainer import CuAsmRLTrainer
+from repro.sass import SassKernel
 from repro.sim import GPUSimulator, create_measurement_service
 from repro.sim._reference_sm import reference_measure
 from repro.sim.measure_service import MeasurementPolicy
@@ -298,6 +302,40 @@ def bench_agent(simulator, compiled, seconds: float = 2.0) -> dict:
     }
 
 
+#: Audits timed per side in :func:`bench_store_audit`.
+STORE_AUDIT_ROUNDS = 15
+
+
+def bench_store_audit(kernel: SassKernel, rounds: int = STORE_AUDIT_ROUNDS) -> dict:
+    """Median ms of a store-hit audit on a new seed object and on a pinned one.
+
+    The serving store audits every hit with ``verify_schedule`` against the
+    stored seed.  A seed object's first audit builds its dependence graph and
+    pins it; a repeat audit reads the pin and only maps and checks the
+    candidate, here the seed's own schedule.  First and repeat audits
+    alternate, so a slow spell of the host hits both.
+    """
+
+    def audit_ms(seed: SassKernel) -> float:
+        start = time.perf_counter()
+        verify_schedule(seed, kernel, include_warnings=False)
+        return 1000.0 * (time.perf_counter() - start)
+
+    pinned = SassKernel(kernel.lines, kernel.metadata)
+    audit_ms(pinned)
+    first, repeat = [], []
+    for _ in range(rounds):
+        first.append(audit_ms(SassKernel(kernel.lines, kernel.metadata)))
+        repeat.append(audit_ms(pinned))
+    first_ms = float(np.median(first))
+    repeat_ms = float(np.median(repeat))
+    return {
+        "first_ms": round(first_ms, 3),
+        "repeat_ms": round(repeat_ms, 3),
+        "first_over_repeat": round(first_ms / repeat_ms, 2),
+    }
+
+
 def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
     simulator = GPUSimulator()
     workloads = {}
@@ -309,6 +347,7 @@ def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
             "single_env": bench_single_env(simulator, compiled, inputs, seconds),
             "greedy_batch": bench_greedy_batch_with_fallback(simulator, spec, seconds),
             "agent": bench_agent(simulator, compiled, seconds),
+            "store_audit": bench_store_audit(compiled.kernel),
         }
     report = {
         "benchmark": "timing_engine_throughput",
@@ -345,10 +384,12 @@ def main(argv: list[str]) -> int:
                 f"(pruner overhead {pruner['overhead_pct']:.1f}%)"
             )
         agent = result["agent"]
+        audit = result["store_audit"]
         print(
             f"{name}: {single['evals_per_sec']:.1f} evals/s "
             f"({single['speedup_vs_seed_engine']:.2f}x vs seed engine), {batch_note}; "
-            f"agent {agent['update_ms']:.2f} ms/update, {agent['moves_per_sec']:.0f} moves/s"
+            f"agent {agent['update_ms']:.2f} ms/update, {agent['moves_per_sec']:.0f} moves/s; "
+            f"store audit {audit['first_ms']:.2f} ms first, {audit['repeat_ms']:.2f} ms repeat"
         )
     print(f"wrote {output}")
     return 0

@@ -1,4 +1,4 @@
-"""Perf: candidate evaluations/sec of the timing engine (single env + greedy batch).
+"""Perf: candidate evaluations/sec of the timing engine, and the store-hit audit.
 
 Tracks the measurement hot path: the decoded program, the event-driven issue
 loop, the timing view that elides data-only instructions, the flat register
@@ -8,9 +8,15 @@ fifth below what ``benchmarks/run_timing_bench.py`` measures (see
 not flake.  The bmm floor fails the engine without the flat register file,
 the precomputed bank conflicts and the record-taking step (~6.5x); the
 softmax floor fails it without the timing view (~3x).
+
+The store-audit gate holds a repeat audit of a stored seed to a third of its
+first audit: the first builds the seed's dependence graph and pins it, a
+repeat reads the pin (8-10x cheaper in ``BENCH_timing.json``).
 """
 
 import dataclasses
+
+import pytest
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
 from repro.sim import create_measurement_service
@@ -18,7 +24,12 @@ from repro.sim._reference_sm import reference_measure
 from repro.triton.compiler import compile_spec
 from repro.triton.spec import get_spec
 
-from run_timing_bench import bench_greedy_batch, bench_single_env
+from run_timing_bench import (
+    BENCH_WORKLOADS,
+    bench_greedy_batch,
+    bench_single_env,
+    bench_store_audit,
+)
 
 
 def _check_single_env(benchmark, simulator, name: str, floor: float) -> None:
@@ -74,3 +85,15 @@ def test_greedy_batch_measurement_throughput(benchmark, simulator):
     )
     assert result["batch_size"] > 0
     assert result["evals_per_sec"] > 0
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_store_audit_reuses_the_pinned_graph(benchmark, name):
+    kernel = compile_spec(get_spec(name), scale="test").kernel
+
+    result = benchmark.pedantic(lambda: bench_store_audit(kernel), rounds=1, iterations=1)
+    print(
+        f"\n{name} store audit: {result['first_ms']:.2f} ms first, "
+        f"{result['repeat_ms']:.2f} ms repeat"
+    )
+    assert result["repeat_ms"] <= result["first_ms"] / 3

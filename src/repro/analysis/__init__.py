@@ -30,7 +30,7 @@ The precision dataflow layer adds three passes on top:
 """
 
 from repro.analysis.cfg import BasicBlock, ControlFlowInfo, build_cfg
-from repro.analysis.defuse import DefUseChains, RegisterAccess, build_def_use
+from repro.analysis.defuse import DefUseChains, build_def_use
 from repro.analysis.deps import (
     ALIAS_MODES,
     AliasContext,
@@ -72,7 +72,6 @@ __all__ = [
     "ControlFlowInfo",
     "build_cfg",
     "DefUseChains",
-    "RegisterAccess",
     "build_def_use",
     "ALIAS_MODES",
     "AliasContext",

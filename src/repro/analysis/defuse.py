@@ -35,15 +35,6 @@ def _as_key(register: "int | RegKey") -> RegKey:
     return (_SPACE_GENERAL, register)
 
 
-@dataclass(frozen=True)
-class RegisterAccess:
-    """One register access: which line touched which register and how."""
-
-    line_index: int
-    register: RegKey
-    is_write: bool
-
-
 @dataclass
 class DefUseChains:
     """Def-use information for one kernel.
@@ -112,16 +103,3 @@ def build_def_use(kernel: SassKernel, cfg: ControlFlowInfo | None = None) -> Def
             for key in line_defs(line):
                 last_def[key] = line_index
     return chains
-
-
-def register_accesses(kernel: SassKernel) -> list[RegisterAccess]:
-    """Flat list of every register read/write in listing order (for tests)."""
-    accesses: list[RegisterAccess] = []
-    for i, line in enumerate(kernel.lines):
-        if not isinstance(line, Instruction):
-            continue
-        for key in sorted(line_uses(line)):
-            accesses.append(RegisterAccess(i, key, is_write=False))
-        for key in sorted(line_defs(line)):
-            accesses.append(RegisterAccess(i, key, is_write=True))
-    return accesses

@@ -74,9 +74,12 @@ class StallConstraint:
 
 @dataclass
 class DependenceGraph:
-    """Result of :func:`build_dependence_graph`."""
+    """Result of :func:`build_dependence_graph`.
 
-    kernel: SassKernel
+    It holds listing indices, not the kernel, so a graph pinned on its
+    kernel (:func:`pinned_dependence_graph`) forms no reference cycle.
+    """
+
     cfg: ControlFlowInfo
     stalls: StallInferenceResult
     #: ``(src, dst)`` -> edge; one (strongest) edge per ordered pair.
@@ -541,7 +544,7 @@ def build_dependence_graph(
         raise ValueError(f"alias_mode must be one of {ALIAS_MODES}, got {alias_mode!r}")
     cfg = cfg or build_cfg(kernel)
     stalls = stalls if stalls is not None else infer_stall_counts(kernel, cfg=cfg)
-    graph = DependenceGraph(kernel=kernel, cfg=cfg, stalls=stalls)
+    graph = DependenceGraph(cfg=cfg, stalls=stalls)
     table = stalls.effective_table
     lines = kernel.lines
     ctx = build_alias_context(kernel, cfg) if alias_mode == "precise" else None
@@ -604,4 +607,23 @@ def build_dependence_graph(
         )
         graph.denylist_slack[index] = slack
 
+    return graph
+
+
+def pinned_dependence_graph(kernel: SassKernel) -> DependenceGraph:
+    """The default (precise) dependence graph of ``kernel``, built once per object.
+
+    The graph is pinned on the kernel object, like the simulator's decoded
+    program: kernels are immutable by replacement, so one attribute read
+    settles every later call.  The pin lives exactly as long as its kernel
+    (no LRU, no size bound) and :meth:`SassKernel.__getstate__` drops it, so
+    an unpickled copy rebuilds on first use.  The serving store audits every
+    hit against its stored seed's pin; the graph is read-only, so concurrent
+    audits may share it (two racing first calls each build one, and either
+    pin is correct).
+    """
+    graph: DependenceGraph | None = kernel.__dict__.get("_dependence_graph")
+    if graph is None:
+        graph = build_dependence_graph(kernel)
+        kernel.__dict__["_dependence_graph"] = graph
     return graph

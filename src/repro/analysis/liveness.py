@@ -153,10 +153,6 @@ class LivenessInfo:
     live_out: tuple[frozenset[RegKey], ...]
     dead_definitions: tuple[tuple[int, RegKey], ...]
 
-    def live_general_out(self, line: int) -> frozenset[int]:
-        """General-purpose register indices live after ``line``."""
-        return frozenset(idx for space, idx in self.live_out[line] if space == _SPACE_GENERAL)
-
 
 def compute_liveness(
     kernel: SassKernel,

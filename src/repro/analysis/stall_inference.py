@@ -84,15 +84,6 @@ class StallInferenceResult:
             return {key: 0.0 for key in counts}
         return {key: value / total for key, value in counts.items()}
 
-    def min_stall_between(self, producer_index: int, consumer_index: int) -> int | None:
-        """Minimum stall required between a specific producer/consumer pair."""
-        best: int | None = None
-        for dep in self.dependences:
-            if dep.producer_index == producer_index and dep.consumer_index == consumer_index:
-                if dep.min_stall is not None and (best is None or dep.min_stall < best):
-                    best = dep.min_stall
-        return best
-
 
 def infer_stall_counts(
     kernel: SassKernel,

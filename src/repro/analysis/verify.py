@@ -36,7 +36,11 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.cfg import ControlFlowInfo, build_cfg
-from repro.analysis.deps import DependenceGraph, build_dependence_graph
+from repro.analysis.deps import (
+    DependenceGraph,
+    build_dependence_graph,
+    pinned_dependence_graph,
+)
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity, make_diagnostic
 from repro.analysis.stall_inference import StallInferenceResult
 from repro.sass.instruction import Instruction, Label
@@ -63,9 +67,6 @@ class VerificationResult:
     @property
     def warnings(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == Severity.WARNING)
-
-    def rules_fired(self) -> set[str]:
-        return {d.rule for d in self.diagnostics}
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -393,7 +394,10 @@ class ScheduleVerifier:
             self._check_stalls(pos, diagnostics)
             if include_warnings:
                 self._check_denylist_slack(pos, diagnostics)
-            diagnostics.extend(check_scoreboard_protocol(candidate))
+            # A mapped candidate keeps every label and sync instruction (all
+            # branches and exits among them) at its seed index, so its blocks
+            # and successors are the seed's: no need to rebuild the CFG.
+            diagnostics.extend(check_scoreboard_protocol(candidate, self.cfg))
         diagnostics.sort(key=lambda d: (d.line, d.rule))
         return VerificationResult(
             diagnostics=tuple(diagnostics),
@@ -602,7 +606,16 @@ def verify_schedule(
     stalls: StallInferenceResult | None = None,
     include_warnings: bool = True,
 ) -> VerificationResult:
-    """One-shot audit of ``candidate`` (or the seed itself) against ``seed``."""
+    """One-shot audit of ``candidate`` (or the seed itself) against ``seed``.
+
+    With neither ``graph`` nor ``stalls`` given, the audit reads the graph
+    pinned on the seed object (:func:`repro.analysis.deps.pinned_dependence_graph`):
+    the first audit of a seed builds it and later audits reuse it.  Only the
+    graph is shared; every audit still maps the candidate and checks every
+    edge, every stall constraint and the scoreboard protocol.
+    """
+    if graph is None and stalls is None:
+        graph = pinned_dependence_graph(seed)
     verifier = ScheduleVerifier(seed, graph=graph, stalls=stalls)
     target = candidate if candidate is not None else seed
     return verifier.verify(target, include_warnings=include_warnings)

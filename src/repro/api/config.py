@@ -129,10 +129,6 @@ class ServeConfig:
     result_store: bool = True
     #: Size bound of the result store; ``None`` keeps it unbounded.
     store_max_entries: int | None = None
-    #: Re-verify result-store hits with the static schedule verifier before
-    #: returning them; a hit that no longer verifies is invalidated and the
-    #: job re-optimizes instead of serving a stale/corrupt schedule.
-    verify_store_hits: bool = True
     #: Emit a ``measured(n)`` progress event every N candidate submissions.
     progress_every: int = 1
     #: Admission control: reject new submissions (``rejected`` event +

@@ -98,11 +98,6 @@ def _from_search(result: ScheduleSearchResult) -> StrategyOutcome:
             "history": list(result.history),
             "measurement": dict(result.measurement_stats),
             "invalid_actions": result.invalid_actions,
-            **(
-                {"resumed_from_evaluations": result.resumed_from}
-                if result.resumed_from
-                else {}
-            ),
         },
     )
 

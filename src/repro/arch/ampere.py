@@ -73,17 +73,9 @@ class AmpereConfig:
     alu_issue_interval: int = 1
     memory: MemoryTimings = field(default_factory=MemoryTimings)
 
-    @property
-    def arch_tag(self) -> str:
-        return f"sm_{self.compute_capability}"
-
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert an SM-cycle count to milliseconds."""
         return cycles / (self.clock_mhz * 1e3)
-
-    def cycles_to_us(self, cycles: float) -> float:
-        """Convert an SM-cycle count to microseconds."""
-        return cycles / self.clock_mhz
 
 
 #: The default target of the paper's evaluation (§5.1).

@@ -327,7 +327,3 @@ class AssemblyGame(Env):
     def current_time_ms(self) -> float:
         """Runtime of the current schedule (T_{i-1} of Eq. 3)."""
         return self._previous_time_ms
-
-    def best_speedup(self) -> float:
-        """Throughput speedup of the best schedule over the -O3 baseline."""
-        return self.baseline_time_ms / self.best_time_ms if self.best_time_ms > 0 else 1.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from repro.core.env import AssemblyGame, EpisodeRecord
 from repro.rl.policy import ActorCritic
@@ -142,10 +141,3 @@ class CuAsmRLTrainer:
     @property
     def policy(self) -> ActorCritic:
         return self.agent.policy
-
-    def save_checkpoint(self, path) -> None:
-        self.policy.save(path)
-
-    def load_checkpoint(self, path) -> None:
-        data = np.load(path)
-        self.policy.load_state_dict({key: data[key] for key in data.files})

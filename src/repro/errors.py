@@ -40,10 +40,6 @@ class SassParseError(SassError):
         super().__init__(message)
 
 
-class SassEncodeError(SassError):
-    """An instruction could not be rendered back to SASS text."""
-
-
 class CubinError(SassError):
     """A cubin container is malformed or cannot be (dis)assembled."""
 
@@ -90,17 +86,9 @@ class ExecutionError(SimulatorError):
     """The functional interpreter hit an illegal instruction or state."""
 
 
-class DataHazardError(SimulatorError):
-    """A schedule violated a data dependency (detected by the simulator)."""
-
-
 # --------------------------------------------------------------------------
 # Analysis / RL / optimizer
 # --------------------------------------------------------------------------
-class AnalysisError(ReproError):
-    """A static analysis pass failed."""
-
-
 class RLError(ReproError):
     """Base class for errors in the RL stack."""
 

@@ -38,7 +38,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from repro.api.report import JobRecord, RunReport
 from repro.utils.logging import get_logger
@@ -155,13 +155,29 @@ class JobJournal:
                 if self.faults is not None:
                     self.faults.on_journal_append(payload)
                 if self._fh is None:
-                    self._fh = self.path.open("a", encoding="utf8")
+                    self._fh = self._open_for_append()
                 self._fh.write(line + "\n")
                 self._fh.flush()
             except Exception:
                 self.append_failures += 1
                 raise
             self.appends += 1
+
+    def _open_for_append(self) -> TextIO:
+        """Open the journal for appending, ending a torn last line first.
+
+        A process killed mid-write leaves a fragment with no trailing
+        newline.  Appending straight after it would glue the next entry onto
+        the fragment, and replay would skip both; ending the fragment keeps
+        the loss to the torn entry alone.
+        """
+        fh = self.path.open("a", encoding="utf8")
+        if fh.tell():
+            with self.path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    fh.write("\n")
+        return fh
 
     # ------------------------------------------------------------------
     # Recovery side

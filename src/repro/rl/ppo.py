@@ -45,11 +45,6 @@ class PPOConfig:
     anneal_lr: bool = False
     seed: int = 0
 
-    def with_overrides(self, **kwargs) -> "PPOConfig":
-        data = self.__dict__.copy()
-        data.update(kwargs)
-        return PPOConfig(**data)
-
 
 @dataclass
 class UpdateStats:

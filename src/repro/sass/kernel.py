@@ -75,12 +75,16 @@ class SassKernel:
         return hash((self._lines, self.metadata))
 
     def __getstate__(self):
-        """Drop the pinned decoded program and the multiset cache when pickling
-        (the program holds compiled closures, which do not pickle; it
-        re-decodes from the shared cache on the other side).  The content
-        digest is kept — it is small, deterministic and saves a re-hash."""
+        """Drop the pins and the multiset cache when pickling.
+
+        The pinned decoded program holds compiled closures, which do not
+        pickle; it re-decodes from the shared cache on the other side.  The
+        pinned dependence graph (:func:`repro.analysis.deps.pinned_dependence_graph`)
+        is rebuilt by the first audit after unpickling.  The content digest
+        is kept: it is small, deterministic and saves a re-hash."""
         state = dict(self.__dict__)
         state.pop("_decoded_program", None)
+        state.pop("_dependence_graph", None)
         state.pop("_multiset_cache", None)
         return state
 
@@ -186,11 +190,6 @@ class SassKernel:
         swapped = SassKernel(lines, metadata=self.metadata)
         swapped._multiset_cache = self.multiset_cache()
         return swapped
-
-    def replace_line(self, index: int, line: Instruction | Label) -> "SassKernel":
-        lines = list(self._lines)
-        lines[index] = line
-        return SassKernel(lines, metadata=self.metadata)
 
     def insert_line(self, index: int, line: Instruction | Label) -> "SassKernel":
         lines = list(self._lines)

@@ -79,10 +79,6 @@ class OpcodeInfo:
     def is_fixed_latency(self) -> bool:
         return self.latency is LatencyClass.FIXED
 
-    @property
-    def is_variable_latency(self) -> bool:
-        return self.latency is LatencyClass.VARIABLE
-
 
 _REGISTRY: dict[str, OpcodeInfo] = {}
 

@@ -898,14 +898,14 @@ class JobQueue:
         dependence-preserving permutation of the seed it was optimized from;
         a hit that no longer verifies (stale entry, corrupted artifact) is
         invalidated and the job re-optimizes instead.  Reports without an
-        artifact carry no schedule to audit and pass through unchanged.
+        artifact carry no schedule to audit and pass through unchanged.  The
+        audit reads the dependence graph pinned on the stored seed, so only
+        a key's first hit builds it.
 
         Returns ``(ok, rule_codes, detail)``: the verifier rule codes that
         fired are surfaced in the job's ``invalidated`` event and record so
         clients can see *why* a cached result was thrown away.
         """
-        if not self.serve_config.verify_store_hits:
-            return True, (), ""
         artifact = hit.artifact
         if artifact is None:
             return True, (), ""

@@ -97,12 +97,6 @@ class TileProgram:
         self.params.append((name, ValueKind.PTR))
         return self._emit("param", (index,), ValueKind.PTR, name=name)
 
-    def param_int(self, name: str) -> Value:
-        """Declare an integer kernel parameter."""
-        index = len(self.params)
-        self.params.append((name, ValueKind.INT))
-        return self._emit("param", (index,), ValueKind.INT, name=name)
-
     def program_id(self, axis: int = 0) -> Value:
         """Thread-block index along ``axis`` (Triton's ``tl.program_id``)."""
         return self._emit("program_id", (axis,), ValueKind.INT)

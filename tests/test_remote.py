@@ -153,6 +153,68 @@ def test_journal_skips_corrupt_trailing_line(tmp_path, caplog):
     assert any("skipping" in message for message in caplog.messages)
 
 
+def test_journal_append_after_torn_tail_keeps_new_entry(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = JobJournal(path)
+    journal.record_terminal(_record("j00001"), _done_report())
+    journal.record_submitted(_record("j00002", JobStatus.QUEUED))
+    journal.close()
+    path.write_bytes(path.read_bytes()[:-20])  # a crash tore the last line
+
+    restarted = JobJournal(path)
+    assert restarted.replay().skipped == 1
+    restarted.record_submitted(_record("j00003", JobStatus.QUEUED))
+    restarted.close()
+
+    replay = JobJournal(path).replay()
+    assert replay.skipped == 1  # the torn fragment only
+    assert set(replay.records) == {"j00001", "j00003"}
+
+
+def test_journal_survives_a_crash_at_every_byte_offset(tmp_path):
+    """Truncate a journal after every byte, restart, append, and restart again."""
+    path = tmp_path / "j.jsonl"
+    journal = JobJournal(path)
+    # A compacted file (terminal records and the store), then live appends.
+    journal.compact(
+        [(_record("j00001"), _done_report()), (_record("j00002", JobStatus.CANCELLED), None)],
+        [("key-softmax", _done_report())],
+    )
+    journal.record_submitted(_record("j00003", JobStatus.RUNNING), request={"kernel": "softmax"})
+    journal.record_checkpoint("j00003", {"evaluations": 5})
+    journal.close()
+    data = path.read_bytes()
+    line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    assert len(line_ends) == 5
+
+    # What replay must show once each line is complete, in file order.
+    survives = (
+        lambda r: r.records["j00001"].status is JobStatus.DONE
+        and r.reports["j00001"].evaluations == 7,
+        lambda r: r.records["j00002"].status is JobStatus.CANCELLED,
+        lambda r: r.store["key-softmax"].best_time_ms == 1.0,
+        lambda r: r.requests["j00003"] == {"kernel": "softmax"},
+        lambda r: r.checkpoints["j00003"] == {"evaluations": 5},
+    )
+
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        restarted = JobJournal(path)
+        first = restarted.replay()
+        restarted.record_submitted(_record("j00004", JobStatus.QUEUED))
+        restarted.close()
+        again = JobJournal(path).replay()
+
+        for replay in (first, again):
+            assert replay.skipped <= 1, cut
+            cancelled = replay.records.get("j00002")
+            assert cancelled is None or cancelled.status is JobStatus.CANCELLED, cut
+            for entry, end in enumerate(line_ends):
+                if end <= cut:
+                    assert survives[entry](replay), (cut, entry)
+        assert again.records["j00004"].status is JobStatus.QUEUED, cut
+
+
 def test_journal_unknown_kind_is_skipped_not_fatal(tmp_path):
     path = tmp_path / "j.jsonl"
     path.write_text('{"kind": "mystery", "v": 99}\n', encoding="utf8")

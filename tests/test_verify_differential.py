@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
-from repro.analysis import ScheduleVerifier, run_pre_game_analysis
+from repro.analysis import ScheduleVerifier, build_cfg, run_pre_game_analysis
 from repro.core.actions import ActionSpace
 from repro.core.masking import ActionMasker
+from repro.sass import Instruction, SassKernel
 from repro.triton.compiler import compile_spec
 from repro.triton.spec import available_kernels, get_spec
 
@@ -91,3 +92,29 @@ def test_seed_reachable_reversal_round_trips(workload):
     restored = kernel.swap(source, destination).swap(destination, source)
     result = verifier.verify(restored)
     assert result.ok and not result.diagnostics
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@settings(max_examples=10, deadline=None)
+@given(
+    choices=st.lists(st.integers(min_value=0, max_value=2**31 - 1), min_size=1, max_size=6),
+    reparse=st.booleans(),
+)
+def test_mapped_candidates_keep_the_seed_cfg(workload, choices, reparse):
+    """A candidate that maps onto the seed has the seed's blocks and successors.
+
+    ``ScheduleVerifier.verify`` hands its own CFG to the scoreboard check on
+    that ground, so it must hold for any adjacent swaps, masked or not, and
+    for re-parsed listings that map by text instead of identity.
+    """
+    kernel, _, _, verifier = _walk_state(workload)
+    current = kernel
+    for choice in choices:
+        index = choice % (len(kernel.lines) - 1)
+        pair = current.lines[index : index + 2]
+        if all(isinstance(line, Instruction) for line in pair):
+            current = current.swap(index, index + 1)
+    if reparse:
+        current = SassKernel.from_text(current.render(), kernel.metadata)
+    if verifier._map_candidate(current, []) is not None:
+        assert build_cfg(current) == verifier.cfg
