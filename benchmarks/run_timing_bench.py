@@ -19,6 +19,10 @@ Four scenarios are timed per workload:
 * **store_audit** — the serving store's static audit of one hit: the median
   milliseconds of a seed's first audit (which builds its dependence graph)
   and of a repeat audit (which reads the graph pinned on the seed).
+* **functional** — one whole-grid ``GPUSimulator.run`` (the output check's
+  cost per run) against the frozen seed runner
+  (:class:`~repro.sim._reference_sm.ReferenceFunctionalRunner`) on the same
+  inputs.
 
 Usage::
 
@@ -42,7 +46,7 @@ from repro.core.env import AssemblyGame
 from repro.core.trainer import CuAsmRLTrainer
 from repro.sass import SassKernel
 from repro.sim import GPUSimulator, create_measurement_service
-from repro.sim._reference_sm import reference_measure
+from repro.sim._reference_sm import reference_measure, reference_run
 from repro.sim.measure_service import MeasurementPolicy
 from repro.triton.compiler import compile_spec
 from repro.triton.spec import available_kernels, get_spec
@@ -127,6 +131,31 @@ def bench_single_env(simulator, compiled, inputs, seconds: float = 2.0) -> dict:
         "cycles_simulated_per_sec": round(new_cycles_per_sec, 1),
         "seed_engine_evals_per_sec": round(seed_rate, 2),
         "seed_engine_cycles_simulated_per_sec": round(seed_cycles_per_sec, 1),
+        "speedup_vs_seed_engine": round(new_rate / seed_rate, 3),
+    }
+
+
+def bench_functional(simulator, compiled, inputs, seconds: float = 2.0) -> dict:
+    """Whole-grid functional runs, production runner vs the seed runner.
+
+    Each runner gets ``seconds`` in total, interleaved with the other's, on
+    the same kernel and inputs.
+    """
+    kernel, grid, order = compiled.kernel, compiled.grid, compiled.param_order
+
+    def run_new() -> int:
+        return simulator.run(kernel, grid, inputs, order).dynamic_instructions
+
+    def run_seed() -> int:
+        return reference_run(kernel, grid, inputs, order).dynamic_instructions
+
+    rates = _interleaved_rates({"new": run_new, "seed": run_seed}, seconds)
+    new_rate, new_instructions_per_sec = rates["new"]
+    seed_rate = rates["seed"][0]
+    return {
+        "run_ms": round(1000.0 / new_rate, 3),
+        "instructions_per_sec": round(new_instructions_per_sec, 1),
+        "seed_engine_run_ms": round(1000.0 / seed_rate, 3),
         "speedup_vs_seed_engine": round(new_rate / seed_rate, 3),
     }
 
@@ -348,6 +377,7 @@ def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
             "greedy_batch": bench_greedy_batch_with_fallback(simulator, spec, seconds),
             "agent": bench_agent(simulator, compiled, seconds),
             "store_audit": bench_store_audit(compiled.kernel),
+            "functional": bench_functional(simulator, compiled, inputs, seconds),
         }
     report = {
         "benchmark": "timing_engine_throughput",
@@ -385,11 +415,14 @@ def main(argv: list[str]) -> int:
             )
         agent = result["agent"]
         audit = result["store_audit"]
+        functional = result["functional"]
         print(
             f"{name}: {single['evals_per_sec']:.1f} evals/s "
             f"({single['speedup_vs_seed_engine']:.2f}x vs seed engine), {batch_note}; "
             f"agent {agent['update_ms']:.2f} ms/update, {agent['moves_per_sec']:.0f} moves/s; "
-            f"store audit {audit['first_ms']:.2f} ms first, {audit['repeat_ms']:.2f} ms repeat"
+            f"store audit {audit['first_ms']:.2f} ms first, {audit['repeat_ms']:.2f} ms repeat; "
+            f"functional run {functional['run_ms']:.2f} ms "
+            f"({functional['speedup_vs_seed_engine']:.2f}x vs seed engine)"
         )
     print(f"wrote {output}")
     return 0

@@ -1,13 +1,18 @@
-"""Perf: candidate evaluations/sec of the timing engine, and the store-hit audit.
+"""Perf: candidate evaluations/sec of the timing engine, the functional
+runner, and the store-hit audit.
 
 Tracks the measurement hot path: the decoded program, the event-driven issue
 loop, the timing view that elides data-only instructions, the flat register
-file and the precomputed bank conflicts.  Each speedup floor sits about a
-fifth below what ``benchmarks/run_timing_bench.py`` measures (see
-``BENCH_timing.json``: ~10x on bmm, ~5x on softmax), so shared CI runners do
-not flake.  The bmm floor fails the engine without the flat register file,
-the precomputed bank conflicts and the record-taking step (~6.5x); the
-softmax floor fails it without the timing view (~3x).
+file, the precomputed bank conflicts and the integer fast paths of the
+handlers.  ``benchmarks/run_timing_bench.py`` measures ~13.5x on bmm and ~5x
+on softmax (see ``BENCH_timing.json``).  The bmm floor fails the engine
+without the integer fast paths (~10.5x over five runs on a 2-vCPU host) and
+the softmax floor fails it without the timing view (~3x).
+
+The functional gate holds one whole-grid ``GPUSimulator.run`` of bmm, the
+output check's unit of work, to 3x the frozen seed runner: tile rows copied
+in one slice and the integer fast paths reach ~3.7x, the engine without
+them ~2x.
 
 The store-audit gate holds a repeat audit of a stored seed to a third of its
 first audit: the first builds the seed's dependence graph and pins it, a
@@ -20,12 +25,13 @@ import pytest
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
 from repro.sim import create_measurement_service
-from repro.sim._reference_sm import reference_measure
+from repro.sim._reference_sm import reference_measure, reference_run
 from repro.triton.compiler import compile_spec
 from repro.triton.spec import get_spec
 
 from run_timing_bench import (
     BENCH_WORKLOADS,
+    bench_functional,
     bench_greedy_batch,
     bench_single_env,
     bench_store_audit,
@@ -66,7 +72,29 @@ def test_single_env_measurement_throughput(benchmark, simulator):
 
 
 def test_bmm_single_env_measurement_throughput(benchmark, simulator):
-    _check_single_env(benchmark, simulator, "bmm", floor=8.0)
+    _check_single_env(benchmark, simulator, "bmm", floor=12.0)
+
+
+def test_bmm_functional_run_throughput(benchmark, simulator):
+    compiled = compile_spec(get_spec("bmm"), scale="test")
+    inputs = compiled.make_inputs(0)
+
+    result = benchmark.pedantic(
+        lambda: bench_functional(simulator, compiled, inputs, seconds=1.5),
+        rounds=1,
+        iterations=1,
+    )
+    print(
+        f"\nbmm functional run: {result['run_ms']:.2f} ms, "
+        f"{result['speedup_vs_seed_engine']:.2f}x vs seed engine"
+    )
+    assert result["speedup_vs_seed_engine"] >= 3.0
+
+    args = (compiled.kernel, compiled.grid, inputs, compiled.param_order)
+    produced, reference = simulator.run(*args), reference_run(*args)
+    assert produced.dynamic_instructions == reference.dynamic_instructions
+    for name, array in produced.outputs.items():
+        assert array.tobytes() == reference.outputs[name].tobytes()
 
 
 def test_greedy_batch_measurement_throughput(benchmark, simulator):

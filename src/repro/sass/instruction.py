@@ -4,6 +4,23 @@ An :class:`Instruction` bundles a control code, an optional guard predicate,
 an opcode (with modifiers) and a list of operands — exactly the fields the
 paper's parser extracts (§2.3, §3.2).  The class also exposes the register
 def/use sets needed by dependence analysis and action masking.
+
+Registers are seen two ways:
+
+* **Widened sets.** :meth:`Instruction.read_registers` and
+  :meth:`Instruction.written_registers` widen ``.64``, ``.128`` and
+  ``.WIDE`` operands to the aligned register group real hardware touches.
+  The masker (:mod:`repro.core.masking`), the verifier's dependence graph
+  (:mod:`repro.analysis.deps`), stall inference, liveness, ptxas
+  (:mod:`repro.triton.ptxas`) and the timing engines' register-bank model
+  (:mod:`repro.sim.program`) all use these sets.
+* **The named register.** The simulator's handlers
+  (:mod:`repro.sim.executor`) read and write only the register an operand
+  names: the lowering gives each tile fragment one register.
+
+So the analyses over-approximate what execution touches, which keeps them
+sound as long as every register a handler touches lies inside the widened
+sets.  ``tests/test_register_model.py`` pins that on every bundled kernel.
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
-"""The seed (pre-decoded-program) timing engine, kept verbatim as the golden model.
+"""The seed (pre-decoded-program) engines, kept verbatim as the golden models.
 
 When the event-driven issue loop replaced the per-issue warp scan in
 :mod:`repro.sim.sm`, the contract was *bit-identical timing*: every memo
 digest, cached baseline and benchmark number produced before the swap must
-stay valid.  This module preserves the original engine — the O(num_warps)
-scheduler scan with per-issue label peeking, per-issue def/use frozenset
-rebuilds and a fresh launch per measurement — so the equivalence suite
-(``tests/test_timing_equivalence.py``) and the throughput benchmark
+stay valid.  This module preserves the original timing engine — the
+O(num_warps) scheduler scan with per-issue label peeking, per-issue def/use
+frozenset rebuilds and a fresh launch per measurement — so the equivalence
+suite (``tests/test_timing_equivalence.py``) and the throughput benchmark
 (``benchmarks/run_timing_bench.py``) can always compare the production engine
 against the exact seed semantics on the current host.
+
+:class:`ReferenceFunctionalRunner` is the seed's functional runner driving
+the frozen :class:`~repro.sim._reference_executor.ReferenceWarpExecutor`.
+It is the oracle for :meth:`repro.sim.gpu.GPUSimulator.run`: the
+differential fuzz suite (``tests/test_functional_oracle.py``) holds every
+output byte and dynamic instruction count of the production runner to it,
+and the benchmark reports the production runner's speedup over it.
 
 Nothing outside tests and benchmarks should import this module.
 """
@@ -39,6 +46,66 @@ from repro.sim.sm import MAX_DYNAMIC_INSTRUCTIONS_PER_WARP, TimingResult
 
 def _label_positions(kernel: SassKernel) -> dict[str, int]:
     return {line.name: i for i, line in enumerate(kernel.lines) if isinstance(line, Label)}
+
+
+class ReferenceFunctionalRunner:
+    """Run one thread block functionally, warp phases separated by barriers (seed implementation)."""
+
+    def __init__(self, kernel: SassKernel, launch: LaunchContext):
+        self.kernel = kernel
+        self.launch = launch
+
+    def run_block(self, ctaid: tuple[int, int, int]) -> int:
+        """Execute one thread block; returns total dynamic instructions."""
+        shared = self.launch.new_shared_memory()
+        executor = ReferenceWarpExecutor(
+            self.kernel.lines,
+            self.launch,
+            shared,
+            label_positions=_label_positions(self.kernel),
+        )
+        warps = [
+            WarpState(warp_id=w, ctaid=ctaid)
+            for w in range(self.kernel.metadata.num_warps)
+        ]
+        total = 0
+        # Phase execution: every warp runs until it reaches a block barrier or
+        # exits; then the next phase starts.  This matches how cooperative
+        # tile loads (LDGSTS ... BAR.SYNC ... LDS) synchronize.
+        guard = 0
+        while any(not w.finished for w in warps):
+            guard += 1
+            if guard > 10_000:
+                raise SimulatorError("functional runner exceeded the phase limit (missing EXIT?)")
+            progressed = False
+            for warp in warps:
+                if warp.finished:
+                    continue
+                while True:
+                    if warp.issued > MAX_DYNAMIC_INSTRUCTIONS_PER_WARP:
+                        raise SimulatorError("warp exceeded the dynamic instruction limit")
+                    outcome = executor.step(warp, warp.next_issue)
+                    total += 1
+                    progressed = True
+                    if outcome.exited or warp.finished:
+                        break
+                    if outcome.hit_block_barrier:
+                        break
+            if not progressed:
+                raise SimulatorError("functional runner made no progress (deadlocked barrier?)")
+            # Align warps at the barrier.
+            sync_point = max(w.next_issue for w in warps)
+            for warp in warps:
+                if not warp.finished:
+                    warp.next_issue = max(warp.next_issue, sync_point)
+        return total
+
+    def run_grid(self) -> int:
+        """Execute every thread block of the launch grid; returns instruction count."""
+        total = 0
+        for ctaid in self.launch.grid_config.block_ids():
+            total += self.run_block(ctaid)
+        return total
 
 
 def _seed_operand_fetch_stalls(model: RegisterBankModel, read_registers, reuse_registers) -> int:
@@ -218,6 +285,25 @@ class ReferenceTimingSimulator:
         warp.pc = pc
         line = lines[pc]
         return line if isinstance(line, Instruction) else None
+
+
+def reference_run(kernel: SassKernel, grid: GridConfig, tensors: dict, param_order: list[str]):
+    """Seed functional path: :meth:`repro.sim.gpu.GPUSimulator.run` (every
+    tensor an output) driving :class:`ReferenceFunctionalRunner` on a
+    freshly bound launch."""
+    from repro.sim.gpu import KernelRun
+
+    memory = GlobalMemory()
+    params, allocations = bind_tensors(memory, tensors, param_order)
+    launch = LaunchContext(
+        grid_config=grid,
+        params=params,
+        global_memory=memory,
+        shared_memory_bytes=kernel.metadata.shared_memory_bytes,
+    )
+    dynamic = ReferenceFunctionalRunner(kernel, launch).run_grid()
+    outputs = {name: memory.download(allocations[name]) for name in tensors}
+    return KernelRun(kernel_name=kernel.metadata.name, outputs=outputs, dynamic_instructions=dynamic)
 
 
 def reference_measure(

@@ -29,6 +29,11 @@ _BASE_ADDRESS = 0x1000_0000
 _ALIGNMENT = 256
 
 
+def _rows_view(buffer: np.ndarray, offset: int, row_bytes: int, stride: int, rows: int) -> np.ndarray:
+    """A ``(rows, row_bytes)`` view of a byte buffer whose rows start ``stride`` bytes apart."""
+    return np.ndarray((rows, row_bytes), np.uint8, buffer, offset, (stride, 1))
+
+
 @dataclass
 class TensorAllocation:
     """One device tensor: a base address plus a dtype/shape view."""
@@ -167,6 +172,34 @@ class GlobalMemory:
         offset = address - alloc.address
         self._buffers[alloc.address][offset : offset + len(data)] = data
 
+    def read_rows(self, address: int, row_bytes: int, stride: int, rows: int) -> np.ndarray:
+        """``rows`` rows of ``row_bytes`` bytes, ``stride`` bytes apart, as one flat copy.
+
+        The bytes of one :meth:`read_bytes` per row, concatenated, moved by a
+        single strided copy.  The extent from the first row's start to the
+        last row's end must lie inside one allocation, or this raises as
+        :meth:`read_bytes` of that extent would; a caller that must report
+        the first out-of-bounds row checks :meth:`in_bounds` and reads row
+        by row instead.
+        """
+        alloc = self._locate(address, (rows - 1) * stride + row_bytes)
+        buffer = self._buffers[alloc.address]
+        return _rows_view(buffer, address - alloc.address, row_bytes, stride, rows).flatten()
+
+    def write_rows(self, address: int, data: np.ndarray, row_bytes: int, stride: int) -> None:
+        """Write ``data`` as rows of ``row_bytes`` bytes, ``stride`` bytes apart, in one copy.
+
+        The counterpart of :meth:`read_rows`: the rows must not overlap
+        (``stride >= row_bytes``), ``data`` must fill whole rows, and the
+        extent must lie inside one allocation.
+        """
+        data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        rows = len(data) // row_bytes
+        alloc = self._locate(address, (rows - 1) * stride + row_bytes)
+        self._preserve(alloc.address)
+        view = _rows_view(self._buffers[alloc.address], address - alloc.address, row_bytes, stride, rows)
+        view[...] = data.reshape(rows, row_bytes)
+
     def read_values(self, address: int, count: int, dtype=np.float16) -> np.ndarray:
         dtype = np.dtype(dtype)
         raw = self.read_bytes(address, count * dtype.itemsize)
@@ -177,6 +210,11 @@ class GlobalMemory:
 
     def dtype_at(self, address: int) -> np.dtype:
         """The dtype of the tensor containing ``address`` (fp16 by default)."""
+        # Allocations never overlap, so the last one hit answers when it
+        # contains the address.
+        alloc = self._last_alloc
+        if alloc is not None and alloc.address <= address < alloc.address + alloc.nbytes:
+            return alloc.dtype
         for alloc in self._allocations:
             if alloc.address <= address < alloc.address + alloc.nbytes:
                 return alloc.dtype
@@ -209,6 +247,18 @@ class SharedMemory:
         data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         self.check_range(offset, len(data))
         self._data[offset : offset + len(data)] = data
+
+    def read_rows(self, offset: int, row_bytes: int, stride: int, rows: int) -> np.ndarray:
+        """Strided rows in one copy, as :meth:`GlobalMemory.read_rows`."""
+        self.check_range(offset, (rows - 1) * stride + row_bytes)
+        return _rows_view(self._data, offset, row_bytes, stride, rows).flatten()
+
+    def write_rows(self, offset: int, data: np.ndarray, row_bytes: int, stride: int) -> None:
+        """Non-overlapping rows in one copy, as :meth:`GlobalMemory.write_rows`."""
+        data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        rows = len(data) // row_bytes
+        self.check_range(offset, (rows - 1) * stride + row_bytes)
+        _rows_view(self._data, offset, row_bytes, stride, rows)[...] = data.reshape(rows, row_bytes)
 
     def read_values(self, offset: int, count: int, dtype=np.float16) -> np.ndarray:
         dtype = np.dtype(dtype)

@@ -215,6 +215,100 @@ def test_journal_survives_a_crash_at_every_byte_offset(tmp_path):
         assert again.records["j00004"].status is JobStatus.QUEUED, cut
 
 
+class _FailingWriter:
+    """A temp file whose write of line ``lines + 1`` fails, as a full disk would."""
+
+    def __init__(self, fh, lines):
+        self.fh = fh
+        self.lines = lines
+
+    def write(self, text):
+        if self.lines == 0:
+            raise OSError("no space left on device")
+        self.lines -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _replay_state(replay):
+    return (
+        {job_id: record.status for job_id, record in replay.records.items()},
+        {job_id: report.summary() for job_id, report in replay.reports.items()},
+        {key: report.summary() for key, report in replay.store.items()},
+        replay.requests,
+        replay.checkpoints,
+        replay.skipped,
+    )
+
+
+# The live state handed to compact: j00001 was GC'd and k2 is new, so a
+# replayed temp file would show in the journal's state.
+_LIVE = (
+    [(_record("j00002", JobStatus.RUNNING), None), (_record("j00003"), _done_report())],
+    [("k1", _done_report()), ("k2", _done_report("rmsnorm"))],
+)
+_RESUME = {"j00002": {"request": {"kernel": "softmax"}, "checkpoint": {"evaluations": 3}}}
+_COMPACTED_LINES = 5  # j00002, its checkpoint, j00003, k1, k2
+
+
+@pytest.mark.parametrize(
+    "crash",
+    ["os.replace"] + [f"write after {n} lines" for n in range(_COMPACTED_LINES)],
+)
+def test_journal_survives_a_crash_during_compaction(tmp_path, monkeypatch, crash):
+    path = tmp_path / "j.jsonl"
+    journal = JobJournal(path)
+    journal.record_terminal(_record("j00001"), _done_report())
+    journal.record_submitted(_record("j00002", JobStatus.RUNNING), request={"kernel": "softmax"})
+    journal.record_checkpoint("j00002", {"evaluations": 3})
+    journal.record_terminal(_record("j00003"), _done_report())
+    journal.record_store("k1", _done_report())
+    before = _replay_state(JobJournal(path).replay())
+    leftover = path.with_name(path.name + ".compact")
+
+    with monkeypatch.context() as patch:
+        if crash == "os.replace":
+
+            def failing_replace(src, dst):
+                raise OSError("crashed before the rename")
+
+            patch.setattr("repro.remote.journal.os.replace", failing_replace)
+        else:
+            lines = int(crash.split()[2])
+            real_open = type(path).open
+
+            def open_failing_temp(self, *args, **kwargs):
+                fh = real_open(self, *args, **kwargs)
+                return _FailingWriter(fh, lines) if self == leftover else fh
+
+            patch.setattr(type(path), "open", open_failing_temp)
+        with pytest.raises(OSError):
+            journal.compact(*_LIVE, resume=_RESUME)
+
+    # The old journal replays every entry it held; the temp file is ignored.
+    assert leftover.exists()
+    assert _replay_state(JobJournal(path).replay()) == before
+    # Appends still land in the old journal ...
+    journal.record_submitted(_record("j00004", JobStatus.QUEUED))
+    replay = JobJournal(path).replay()
+    assert replay.records["j00004"].status is JobStatus.QUEUED
+    assert "k2" not in replay.store and "j00001" in replay.records
+
+    # ... and the next compaction succeeds and replaces the leftover.
+    assert journal.compact(*_LIVE, resume=_RESUME) == _COMPACTED_LINES
+    journal.close()
+    assert not leftover.exists()
+    replay = JobJournal(path).replay()
+    assert set(replay.records) == {"j00002", "j00003"} and set(replay.store) == {"k1", "k2"}
+    assert replay.checkpoints == {"j00002": {"evaluations": 3}}
+    assert replay.requests["j00002"] == {"kernel": "softmax"}
+
+
 def test_journal_unknown_kind_is_skipped_not_fatal(tmp_path):
     path = tmp_path / "j.jsonl"
     path.write_text('{"kind": "mystery", "v": 99}\n', encoding="utf8")
