@@ -4,15 +4,20 @@ runner, and the store-hit audit.
 Tracks the measurement hot path: the decoded program, the event-driven issue
 loop, the timing view that elides data-only instructions, the flat register
 file, the precomputed bank conflicts and the integer fast paths of the
-handlers.  ``benchmarks/run_timing_bench.py`` measures ~13.5x on bmm and ~5x
+handlers.  ``benchmarks/run_timing_bench.py`` measures ~13x on bmm and ~5x
 on softmax (see ``BENCH_timing.json``).  The bmm floor fails the engine
-without the integer fast paths (~10.5x over five runs on a 2-vCPU host) and
-the softmax floor fails it without the timing view (~3x).
+without the integer fast paths (9.77-11.40x over fifteen runs on a 2-vCPU
+host) and the softmax floor fails it without the timing view (~3x).  Each
+floor leaves headroom below the slowest measured run, so a CI runner with
+another CPU or Python version does not fail it for no program reason: the
+bmm floor sits 9% below the slowest of five runs (12.58x; median 12.85x),
+as much as the engine without the fast paths leaves room for, and the
+softmax floor about a fifth below ~5x.
 
 The functional gate holds one whole-grid ``GPUSimulator.run`` of bmm, the
-output check's unit of work, to 3x the frozen seed runner: tile rows copied
-in one slice and the integer fast paths reach ~3.7x, the engine without
-them ~2x.
+output check's unit of work, to 3x the frozen seed runner, about a fifth
+below the slowest measured run: tile rows copied in one slice and the
+integer fast paths read 3.68-4.04x, the engine without them 1.84-2.19x.
 
 The store-audit gate holds a repeat audit of a stored seed to a third of its
 first audit: the first builds the seed's dependence graph and pins it, a
@@ -72,7 +77,7 @@ def test_single_env_measurement_throughput(benchmark, simulator):
 
 
 def test_bmm_single_env_measurement_throughput(benchmark, simulator):
-    _check_single_env(benchmark, simulator, "bmm", floor=12.0)
+    _check_single_env(benchmark, simulator, "bmm", floor=11.5)
 
 
 def test_bmm_functional_run_throughput(benchmark, simulator):

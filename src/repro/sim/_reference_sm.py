@@ -17,6 +17,13 @@ differential fuzz suite (``tests/test_functional_oracle.py``) holds every
 output byte and dynamic instruction count of the production runner to it,
 and the benchmark reports the production runner's speedup over it.
 
+Only the engines are frozen.  Both oracles use the production
+:mod:`repro.sim.memory` (``GlobalMemory``/``SharedMemory`` byte reads and
+writes, ``dtype_at``) and launch binding (``LaunchContext``,
+``bind_tensors``), so a regression there shows on both sides and no
+comparison against this module can catch it.  A change to those modules
+needs a digest of timings and run outputs against the previous tree.
+
 Nothing outside tests and benchmarks should import this module.
 """
 

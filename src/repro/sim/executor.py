@@ -575,8 +575,9 @@ _compile_cs2r = _compile_mov
 # ---------------------------------------------------------------------------
 # Address arithmetic and loop counters run through these handlers on every
 # issue, and their registers hold plain Python ints unless a load, float math
-# or a predicate move wrote them.  At compile time each handler sorts its
-# sources into predicates (always ``bool``), int constants (integer
+# or a predicate move wrote them.  The handlers of the integer opcodes the
+# Triton lowering emits (IADD3, IMAD, SHF, ISETP) sort their sources at
+# compile time into predicates (always ``bool``), int constants (integer
 # immediates, ``RZ``, ``URZ``) and values read at run time.  When every value
 # it reads is a plain ``int`` (``type(v) is int``, which ``bool`` and numpy
 # scalars fail), the handler computes the result directly.  That is exact:
@@ -586,7 +587,8 @@ _compile_cs2r = _compile_mov
 # arithmetic unchanged: on the values read (IMAD) or on the sources read
 # again (reads have no side effects).  A fast path skips only constants and
 # predicates, whose reads cannot raise, so it raises wherever the general
-# path does.
+# path does.  LEA, LOP3 and IMNMX keep the general handler alone: no bundled
+# kernel issues them.
 
 
 def _int_constant(op: Operand) -> int | None:
@@ -707,25 +709,12 @@ def _compile_lea(instr: Instruction):
     write = _compile_write(instr)
     latency = execution_latency(instr.opcode)
 
-    def general(ex, warp, cycle):
+    def run(ex, warp, cycle, outcome):
         srcs = [fn(ex, warp, cycle) for fn in fns]
         a = _as_int(srcs[0]) if srcs else 0
         b = _as_int(srcs[1]) if len(srcs) > 1 else 0
         shift = _as_int(srcs[2]) if len(srcs) > 2 else 0
-        return b + (a << shift)
-
-    if not _skippable(instr.source_operands()[3:]):
-        return _alu_run(general, write, latency)
-    fn_a, fn_b, fn_shift = _padded(fns, 3)
-
-    def run(ex, warp, cycle, outcome):
-        a = fn_a(ex, warp, cycle)
-        b = fn_b(ex, warp, cycle)
-        shift = fn_shift(ex, warp, cycle)
-        if type(a) is int and type(b) is int and type(shift) is int:
-            value = b + (a << shift)
-        else:
-            value = general(ex, warp, cycle)
+        value = b + (a << shift)
         ready = cycle + latency
         write(warp, value, ready)
         outcome.completion_cycle = ready
@@ -763,20 +752,6 @@ def _compile_shf(instr: Instruction):
     return run
 
 
-def _leading_values(instr: Instruction):
-    """Accessors of the first two value sources (reading 0 when missing), and
-    the last predicate source's accessor (``None`` if there is none).
-
-    ``None`` instead when a later value source is not an int constant: the
-    general path reads it, so the fast path could not skip it.
-    """
-    values, predicates = _value_sources(instr)
-    if any(_int_constant(op) is None for op, _ in values[2:]):
-        return None
-    fn_a, fn_b = _padded([fn for _, fn in values], 2)
-    return fn_a, fn_b, (predicates[-1][1] if predicates else None)
-
-
 def _compile_lop3(instr: Instruction):
     fns = _source_evals(instr)
     mods = instr.modifiers
@@ -789,33 +764,17 @@ def _compile_lop3(instr: Instruction):
     write = _compile_write(instr)
     latency = execution_latency(instr.opcode)
 
-    def general(ex, warp, cycle):
+    def run(ex, warp, cycle, outcome):
         srcs = [fn(ex, warp, cycle) for fn in fns]
         ints = [_as_int(s) for s in srcs if not isinstance(s, bool)][:3]
         while len(ints) < 2:
             ints.append(0)
         if logic == 0:
-            return ints[0] | ints[1]
-        if logic == 1:
-            return ints[0] ^ ints[1]
-        return ints[0] & ints[1]
-
-    leading = _leading_values(instr)
-    if leading is None:
-        return _alu_run(general, write, latency)
-    fn_a, fn_b, _ = leading
-
-    def run(ex, warp, cycle, outcome):
-        a = fn_a(ex, warp, cycle)
-        b = fn_b(ex, warp, cycle)
-        if type(a) is not int or type(b) is not int:
-            value = general(ex, warp, cycle)
-        elif logic == 0:
-            value = a | b
+            value = ints[0] | ints[1]
         elif logic == 1:
-            value = a ^ b
+            value = ints[0] ^ ints[1]
         else:
-            value = a & b
+            value = ints[0] & ints[1]
         ready = cycle + latency
         write(warp, value, ready)
         outcome.completion_cycle = ready
@@ -859,10 +818,13 @@ def _compile_isetp(instr: Instruction):
                 result = result and pred_srcs[-1]
         return result
 
-    leading = _leading_values(instr)
-    if leading is None or cmp_fn is None:
+    # The fast path reads the first two value sources and the last predicate;
+    # later value sources must be int constants, which it may leave unread.
+    values, predicates = _value_sources(instr)
+    if cmp_fn is None or not _skippable(op for op, _ in values[2:]):
         return _alu_run(general, write, latency)
-    fn_a, fn_b, fn_pred = leading
+    fn_a, fn_b = _padded([fn for _, fn in values], 2)
+    fn_pred = predicates[-1][1] if predicates else None
 
     def run(ex, warp, cycle, outcome):
         a = fn_a(ex, warp, cycle)
@@ -888,7 +850,7 @@ def _compile_imnmx(instr: Instruction):
     write = _compile_write(instr)
     latency = execution_latency(instr.opcode)
 
-    def general(ex, warp, cycle):
+    def run(ex, warp, cycle, outcome):
         srcs = [fn(ex, warp, cycle) for fn in fns]
         numeric = [s for s in srcs if not isinstance(s, bool)]
         a, b = _as_int(numeric[0]), _as_int(numeric[1])
@@ -896,21 +858,7 @@ def _compile_imnmx(instr: Instruction):
         for s in srcs:
             if isinstance(s, bool):
                 use_min = s
-        return min(a, b) if use_min else max(a, b)
-
-    leading = _leading_values(instr)
-    if leading is None or len(_value_sources(instr)[0]) < 2:
-        return _alu_run(general, write, latency)
-    fn_a, fn_b, fn_pred = leading
-
-    def run(ex, warp, cycle, outcome):
-        a = fn_a(ex, warp, cycle)
-        b = fn_b(ex, warp, cycle)
-        if type(a) is int and type(b) is int:
-            use_min = fn_pred(ex, warp, cycle) if fn_pred is not None else True
-            value = min(a, b) if use_min else max(a, b)
-        else:
-            value = general(ex, warp, cycle)
+        value = min(a, b) if use_min else max(a, b)
         ready = cycle + latency
         write(warp, value, ready)
         outcome.completion_cycle = ready
@@ -1332,22 +1280,11 @@ def _check_view(nbytes: int, dtype: np.dtype) -> None:
         )
 
 
-def _view_stand_in(nbytes: int, dtype: np.dtype):
-    """The stand-in for ``nbytes`` gathered bytes viewed as ``dtype``, or ``None``
-    when the view would fail (:func:`_check_view` raises then)."""
-    if nbytes % dtype.itemsize:
-        return None
-    return _stand_in((nbytes // dtype.itemsize,))
-
-
 def _compile_ldg(instr: Instruction, timing_only: bool = False):
     address_fn = _compile_address(instr.memory_operands()[0])
     nbytes, spans, gathered = _load_spans(instr)
     write = _compile_write(instr)
     fallback_latency = execution_latency(instr.opcode)
-    # Timing-only: the stand-in per dtype of the loaded tensor, filled on
-    # first use (a failing view is never cached, so it raises every time).
-    stand_ins: dict = {}
 
     def run(ex, warp, cycle, outcome):
         address = address_fn(ex, warp, cycle)
@@ -1359,11 +1296,8 @@ def _compile_ldg(instr: Instruction, timing_only: bool = False):
         ready = cycle + latency
         if timing_only:
             _check_rows(memory, address, spans)
-            stand_in = stand_ins.get(dtype)
-            if stand_in is None:
-                _check_view(gathered, dtype)
-                stand_in = stand_ins[dtype] = _view_stand_in(gathered, dtype)
-            write(warp, stand_in, ready)
+            _check_view(gathered, dtype)
+            write(warp, _stand_in((gathered // dtype.itemsize,)), ready)
         else:
             raw = _gather(memory, address, spans)
             write(warp, raw.view(dtype).astype(np.float32), ready)
@@ -1414,7 +1348,8 @@ def _compile_lds(instr: Instruction, timing_only: bool = False):
     fallback_latency = execution_latency(instr.opcode)
     # Shared memory always views as fp16, so the timing-only view check and
     # stand-in are settled here; a failing check still raises per issue.
-    stand_in = _view_stand_in(gathered, _LDS_DTYPE)
+    itemsize = _LDS_DTYPE.itemsize
+    stand_in = None if gathered % itemsize else _stand_in((gathered // itemsize,))
 
     def run(ex, warp, cycle, outcome):
         offset = address_fn(ex, warp, cycle)
@@ -1723,25 +1658,8 @@ def _compile_mufu_timing(instr: Instruction):
 
 
 def _compile_hmma_timing(instr: Instruction):
-    # The full handler pads or truncates every fragment to its (m, n, k)
-    # tiles, so only the float32 conversion of a source can raise, and the
-    # result is always (m * n,).  Arrays convert; anything else is checked.
     m, n, _ = _hmma_shapes(instr)
-    fns = _source_evals(instr)
-    write = _compile_write(instr)
-    latency = execution_latency(instr.opcode)
-    stand_in = _stand_in((m * n,))
-
-    def run(ex, warp, cycle, outcome):
-        for fn in fns:
-            source = fn(ex, warp, cycle)
-            if type(source) is not np.ndarray and not isinstance(source, bool):
-                _float_shape(source)
-        ready = cycle + latency
-        write(warp, stand_in, ready)
-        outcome.completion_cycle = ready
-
-    return run
+    return _compile_float_timing(instr, lambda shapes: (m * n,))
 
 
 def _binary_shape(shapes):

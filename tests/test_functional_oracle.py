@@ -112,9 +112,11 @@ _ONE_BLOCK = GridConfig((1, 1, 1), 1)
 # ---------------------------------------------------------------------------
 # Integer ALU: every fast path, and values that must take the general path
 # ---------------------------------------------------------------------------
-# The lowering emits no LEA, LOP3 or IMNMX and combines ISETP only with PT,
-# so this listing covers what the fuzzing cannot.  R20 adds 1 to a ``bool``
-# (skipped, as a predicate would be) and R22 to a numpy float32.
+# The lowering emits no LEA, LOP3 or IMNMX (their handlers have no fast
+# path) and combines ISETP only with PT, so this listing covers what the
+# fuzzing cannot.  P4 combines with the last of two source predicates.  R20
+# adds 1 to a ``bool`` (skipped, as a predicate would be) and R22 to a numpy
+# float32.
 INTEGER_ALU = """
 [B------:R-:W-:-:S10] MOV R2, c[0x0][0x160] ;
 [B------:R-:W-:-:S10] MOV R4, 0x7 ;
@@ -134,6 +136,8 @@ INTEGER_ALU = """
 [B------:R-:W-:-:S10] ISETP.GT.OR P3, PT, R5, R4, P0 ;
 [B------:R-:W-:-:S10] SEL R15, 0x1, RZ, P2 ;
 [B------:R-:W-:-:S10] SEL R16, 0x1, RZ, P3 ;
+[B------:R-:W-:-:S10] ISETP.GT.AND P4, PT, R4, R5, P0, P1 ;
+[B------:R-:W-:-:S10] SEL R23, 0x1, RZ, P4 ;
 [B------:R-:W-:-:S10] IMNMX R17, R4, R5, P1 ;
 [B------:R-:W-:-:S10] IMNMX R18, R4, R5, PT ;
 [B------:R-:W-:-:S10] MOV R19, P0 ;
@@ -143,7 +147,7 @@ INTEGER_ALU = """
 """
 INTEGER_RESULTS = {
     6: 26, 7: 47, 8: 35, 9: 31, 10: 11, 11: 56, 12: 7, 13: 4, 14: 3,
-    15: 0, 16: 1, 17: 7, 18: 3, 20: 1, 22: 8,
+    15: 0, 16: 1, 23: 0, 17: 7, 18: 3, 20: 1, 22: 8,
 }
 
 
