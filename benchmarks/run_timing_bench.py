@@ -24,6 +24,13 @@ Four scenarios are timed per workload:
   (:class:`~repro.sim._reference_sm.ReferenceFunctionalRunner`) on the same
   inputs.
 
+One more entry is not per workload:
+
+* **remote** — the HTTP front door's cost per cheap request: the median
+  client-side milliseconds of a result read and of a store-hit submit,
+  through :class:`~repro.remote.RemoteClient` against an in-process
+  :class:`~repro.remote.RemoteServer`.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_timing_bench.py [output.json]
@@ -41,9 +48,12 @@ import numpy as np
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
 from repro.analysis.verify import ScheduleVerifier, verify_schedule
+from repro.api import CacheConfig, OptimizationConfig, RemoteConfig
 from repro.api.presets import preset_spec
 from repro.core.env import AssemblyGame
 from repro.core.trainer import CuAsmRLTrainer
+from repro.pool import SessionPool
+from repro.remote import RemoteApp, RemoteClient, RemoteServer
 from repro.sass import SassKernel
 from repro.sim import GPUSimulator, create_measurement_service
 from repro.sim._reference_sm import reference_measure, reference_run
@@ -365,6 +375,50 @@ def bench_store_audit(kernel: SassKernel, rounds: int = STORE_AUDIT_ROUNDS) -> d
     }
 
 
+#: Requests timed per kind in :func:`bench_remote`, after the untimed warm-up.
+REMOTE_ROUNDS = 200
+REMOTE_WARMUP = 5
+#: The job :func:`bench_remote` finishes once and then reads and re-submits.
+REMOTE_KERNEL = "softmax"
+REMOTE_CONFIG = OptimizationConfig(
+    strategy="greedy", scale="test", search_budget=12, episode_length=8,
+    autotune=False, verify=False,
+)
+
+
+def _request_ms(request) -> float:
+    start = time.perf_counter()
+    request()
+    return 1000.0 * (time.perf_counter() - start)
+
+
+def bench_remote(rounds: int = REMOTE_ROUNDS) -> dict:
+    """Median client-side ms of a result read and of a store-hit submit.
+
+    One :class:`RemoteClient` on this thread talks to an in-process server
+    over a one-worker pool (no cubin cache, no journal).  One job runs to
+    completion first, so its result is stored; then reads of that job
+    (``result(timeout=0)``) alternate with re-submits of its key, each of
+    which the queue answers from the store in the background.  Both numbers
+    are transport plus the app's own handling of the request.
+    """
+    with SessionPool(["A100-sim"], config=REMOTE_CONFIG, cache=CacheConfig(enabled=False)) as pool:
+        with RemoteApp(pool, remote=RemoteConfig(journal=False)) as app:
+            with RemoteServer(app) as server, RemoteClient(server.url) as client:
+                job = client.submit(REMOTE_KERNEL)
+                job.result(timeout=300)
+                reads, submits = [], []
+                for _ in range(REMOTE_WARMUP + rounds):
+                    reads.append(_request_ms(lambda: client.result(job.job_id, timeout=0.0)))
+                    submits.append(_request_ms(lambda: client.submit(REMOTE_KERNEL)))
+                app.queue.join(timeout=300)
+    return {
+        "requests_per_kind": rounds,
+        "read_ms": round(float(np.median(reads[REMOTE_WARMUP:])), 3),
+        "store_hit_submit_ms": round(float(np.median(submits[REMOTE_WARMUP:])), 3),
+    }
+
+
 def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
     simulator = GPUSimulator()
     workloads = {}
@@ -389,6 +443,7 @@ def run(output_path: Path | str = DEFAULT_OUTPUT, seconds: float = 2.0) -> dict:
             "processor": platform.processor() or platform.machine(),
         },
         "workloads": workloads,
+        "remote": bench_remote(),
     }
     output_path = Path(output_path)
     output_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -424,6 +479,11 @@ def main(argv: list[str]) -> int:
             f"functional run {functional['run_ms']:.2f} ms "
             f"({functional['speedup_vs_seed_engine']:.2f}x vs seed engine)"
         )
+    remote = report["remote"]
+    print(
+        f"remote: result read {remote['read_ms']:.3f} ms, "
+        f"store-hit submit {remote['store_hit_submit_ms']:.3f} ms (client-side medians)"
+    )
     print(f"wrote {output}")
     return 0
 

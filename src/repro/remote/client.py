@@ -1,11 +1,12 @@
 """Thin stdlib client for the remote serving HTTP API.
 
 :class:`RemoteClient` speaks the :mod:`repro.remote.server` protocol over
-``urllib.request`` and hands back :class:`RemoteJobHandle` objects that
-mirror the in-process :class:`~repro.serve.JobHandle` surface (``status`` /
-``result`` / ``cancel`` / ``events``), so call sites can swap between local
-and remote serving without restructuring.  Server-side refusals come back
-as the same exception types the local queue raises:
+kept-alive ``http.client`` connections, one per calling thread, and hands
+back :class:`RemoteJobHandle` objects that mirror the in-process
+:class:`~repro.serve.JobHandle` surface (``status`` / ``result`` /
+``cancel`` / ``events``), so call sites can swap between local and remote
+serving without restructuring.  Server-side refusals come back as the same
+exception types the local queue raises:
 :class:`~repro.errors.QuotaExceeded` / :class:`~repro.errors.AdmissionError`
 for 429, :class:`~repro.errors.JobCancelled` from ``result()`` of a
 cancelled job, :class:`ValueError`/:class:`KeyError` for 400/404 and
@@ -15,12 +16,14 @@ cancelled job, :class:`ValueError`/:class:`KeyError` for 400/404 and
 from __future__ import annotations
 
 import http.client
+import io
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Iterator
-from urllib.parse import quote, urlencode
+from urllib.parse import quote, urlencode, urlsplit
 
 from repro.api.report import JobRecord, JobStatus, RunReport
 from repro.errors import AdmissionError, JobCancelled, QuotaExceeded, RemoteError
@@ -47,6 +50,20 @@ def _raise_for_error(status: int, payload: dict) -> None:
     if status == 404:
         raise KeyError(message)
     raise RemoteError(message, status=status, payload=payload)
+
+
+def _closed_by_server(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive connection can no longer be used.
+
+    Between requests the server has nothing to say, so a socket that polls
+    readable holds either EOF (the server closed it: restart, shutdown) or
+    bytes nobody asked for; both mean reopen.
+    """
+    if connection.sock is None:
+        return False
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class RemoteJobHandle:
@@ -85,6 +102,16 @@ class RemoteClient:
     ``tenant`` (sent as ``X-Tenant``) scopes submissions under the server's
     per-tenant quota; ``None`` means the server's default tenant.
 
+    Each thread that calls the client gets its own persistent HTTP/1.1
+    connection, so threads sharing one client never interleave on a socket
+    and a thread's requests cost no connection setup after the first.  A
+    connection the server closed while it sat idle is noticed before the
+    next request and reopened; a failure during a request closes it, and the
+    thread's next request opens a fresh one.  :meth:`close` (or leaving a
+    ``with`` block) closes every thread's connection; otherwise each closes
+    when its thread or the client is garbage-collected.  Proxy environment
+    variables (``http_proxy``) are not consulted.
+
     Idempotent GETs transparently retry transient transport failures
     (connection refused/reset, a dropped response) up to ``retry_attempts``
     times with exponential backoff from ``retry_backoff_s``.  POSTs are
@@ -104,18 +131,52 @@ class RemoteClient:
         retry_backoff_s: float = 0.1,
     ):
         self.base_url = base_url.rstrip("/")
+        split = urlsplit(self.base_url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(f"expected an http://host[:port] URL, got {base_url!r}")
+        self._host, self._port, self._prefix = split.hostname, split.port, split.path
         self.tenant = tenant
         self.request_timeout_s = request_timeout_s
         self.retry_attempts = max(1, int(retry_attempts))
         self.retry_backoff_s = retry_backoff_s
+        self._local = threading.local()  # .connection: this thread's HTTPConnection
+        self._lock = threading.Lock()
+        #: Every thread's connection, for :meth:`close`; one drops out when
+        #: its thread ends.
+        self._connections: weakref.WeakSet[http.client.HTTPConnection] = weakref.WeakSet()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        """The calling thread's connection, ready for its next request."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(self._host, self._port)
+            self._local.connection = connection
+            with self._lock:
+                self._connections.add(connection)
+        elif _closed_by_server(connection):
+            connection.close()  # the next request reconnects
+        connection.timeout = timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout)
+        return connection
+
     def _open(self, method: str, path: str, body=None, query: dict | None = None, *, timeout: float | None = None):
-        url = self.base_url + path
+        """Send one request on this thread's connection; return its body.
+
+        A response that keeps the connection alive is read whole here and
+        returned as a file, so no half-read response is ever left on the
+        connection.  A close-delimited one (an SSE stream) owns its socket
+        and is returned unread.  Any failure during the exchange closes the
+        connection.  An ``OSError`` while connecting or sending raises
+        :class:`RemoteError` with ``status == 0``; HTTP >= 400 raises through
+        :func:`_raise_for_error`.
+        """
+        target = self._prefix + path
         if query:
-            url += "?" + urlencode(query)
+            target += "?" + urlencode(query)
         data = None
         headers = {"Accept": "application/json"}
         if self.tenant:
@@ -123,28 +184,51 @@ class RemoteClient:
         if body is not None:
             data = json.dumps(body).encode("utf8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
+        connection = self._connection(timeout or self.request_timeout_s)
         try:
-            return urllib.request.urlopen(  # noqa: S310 - http-only control plane
-                request, timeout=timeout or self.request_timeout_s
-            )
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
+            try:
+                connection.request(method, target, data, headers)
+            except OSError as exc:
+                raise RemoteError(f"cannot reach {self.base_url}{path}: {exc}") from None
+            response = connection.getresponse()
+            if response.will_close and response.status < 400:
+                return response  # close-delimited: the socket is the response's
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.status >= 400:
             try:
                 payload = json.loads(raw)
-            except (json.JSONDecodeError, ValueError):
+            except ValueError:
                 payload = {"error": {"code": "opaque", "message": raw.decode("utf8", "replace")}}
-            _raise_for_error(exc.code, payload)
-        except urllib.error.URLError as exc:
-            raise RemoteError(f"cannot reach {url}: {exc.reason}") from None
+            _raise_for_error(response.status, payload)
+        return io.BytesIO(raw)
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new one.
+
+        Call it when no request is in flight.
+        """
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "RemoteClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     @staticmethod
     def _transient(exc: Exception) -> bool:
         """Transport-level failures worth retrying on an idempotent request.
 
-        ``RemoteError`` with ``status == 0`` is the URLError path (connection
-        refused, DNS, timeout) — no HTTP response was received.  Structured
-        HTTP errors (4xx/5xx) are never transient: the server answered.
+        ``RemoteError`` with ``status == 0`` means no HTTP response was
+        received (connection refused, reset or timed out while sending).
+        Structured HTTP errors (4xx/5xx) are never transient: the server
+        answered.
         """
         if isinstance(exc, RemoteError):
             return exc.status == 0
@@ -168,9 +252,11 @@ class RemoteClient:
     # API surface
     # ------------------------------------------------------------------
     def healthy(self) -> bool:
+        """True when ``/healthz`` answers ok; False on any transport failure
+        (refused, reset, timed out, closed without an answer)."""
         try:
             return bool(self._request("GET", "/healthz").get("ok"))
-        except RemoteError:
+        except (RemoteError, OSError, http.client.HTTPException):
             return False
 
     def metrics(self) -> dict:
@@ -258,7 +344,9 @@ class RemoteClient:
         """Stream the job's SSE events as dicts until the terminal event.
 
         ``idle_timeout_s`` bounds the silence between two events (socket
-        read timeout), not the total stream duration.
+        read timeout), not the total stream duration.  The server closes a
+        stream's connection when the stream ends, so the calling thread's
+        next request opens a new one.
         """
         response = self._open(
             "GET", f"/v1/jobs/{quote(job_id)}/events", timeout=idle_timeout_s

@@ -23,11 +23,33 @@ Tenancy rides on the ``X-Tenant`` request header.  Errors are structured
 JSON ``{"error": {"code", "message", ...}}``: 400 for malformed payloads,
 404 for unknown ids/routes, 429 for admission/quota refusals (with the
 minted rejected job id), 500 for everything else.
+
+Connections are kept alive (HTTP/1.1), so a client's cheap requests (reads,
+status polls, store-hit submits) share one TCP connection and one server
+thread instead of paying for a connection each.  Three rules keep that
+sound:
+
+- Every JSON response carries a ``Content-Length``, and every request body
+  is read whole before routing, so no request leaves unread bytes for the
+  next one to be parsed from.  A ``Content-Length`` the server will not read
+  (invalid, oversized, or a chunked body) answers 400 and closes the
+  connection.
+- SSE streams are close-delimited (``Connection: close``): end of stream is
+  end of connection, so a dropped stream reads as a clean truncation.
+- ``TCP_NODELAY`` is set on every connection.  A response goes out as a
+  header write and then a body write; under Nagle's algorithm the body
+  would wait for the client's delayed ACK of the header, about 40 ms per
+  kept-alive request.
+
+Idle connections are never timed out: a server that closed them would race
+the client's next POST, which is never retried.  :meth:`RemoteServer.close`
+ends every open connection instead.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -45,9 +67,8 @@ _MAX_BODY = 8 * 1024 * 1024  # refuse absurd request bodies outright
 class _Handler(BaseHTTPRequestHandler):
     """Routes one request to the shared :class:`RemoteApp`."""
 
-    # HTTP/1.0: every response closes its connection, which keeps the
-    # SSE stream semantics trivial (stream ends = job reached terminal).
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"  # keep-alive; see the module docstring
+    disable_nagle_algorithm = True  # TCP_NODELAY: no delayed-ACK stall per response
     server_version = "repro-remote"
 
     @property
@@ -68,32 +89,62 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:  # the connection ends after this response
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _send_error_json(self, status: int, code: str, message: str, **extra) -> None:
         self._send_json(status, {"error": {"code": code, "message": message, **extra}})
 
-    def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+    def _consume_body(self) -> bytes:
+        """Read the whole request body off the connection.
+
+        Runs before routing, so a kept-alive connection holds no unread bytes
+        when the next request is parsed, whatever the route does.  Raises
+        :class:`ValueError` for a body the server will not read; the caller
+        then closes the connection, since the next request's start is lost.
+        """
+        if self.headers.get("Transfer-Encoding"):
+            raise ValueError("chunked request bodies are not supported")
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ValueError(f"invalid Content-Length: {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        return self.rfile.read(length) if length else b""
+
+    def _json_body(self):
+        if not self._body:
             raise ValueError("request body must be JSON")
         try:
-            return json.loads(raw)
+            return json.loads(self._body)
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
 
     def _dispatch(self, method: str) -> None:
+        try:
+            self._answer(method)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away, or close() ended the connection,
+            # mid-response: nothing to answer and nothing more to read.
+            self.close_connection = True
+
+    def _answer(self, method: str) -> None:
+        try:
+            self._body = self._consume_body()
+        except ValueError as exc:
+            self.close_connection = True
+            self._send_error_json(400, "bad-request", str(exc))
+            return
         split = urlsplit(self.path)
         parts = [part for part in split.path.split("/") if part]
         query = parse_qs(split.query)
         try:
             self._route(method, parts, query)
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to answer
+            raise  # not an error to answer; see _dispatch
         except AdmissionError as exc:
             self._send_error_json(
                 429, exc.reason, str(exc), job_id=exc.job_id, tenant=exc.tenant
@@ -130,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
         app = self.app
         if not rest:
             if method == "POST":
-                record = app.submit(self._read_body(), tenant=self._tenant())
+                record = app.submit(self._json_body(), tenant=self._tenant())
                 self._send_json(202, {"job": record.as_dict()})
             else:
                 self._send_json(
@@ -138,7 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             return
         if rest == ["batch"] and method == "POST":
-            results = app.submit_many(self._read_body(), tenant=self._tenant())
+            results = app.submit_many(self._json_body(), tenant=self._tenant())
             self._send_json(200, {"jobs": results})
             return
         job_id, action = rest[0], rest[1:]
@@ -167,12 +218,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _stream_events(self, job_id: str) -> None:
         """SSE stream: one ``data:`` line per event, EOF after the terminal
-        event (HTTP/1.0, so end-of-stream is end-of-connection)."""
+        event (close-delimited, so end-of-stream is end-of-connection)."""
         events = self.app.events(job_id)  # raises KeyError before headers go out
         first = next(events, None)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
+        self.send_header("Connection", "close")
         self.end_headers()
         faults = self.app.faults
         written = 0
@@ -200,8 +252,48 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Threading server that tracks its open connections.
+
+    Each connection is registered on the accept loop, before its handler
+    thread starts, under the same lock as the closing flag: a connection is
+    either registered before :meth:`end_connections` looks, or refused.
+    """
+
+    def __init__(self, address, app: RemoteApp):
+        super().__init__(address, _Handler)
+        self.app = app
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        self._closing = False
+
+    def verify_request(self, request, client_address) -> bool:
+        with self._lock:
+            if self._closing:
+                return False
+            self._connections.add(request)
+            return True
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Refuse new connections and end every open one.  A handler blocked
+        on an idle connection reads EOF and exits; the client sees the
+        connection closed and reopens (to a refused port, once closed)."""
+        with self._lock:  # held, so no handler closes a socket meanwhile
+            self._closing = True
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer is already gone
+
+
 class RemoteServer:
-    """Owns the listening socket and its serving thread.
+    """Owns the listening socket, its serving thread and open connections.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`) —
     the test-friendly default.  The server does not own the app or the
@@ -212,9 +304,7 @@ class RemoteServer:
         self.app = app
         host = host if host is not None else app.remote_config.host
         port = port if port is not None else app.remote_config.port
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = app  # type: ignore[attr-defined]
+        self._httpd = _HTTPServer((host, port), app)
         self._thread: threading.Thread | None = None
 
     @property
@@ -249,6 +339,12 @@ class RemoteServer:
         self._httpd.serve_forever(poll_interval=0.1)
 
     def close(self) -> None:
+        """Stop accepting, end every open connection, release the port.
+
+        Kept-alive connections would otherwise outlive the server and keep
+        answering from an app that is closed next.
+        """
+        self._httpd.end_connections()
         if self._thread is not None:
             # shutdown() must only run against an active serve_forever loop
             # (it blocks until the loop acknowledges); the CLI path exits

@@ -1,9 +1,12 @@
 """Tests for the remote serving layer: journal, quotas, GC, HTTP front door."""
 
 import dataclasses
+import http.client
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.remote import (
     RemoteServer,
     TenantQuota,
 )
+from repro.remote import server as server_module
 
 _FAST = OptimizationConfig(
     strategy="greedy", scale="test", search_budget=12, episode_length=8,
@@ -780,6 +784,231 @@ def test_http_stream_drop_fault(tmp_path):
                 kinds = [event["kind"] for event in handle.events()]
                 assert kinds[-1] == "done"
     assert [entry["fault"] for entry in plan.fired] == ["stream-drop"]
+
+
+# ---------------------------------------------------------------------------
+# HTTP keep-alive: one connection per client thread
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def kept_alive(http_stack):
+    """``http_stack``, with its client's connections closed at teardown."""
+    client, app = http_stack
+    with client:
+        yield client, app
+
+
+@pytest.fixture()
+def accepted(monkeypatch):
+    """Client addresses of the connections the server accepts, in order."""
+    addresses = []
+    setup = server_module._Handler.setup
+
+    def counting_setup(handler):
+        addresses.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
+    return addresses
+
+
+def test_http_keepalive_one_connection_per_thread(kept_alive, accepted):
+    client, _app = kept_alive
+    assert client.healthy()
+    handle = client.submit("softmax")
+    assert handle.result(timeout=300).kernel == "softmax"
+    assert client.status(handle.job_id).status is JobStatus.DONE
+    assert client.cancel(handle.job_id) is False  # already finished
+    assert any(job.job_id == handle.job_id for job in client.jobs())
+    assert "queue" in client.metrics()
+    assert len(accepted) == 1
+
+
+def test_http_keepalive_threads_get_their_own_connections(kept_alive, accepted):
+    client, _app = kept_alive
+    kernels = {"reader-a": "softmax", "reader-b": "rmsnorm"}
+    barrier = threading.Barrier(len(kernels))
+    seen: dict[str, list] = {name: [] for name in kernels}
+    failures = []
+
+    def work(name: str) -> None:
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                handle = client.submit(kernels[name])
+                record = client.status(handle.job_id)
+                report = handle.result(timeout=300)
+                seen[name].append((handle.job_id, record.job_id, record.kernel, report.kernel))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in kernels]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads) and not failures
+    for name, rows in seen.items():
+        assert len(rows) == 3
+        for job_id, record_id, record_kernel, report_kernel in rows:
+            assert job_id == record_id
+            assert record_kernel == report_kernel == kernels[name]
+    assert len(accepted) == 2
+
+
+def test_http_unread_request_bodies_do_not_poison_the_connection(
+    kept_alive, accepted, monkeypatch
+):
+    client, app = kept_alive
+    with pytest.raises(KeyError):
+        client._request("POST", "/no/such/route", {"kernel": "softmax", "pad": "x" * 512})
+    assert client.healthy()
+    assert len(accepted) == 1  # the body was read, so the connection stayed
+
+    monkeypatch.setattr(server_module, "_MAX_BODY", 64)
+    with pytest.raises(ValueError, match="too large"):
+        client._request("POST", "/v1/jobs", {"kernel": "softmax", "pad": "x" * 512})
+    assert app.queue.jobs() == []
+    assert client.healthy()  # on a fresh connection: the 400 closed the last
+    assert len(accepted) == 2
+
+
+def test_http_unreadable_content_length_answers_400_and_closes(kept_alive):
+    client, _app = kept_alive
+    address = urlsplit(client.base_url)
+    for declared in ("99999999999", "-5", "twelve"):
+        raw = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+        try:
+            raw.putrequest("POST", "/v1/jobs")
+            raw.putheader("Content-Length", declared)
+            raw.endheaders()
+            response = raw.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400 and response.will_close
+            assert payload["error"]["code"] == "bad-request"
+        finally:
+            raw.close()
+
+
+def test_http_request_after_an_sse_stream(kept_alive, accepted):
+    client, _app = kept_alive
+    handle = client.submit("softmax")
+    assert [event["kind"] for event in handle.events()][-1] == "done"
+    assert client.status(handle.job_id).status is JobStatus.DONE
+    # The stream owned (and closed) its connection; the read after it
+    # opened the thread's next one.
+    assert len(accepted) == 2
+
+
+def test_http_timed_out_request_leaves_the_next_one_working(kept_alive, accepted):
+    client, _app = kept_alive
+    blocker = client.submit("softmax", strategy="remote-block")
+    assert _STARTED.wait(timeout=30)
+    with pytest.raises(TimeoutError):
+        # The server long-polls for 2 s; the client gives up after 0.2 s.
+        client._request(
+            "GET", f"/v1/jobs/{blocker.job_id}/result", query={"timeout": "2"}, timeout=0.2
+        )
+    # The late long-poll answer must not be read as this request's answer.
+    record = client.status(blocker.job_id)
+    assert record.job_id == blocker.job_id and record.status is JobStatus.RUNNING
+    assert len(accepted) == 2
+    _GATE.set()
+    blocker.result(timeout=300)
+
+
+def test_client_close_ends_every_thread_connection(kept_alive, accepted):
+    client, _app = kept_alive
+    answered, closed = threading.Event(), threading.Event()
+    answers = []
+
+    def other_thread() -> None:
+        answers.append(client.healthy())
+        answered.set()
+        assert closed.wait(timeout=30)
+        answers.append(client.healthy())
+
+    thread = threading.Thread(target=other_thread)
+    thread.start()
+    assert client.healthy() and answered.wait(timeout=30)
+    assert len(accepted) == 2
+    client.close()  # both threads' connections, not only this one's
+    closed.set()
+    thread.join(timeout=30)
+    assert client.healthy()
+    assert not thread.is_alive() and answers == [True, True]
+    assert len(accepted) == 4
+
+
+def test_http_restarted_server_takes_the_next_post(tmp_path, accepted):
+    remote = RemoteConfig(journal=False)
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, remote=remote) as first_app:
+            with RemoteServer(first_app) as first:
+                client = RemoteClient(first.url, retry_attempts=1)
+                assert client.healthy()  # leaves an idle kept-alive connection
+        with client, RemoteApp(pool, remote=remote) as second_app:
+            with RemoteServer(second_app, port=first.port):
+                handle = client.submit("softmax")  # a POST: never retried
+                assert second_app.status(handle.job_id).kernel == "softmax"
+                handle.result(timeout=300)
+    assert len(accepted) == 2
+
+
+def test_http_closed_server_stops_answering_idle_connections(tmp_path):
+    remote = RemoteConfig(journal=False)
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, remote=remote) as app:
+            server = RemoteServer(app).start()
+            with RemoteClient(server.url, retry_backoff_s=0.001) as client:
+                assert client.healthy()
+                server.close()
+                with pytest.raises(RemoteError):
+                    client._request("GET", "/healthz")
+                assert not client.healthy()
+
+
+def test_http_connection_accepted_while_closing_is_refused(tmp_path):
+    remote = RemoteConfig(journal=False)
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, remote=remote) as app:
+            with RemoteServer(app) as server, RemoteClient(server.url, retry_attempts=1) as client:
+                # close() ends the open connections before it stops the
+                # accept loop; a connection accepted in between is refused.
+                server._httpd.end_connections()
+                with pytest.raises((RemoteError, ConnectionError, http.client.HTTPException)):
+                    client.submit("softmax")
+                assert app.queue.jobs() == []
+
+
+def test_client_healthy_is_false_when_the_server_never_answers():
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+        port = listener.getsockname()[1]
+        with RemoteClient(f"http://127.0.0.1:{port}", request_timeout_s=0.2) as client:
+            assert client.healthy() is False
+
+
+def test_client_healthy_is_false_when_the_server_hangs_up():
+    hang_ups = []
+
+    def hang_up(listener: socket.socket) -> None:
+        for _ in range(3):  # one per attempt
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return
+            with connection:
+                connection.recv(65536)
+            hang_ups.append(1)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+        port = listener.getsockname()[1]
+        thread = threading.Thread(target=hang_up, args=(listener,), daemon=True)
+        thread.start()
+        with RemoteClient(f"http://127.0.0.1:{port}", retry_backoff_s=0.001) as client:
+            assert client.healthy() is False
+        thread.join(timeout=10)
+    assert not thread.is_alive() and len(hang_ups) == 3
 
 
 # ---------------------------------------------------------------------------
