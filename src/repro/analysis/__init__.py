@@ -5,13 +5,15 @@ the disassembled SASS listing:
 
 * basic-block / control-flow structure (instructions are never reordered
   across labels or synchronization instructions);
-* register def-use chains within blocks;
 * stall-count resolution for every memory instruction that consumes the
   output of a fixed-latency instruction — resolved from the built-in table,
   inferred from the original (always-valid) schedule, or deny-listed;
 * the operand/memory tables used by the state embedding.
 
-On top of the pre-game passes, :mod:`repro.analysis.verify` provides an
+The first two are read from the seed listing's dependence graph
+(:mod:`repro.analysis.deps`), which is built once and shared by every live
+kernel object with that listing.  On top of the pre-game passes,
+:mod:`repro.analysis.verify` provides an
 independent whole-schedule semantic verifier (with structured diagnostics
 from :mod:`repro.analysis.diagnostics` over the dependence graph built by
 :mod:`repro.analysis.deps`) and ``python -m repro.analysis.lint`` exposes it

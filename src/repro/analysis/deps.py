@@ -27,6 +27,8 @@ memory instruction.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -77,7 +79,9 @@ class DependenceGraph:
     """Result of :func:`build_dependence_graph`.
 
     It holds listing indices, not the kernel, so a graph pinned on its
-    kernel (:func:`pinned_dependence_graph`) forms no reference cycle.
+    kernel (:func:`pinned_dependence_graph`) forms no reference cycle and
+    fits every kernel object with the same listing.  Shared graphs are
+    read-only, ``cfg`` and ``stalls`` included.
     """
 
     cfg: ControlFlowInfo
@@ -610,20 +614,33 @@ def build_dependence_graph(
     return graph
 
 
+#: Digest of a listing -> the graph every live kernel with that listing shares.
+_SHARED_GRAPHS: weakref.WeakValueDictionary[str, DependenceGraph] = weakref.WeakValueDictionary()
+_SHARED_GRAPHS_LOCK = threading.Lock()
+
+
 def pinned_dependence_graph(kernel: SassKernel) -> DependenceGraph:
-    """The default (precise) dependence graph of ``kernel``, built once per object.
+    """The default (precise) dependence graph of ``kernel``'s listing, built once.
 
     The graph is pinned on the kernel object, like the simulator's decoded
-    program: kernels are immutable by replacement, so one attribute read
-    settles every later call.  The pin lives exactly as long as its kernel
-    (no LRU, no size bound) and :meth:`SassKernel.__getstate__` drops it, so
-    an unpickled copy rebuilds on first use.  The serving store audits every
-    hit against its stored seed's pin; the graph is read-only, so concurrent
-    audits may share it (two racing first calls each build one, and either
-    pin is correct).
+    program, so one attribute read settles every later call.  On a miss the
+    listing is looked up by :meth:`SassKernel.content_digest` among the graphs
+    pinned on live kernels, so every kernel object with the same listing
+    shares one graph for as long as any of them lives (no LRU, no size
+    bound).  :meth:`SassKernel.__getstate__` drops the pin, so an unpickled
+    copy shares or rebuilds on first use.  The env, the verify cascade and
+    the serving store's audits all read this graph; it is read-only, so
+    concurrent callers may share it (two racing first builds keep whichever
+    graph is registered first).
     """
     graph: DependenceGraph | None = kernel.__dict__.get("_dependence_graph")
     if graph is None:
-        graph = build_dependence_graph(kernel)
+        digest = kernel.content_digest()
+        with _SHARED_GRAPHS_LOCK:
+            graph = _SHARED_GRAPHS.get(digest)
+        if graph is None:
+            built = build_dependence_graph(kernel)
+            with _SHARED_GRAPHS_LOCK:
+                graph = _SHARED_GRAPHS.setdefault(digest, built)
         kernel.__dict__["_dependence_graph"] = graph
     return graph

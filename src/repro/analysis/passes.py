@@ -1,12 +1,12 @@
 """Pass manager bundling the pre-game static analyses (§3.2).
 
-``run_pre_game_analysis`` runs, in order:
+``run_pre_game_analysis`` gathers, in order:
 
-1. control-flow / basic-block construction;
-2. register def-use chains;
-3. stall-count resolution (built-in table, inference, denylist);
-4. embedding-table construction;
-5. memory-instruction (action candidate) enumeration.
+1. control-flow / basic-block construction and stall-count resolution
+   (built-in table, inference, denylist), read from the listing's shared
+   dependence graph (:func:`repro.analysis.deps.pinned_dependence_graph`);
+2. embedding-table construction;
+3. memory-instruction (action candidate) enumeration.
 
 The result object is what the assembly-game environment consumes.
 """
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import ControlFlowInfo, build_cfg
-from repro.analysis.defuse import DefUseChains, build_def_use
+from repro.analysis.cfg import ControlFlowInfo
+from repro.analysis.deps import pinned_dependence_graph
 from repro.analysis.memory_table import EmbeddingTables, build_embedding_tables
-from repro.analysis.stall_inference import StallInferenceResult, infer_stall_counts
-from repro.arch.latency_table import StallCountTable
+from repro.analysis.stall_inference import StallInferenceResult
 from repro.sass.kernel import SassKernel
 from repro.utils.logging import get_logger
 
@@ -31,8 +30,8 @@ class PreGameAnalysis:
     """Aggregated result of every pre-game pass for one kernel."""
 
     kernel: SassKernel
+    #: ``cfg`` and ``stalls`` are read-only: every kernel of the listing shares them.
     cfg: ControlFlowInfo
-    def_use: DefUseChains
     stalls: StallInferenceResult
     embedding: EmbeddingTables
     #: Listing indices of actionable memory instructions not on the denylist.
@@ -59,15 +58,10 @@ class PreGameAnalysis:
         }
 
 
-def run_pre_game_analysis(
-    kernel: SassKernel,
-    *,
-    stall_table: StallCountTable | None = None,
-) -> PreGameAnalysis:
+def run_pre_game_analysis(kernel: SassKernel) -> PreGameAnalysis:
     """Run every pre-game pass and assemble the result."""
-    cfg = build_cfg(kernel)
-    def_use = build_def_use(kernel, cfg)
-    stalls = infer_stall_counts(kernel, table=stall_table, cfg=cfg)
+    graph = pinned_dependence_graph(kernel)
+    cfg, stalls = graph.cfg, graph.stalls
     embedding = build_embedding_tables(kernel)
     candidates = [
         index
@@ -77,7 +71,6 @@ def run_pre_game_analysis(
     analysis = PreGameAnalysis(
         kernel=kernel,
         cfg=cfg,
-        def_use=def_use,
         stalls=stalls,
         embedding=embedding,
         candidate_indices=candidates,

@@ -42,7 +42,6 @@ from repro.analysis.deps import (
     pinned_dependence_graph,
 )
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity, make_diagnostic
-from repro.analysis.stall_inference import StallInferenceResult
 from repro.sass.instruction import Instruction, Label
 from repro.sass.kernel import SassKernel
 
@@ -96,19 +95,27 @@ def _describe(line: Instruction | Label) -> str:
 
 
 class ScheduleVerifier:
-    """Audits candidate schedules against a seed listing's dependence graph."""
+    """Audits candidate schedules against a seed listing's dependence graph.
+
+    By default it reads the seed listing's shared graph
+    (:func:`repro.analysis.deps.pinned_dependence_graph`); the conservative
+    alias mode builds its own, and ``graph`` overrides both.  The graph is
+    shared, but a verifier is not: :meth:`is_legal` writes scratch arrays.
+    """
 
     def __init__(
         self,
         seed: SassKernel,
         *,
         graph: DependenceGraph | None = None,
-        cfg: ControlFlowInfo | None = None,
-        stalls: StallInferenceResult | None = None,
         alias_mode: str = "precise",
     ):
         if graph is None:
-            graph = build_dependence_graph(seed, cfg=cfg, stalls=stalls, alias_mode=alias_mode)
+            graph = (
+                pinned_dependence_graph(seed)
+                if alias_mode == "precise"
+                else build_dependence_graph(seed, alias_mode=alias_mode)
+            )
         self.seed = seed
         self.graph = graph
         self.cfg = graph.cfg
@@ -602,20 +609,16 @@ def verify_schedule(
     seed: SassKernel,
     candidate: SassKernel | None = None,
     *,
-    graph: DependenceGraph | None = None,
-    stalls: StallInferenceResult | None = None,
     include_warnings: bool = True,
 ) -> VerificationResult:
     """One-shot audit of ``candidate`` (or the seed itself) against ``seed``.
 
-    With neither ``graph`` nor ``stalls`` given, the audit reads the graph
-    pinned on the seed object (:func:`repro.analysis.deps.pinned_dependence_graph`):
-    the first audit of a seed builds it and later audits reuse it.  Only the
-    graph is shared; every audit still maps the candidate and checks every
-    edge, every stall constraint and the scoreboard protocol.
+    The audit reads the seed listing's shared graph
+    (:func:`repro.analysis.deps.pinned_dependence_graph`): the first audit of
+    a listing no live kernel holds builds it and later audits reuse it.  Only
+    the graph is shared; every audit still maps the candidate and checks
+    every edge, every stall constraint and the scoreboard protocol.
     """
-    if graph is None and stalls is None:
-        graph = pinned_dependence_graph(seed)
-    verifier = ScheduleVerifier(seed, graph=graph, stalls=stalls)
+    verifier = ScheduleVerifier(seed)
     target = candidate if candidate is not None else seed
     return verifier.verify(target, include_warnings=include_warnings)

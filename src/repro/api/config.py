@@ -51,8 +51,6 @@ class PoolConfig:
     #: Share one measurement-memo table across all workers, so a schedule
     #: measured by one worker is a hit for every sibling on the same workload.
     share_memo: bool = True
-    #: Size bound of the shared memo table.
-    memo_max_entries: int = 65536
 
     def replace(self, **overrides) -> "PoolConfig":
         """A copy of this config with the given fields replaced."""
@@ -122,8 +120,6 @@ class ServeConfig:
     #: Idle workers steal queued (unpinned, backend-compatible) jobs from the
     #: tail of the deepest sibling queue instead of going idle.
     steal: bool = True
-    #: Only steal from a sibling still holding at least this many queued jobs.
-    steal_min_depth: int = 1
     #: Keep finished ``RunReport``\ s in a pool-level result store, keyed by
     #: the §4.2 cache key, so re-submitted jobs skip optimization entirely.
     result_store: bool = True

@@ -14,13 +14,13 @@ schedule seen across all episodes is tracked for deployment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.analysis.passes import PreGameAnalysis, run_pre_game_analysis
 from repro.analysis.verify import ScheduleVerifier
-from repro.arch.latency_table import StallCountTable
 from repro.core.actions import ActionSpace
 from repro.core.embedding import StateEmbedder
 from repro.core.masking import ActionMasker
@@ -61,7 +61,6 @@ class AssemblyGame(Env):
         *,
         episode_length: int = 32,
         policy: MeasurementPolicy | None = None,
-        stall_table: StallCountTable | None = None,
         inputs: dict | None = None,
         input_seed: int = 0,
     ):
@@ -101,9 +100,7 @@ class AssemblyGame(Env):
             # measurement below and every mutated candidate (which shares almost
             # all instruction objects with the baseline) decode against it.
             decode_program(self.initial_kernel)
-            self.analysis: PreGameAnalysis = run_pre_game_analysis(
-                self.initial_kernel, stall_table=stall_table
-            )
+            self.analysis: PreGameAnalysis = run_pre_game_analysis(self.initial_kernel)
             if not self.analysis.candidate_indices:
                 raise EnvironmentError_(
                     f"kernel {self.initial_kernel.metadata.name!r} has no actionable memory instructions"
@@ -132,7 +129,6 @@ class AssemblyGame(Env):
         #: Unmasked-but-invalid actions swallowed by :meth:`step`; a non-zero
         #: count from a mask-respecting agent means the masking has drifted.
         self.invalid_actions = 0
-        self._verifier: "ScheduleVerifier | None" = None
 
         self._kernel = self.initial_kernel
         self._previous_time_ms = self.baseline_time_ms
@@ -160,21 +156,16 @@ class AssemblyGame(Env):
         """Raw-measurement / memoization counters of the measurement service."""
         return self.measure_service.stats
 
-    @property
+    @functools.cached_property
     def verifier(self) -> ScheduleVerifier:
         """Whole-schedule semantic verifier over this env's seed listing.
 
-        Built lazily (and once) from the pre-game analysis; the searches use
-        its :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal` fast path
-        to prune statically-illegal candidates before measurement.
+        Built lazily (and once) over the graph the pre-game analysis read;
+        the searches use its
+        :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal` fast path to
+        prune statically-illegal candidates before measurement.
         """
-        if self._verifier is None:
-            self._verifier = ScheduleVerifier(
-                self.initial_kernel,
-                cfg=self.analysis.cfg,
-                stalls=self.analysis.stalls,
-            )
-        return self._verifier
+        return ScheduleVerifier(self.initial_kernel)
 
     def close(self) -> None:
         """Release the measurement service's workers (no-op for inline)."""

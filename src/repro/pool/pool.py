@@ -137,9 +137,7 @@ class SessionPool:
             raise ValueError("a SessionPool needs at least one backend")
         get_scheduler(pool_config.scheduler)  # fail fast on unknown names
         self.config = pool_config
-        self.shared_memo = (
-            SharedMemoTable(pool_config.memo_max_entries) if pool_config.share_memo else None
-        )
+        self.shared_memo = SharedMemoTable() if pool_config.share_memo else None
 
         base_cache = cache or CacheConfig()
         if cache_dir is not None:

@@ -740,13 +740,8 @@ class JobQueue:
         if not config.steal or self._closed:
             return None
         thief = self.pool.workers[index]
-        min_depth = max(1, config.steal_min_depth)
         victims = sorted(
-            (
-                victim
-                for victim in range(len(self._queues))
-                if victim != index and len(self._queues[victim]) >= min_depth
-            ),
+            (victim for victim, queue in enumerate(self._queues) if victim != index and queue),
             key=lambda victim: -len(self._queues[victim]),
         )
         for victim in victims:

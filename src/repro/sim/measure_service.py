@@ -69,9 +69,6 @@ class MeasurementPolicy:
     backend: str = "inline"
     #: Workers of the ``"process"`` backend; ``None`` picks a default.
     max_workers: int | None = None
-    #: Start method of the ``"process"`` backend (``"fork"``, ``"spawn"``,
-    #: ``"forkserver"``); ``None`` prefers ``fork`` where available.
-    mp_context: str | None = None
     #: Dedup repeated schedules by content digest before hitting the simulator.
     memoize: bool = False
     #: Cross-session memo table (see :class:`repro.pool.SharedMemoTable`);
@@ -287,8 +284,8 @@ def _process_measure(metadata: KernelMetadata, texts: tuple[str, ...]) -> Kernel
     )
 
 
-def _resolve_mp_context(method: str | None):
-    """A multiprocessing context: the requested method, else a safe default.
+def _resolve_mp_context():
+    """A multiprocessing context for the process backend's workers.
 
     ``fork`` is preferred where available because the worker processes inherit
     the imported package instead of re-importing it on every pool start — but
@@ -296,11 +293,8 @@ def _resolve_mp_context(method: str | None):
     (e.g. a ``SessionPool`` running shards on worker threads) can clone locks
     in a held state and deadlock the child.  With threads live we fall back to
     ``forkserver`` (workers fork from a clean single-threaded server, at the
-    cost of re-importing the package when the workload unpickles); callers who
-    know better can pin the method via ``MeasurementPolicy.mp_context``.
+    cost of re-importing the package when the workload unpickles).
     """
-    if method is not None:
-        return multiprocessing.get_context(method)
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:
         return multiprocessing.get_context("fork")
@@ -327,7 +321,7 @@ class ProcessMeasurementBackend(_WorkloadMeasurer):
         workload = (self.simulator, self.grid, self.tensors, self.param_order, self.measurement)
         self._pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
-            mp_context=_resolve_mp_context(policy.mp_context),
+            mp_context=_resolve_mp_context(),
             initializer=_process_worker_init,
             initargs=(workload,),
         )

@@ -619,7 +619,8 @@ def http_stack(tmp_path):
     with _single_worker_pool() as pool:
         with RemoteApp(pool, remote=remote) as app:
             with RemoteServer(app) as server:  # port 0 -> ephemeral
-                yield RemoteClient(server.url, tenant="pytest"), app
+                with RemoteClient(server.url, tenant="pytest") as client:
+                    yield client, app
 
 
 def test_http_submit_stream_result(http_stack):
@@ -775,8 +776,8 @@ def test_http_stream_drop_fault(tmp_path):
                 client = RemoteClient(server.url)
                 handle = client.submit("softmax", strategy="remote-block")
                 assert _STARTED.wait(timeout=30)
-                # HTTP/1.0 responses are close-delimited, so the injected
-                # drop reads as a clean, truncated stream: queued only.
+                # SSE streams are close-delimited, so the injected drop
+                # reads as a clean, truncated stream: queued only.
                 truncated = list(handle.events())
                 assert [event["kind"] for event in truncated] == ["queued"]
                 _GATE.set()
@@ -789,14 +790,6 @@ def test_http_stream_drop_fault(tmp_path):
 # ---------------------------------------------------------------------------
 # HTTP keep-alive: one connection per client thread
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def kept_alive(http_stack):
-    """``http_stack``, with its client's connections closed at teardown."""
-    client, app = http_stack
-    with client:
-        yield client, app
-
-
 @pytest.fixture()
 def accepted(monkeypatch):
     """Client addresses of the connections the server accepts, in order."""
@@ -811,8 +804,8 @@ def accepted(monkeypatch):
     return addresses
 
 
-def test_http_keepalive_one_connection_per_thread(kept_alive, accepted):
-    client, _app = kept_alive
+def test_http_keepalive_one_connection_per_thread(http_stack, accepted):
+    client, _app = http_stack
     assert client.healthy()
     handle = client.submit("softmax")
     assert handle.result(timeout=300).kernel == "softmax"
@@ -823,8 +816,8 @@ def test_http_keepalive_one_connection_per_thread(kept_alive, accepted):
     assert len(accepted) == 1
 
 
-def test_http_keepalive_threads_get_their_own_connections(kept_alive, accepted):
-    client, _app = kept_alive
+def test_http_keepalive_threads_get_their_own_connections(http_stack, accepted):
+    client, _app = http_stack
     kernels = {"reader-a": "softmax", "reader-b": "rmsnorm"}
     barrier = threading.Barrier(len(kernels))
     seen: dict[str, list] = {name: [] for name in kernels}
@@ -856,9 +849,9 @@ def test_http_keepalive_threads_get_their_own_connections(kept_alive, accepted):
 
 
 def test_http_unread_request_bodies_do_not_poison_the_connection(
-    kept_alive, accepted, monkeypatch
+    http_stack, accepted, monkeypatch
 ):
-    client, app = kept_alive
+    client, app = http_stack
     with pytest.raises(KeyError):
         client._request("POST", "/no/such/route", {"kernel": "softmax", "pad": "x" * 512})
     assert client.healthy()
@@ -872,8 +865,8 @@ def test_http_unread_request_bodies_do_not_poison_the_connection(
     assert len(accepted) == 2
 
 
-def test_http_unreadable_content_length_answers_400_and_closes(kept_alive):
-    client, _app = kept_alive
+def test_http_unreadable_content_length_answers_400_and_closes(http_stack):
+    client, _app = http_stack
     address = urlsplit(client.base_url)
     for declared in ("99999999999", "-5", "twelve"):
         raw = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
@@ -889,8 +882,8 @@ def test_http_unreadable_content_length_answers_400_and_closes(kept_alive):
             raw.close()
 
 
-def test_http_request_after_an_sse_stream(kept_alive, accepted):
-    client, _app = kept_alive
+def test_http_request_after_an_sse_stream(http_stack, accepted):
+    client, _app = http_stack
     handle = client.submit("softmax")
     assert [event["kind"] for event in handle.events()][-1] == "done"
     assert client.status(handle.job_id).status is JobStatus.DONE
@@ -899,8 +892,8 @@ def test_http_request_after_an_sse_stream(kept_alive, accepted):
     assert len(accepted) == 2
 
 
-def test_http_timed_out_request_leaves_the_next_one_working(kept_alive, accepted):
-    client, _app = kept_alive
+def test_http_timed_out_request_leaves_the_next_one_working(http_stack, accepted):
+    client, _app = http_stack
     blocker = client.submit("softmax", strategy="remote-block")
     assert _STARTED.wait(timeout=30)
     with pytest.raises(TimeoutError):
@@ -916,8 +909,8 @@ def test_http_timed_out_request_leaves_the_next_one_working(kept_alive, accepted
     blocker.result(timeout=300)
 
 
-def test_client_close_ends_every_thread_connection(kept_alive, accepted):
-    client, _app = kept_alive
+def test_client_close_ends_every_thread_connection(http_stack, accepted):
+    client, _app = http_stack
     answered, closed = threading.Event(), threading.Event()
     answers = []
 

@@ -1,13 +1,15 @@
-"""The serving store's hit audit and the dependence graph pinned on each seed.
+"""One analysis per seed listing, and the serving store's hit audit.
 
-Every result-store hit is re-audited with
-:func:`repro.analysis.verify.verify_schedule` against the seed its schedule
-was optimized from.  The seed's dependence graph is built on the first audit
-and pinned on the seed object (:func:`repro.analysis.deps.pinned_dependence_graph`);
-each later audit still maps the candidate and checks every edge, stall
-constraint and the scoreboard protocol.  These tests hold the pin to a fresh
-audit: one build per seed, identical verdicts after poisoning, pickling and
-concurrent use.
+A seed listing's CFG, stall inference and dependence graph are built once
+and pinned on the seed object
+(:func:`repro.analysis.deps.pinned_dependence_graph`); every live kernel
+object with the same listing shares that graph.  The env's pre-game analysis
+and ``is_legal`` pre-filter, the verify cascade and every result-store hit
+audit (:func:`repro.analysis.verify.verify_schedule`) read it, and each audit
+still maps the candidate and checks every edge, stall constraint and the
+scoreboard protocol.  These tests count the analyses a job runs and hold
+shared audits to independent ones: identical verdicts after poisoning,
+pickling and concurrent use.
 """
 
 import dataclasses
@@ -18,11 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.analysis.cfg as cfg_module
+import repro.analysis.defuse as defuse_module
 import repro.analysis.deps as deps_module
-import repro.analysis.verify as verify_module
+import repro.analysis.stall_inference as stall_module
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
-from repro.analysis.verify import verify_schedule
-from repro.api import CacheConfig, OptimizationConfig
+from repro.analysis.deps import build_dependence_graph
+from repro.analysis.verify import ScheduleVerifier, verify_schedule
+from repro.api import CacheConfig, OptimizationConfig, Session
+from repro.core.env import AssemblyGame
 from repro.errors import SassError
 from repro.pool import SessionPool
 from repro.sass import SassKernel
@@ -30,12 +36,27 @@ from repro.triton.compiler import compile_spec
 from repro.triton.spec import get_spec
 
 _CONFIG = OptimizationConfig(scale="test", strategy="greedy", search_budget=4, autotune=False)
+_PPO_CONFIG = OptimizationConfig(
+    scale="test", strategy="ppo", episode_length=4, train_timesteps=8, autotune=False
+)
 _NO_CACHE = CacheConfig(enabled=False)
+#: The analyses of a seed listing, by the module that defines each.
+_ANALYSES = {
+    "build_dependence_graph": deps_module,
+    "build_cfg": cfg_module,
+    "infer_stall_counts": stall_module,
+    "build_def_use": defuse_module,
+}
 
 
-def _unpinned(kernel: SassKernel) -> SassKernel:
-    """A new kernel object with the same line objects and no pins."""
-    return SassKernel(kernel.lines, kernel.metadata)
+def _fresh(kernel: SassKernel, tag: str) -> SassKernel:
+    """The same lines under a name of their own: a listing no live kernel holds."""
+    return kernel.with_metadata(name=f"{kernel.metadata.name}-{tag}")
+
+
+def _independent_verifier(seed: SassKernel) -> ScheduleVerifier:
+    """A verifier over a graph of its own, shared with no other caller."""
+    return ScheduleVerifier(seed, graph=build_dependence_graph(seed))
 
 
 def _audits(seed: SassKernel) -> list[SassKernel]:
@@ -49,19 +70,97 @@ def _audits(seed: SassKernel) -> list[SassKernel]:
     return candidates
 
 
-@pytest.fixture
-def count_graph_builds(monkeypatch):
-    """Count dependence-graph builds, however the verifier reaches them."""
-    calls = []
-    original = deps_module.build_dependence_graph
-
+def _counting(original, calls: list):
     def counting(*args, **kwargs):
         calls.append(args[0] if args else kwargs["kernel"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(deps_module, "build_dependence_graph", counting)
-    monkeypatch.setattr(verify_module, "build_dependence_graph", counting)
+    return counting
+
+
+@pytest.fixture
+def count_analyses(monkeypatch):
+    """The kernel of every call of each seed analysis, wherever it is bound."""
+    calls = {name: [] for name in _ANALYSES}
+    for name, home in _ANALYSES.items():
+        original = getattr(home, name)
+        counting = _counting(original, calls[name])
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "repro" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _counts(calls: dict) -> dict[str, int]:
+    return {name: len(kernels) for name, kernels in calls.items()}
+
+
+def _forget(calls: dict) -> None:
+    """Drop the counted calls and the kernels they keep alive."""
+    for kernels in calls.values():
+        kernels.clear()
+
+
+# The job tests below each compile shapes no other test compiles, so no live
+# kernel holds their listing when they start.
+@pytest.mark.parametrize(
+    "config, kernel, shapes",
+    [
+        (_CONFIG, "mmLeakyReLu", {"B": 1, "M": 64, "N": 32, "K": 320}),
+        (_PPO_CONFIG, "rmsnorm", {"n_rows": 2, "hidden": 1280}),
+    ],
+    ids=["greedy", "ppo"],
+)
+def test_a_job_on_a_fresh_listing_analyzes_it_once(count_analyses, config, kernel, shapes):
+    with Session("A100-sim", config=config, cache=_NO_CACHE) as session:
+        report = session.optimize(kernel, shapes=shapes, store=False)
+    assert report.verified is True
+    assert _counts(count_analyses) == {
+        "build_dependence_graph": 1,
+        "build_cfg": 1,
+        "infer_stall_counts": 1,
+        "build_def_use": 0,
+    }
+
+
+def test_a_second_key_of_a_live_listing_builds_nothing(count_analyses):
+    with Session("A100-sim", config=_CONFIG, cache=_NO_CACHE) as session:
+        first = session.optimize(
+            "mmLeakyReLu", shapes={"B": 1, "M": 64, "N": 32, "K": 448}, store=False
+        )
+        seed = first.artifact.compiled.kernel
+        _forget(count_analyses)
+        second = session.optimize(
+            "mmLeakyReLu", shapes={"B": 1, "M": 128, "N": 32, "K": 448}, store=False
+        )
+    other = second.artifact.compiled.kernel
+    assert other is not seed and other.content_digest() == seed.content_digest()
+    assert second.verified is True
+    assert _counts(count_analyses) == dict.fromkeys(_ANALYSES, 0)
+
+
+def test_the_verify_cascade_reads_the_env_graph(monkeypatch):
+    envs, verifiers = [], []
+    game_init, verifier_init = AssemblyGame.__init__, ScheduleVerifier.__init__
+
+    def recording_game(self, *args, **kwargs):
+        game_init(self, *args, **kwargs)
+        envs.append(self)
+
+    def recording_verifier(self, *args, **kwargs):
+        verifier_init(self, *args, **kwargs)
+        verifiers.append(self)
+
+    monkeypatch.setattr(AssemblyGame, "__init__", recording_game)
+    monkeypatch.setattr(ScheduleVerifier, "__init__", recording_verifier)
+    with Session("A100-sim", config=_CONFIG, cache=_NO_CACHE) as session:
+        report = session.optimize(
+            "mmLeakyReLu", shapes={"B": 1, "M": 64, "N": 32, "K": 192}, store=False
+        )
+    assert report.verified is True
+    (env,) = envs
+    cascade = [verifier for verifier in verifiers if verifier is not env.verifier]
+    assert cascade and all(verifier.graph is env.verifier.graph for verifier in cascade)
 
 
 def _warm_queue(pool):
@@ -72,16 +171,18 @@ def _warm_queue(pool):
     return queue, first.record().cache_key
 
 
-def test_store_hits_of_one_key_build_the_seed_graph_once(count_graph_builds):
+def test_store_hits_of_one_key_build_the_seed_graph_once(count_analyses):
+    builds = count_analyses["build_dependence_graph"]
     with SessionPool(["A100-sim"], config=_CONFIG, cache=_NO_CACHE) as pool:
         queue, key = _warm_queue(pool)
         seed = queue.store.get(key).artifact.compiled.kernel
-        count_graph_builds.clear()  # the optimizing run's own verifiers
+        assert "_dependence_graph" in seed.__dict__  # the optimizing job pinned it
+        builds.clear()
         for _ in range(5):
             handle = queue.submit("softmax")
             handle.result(timeout=300)
             assert handle.record().from_store is True
-        assert len(count_graph_builds) == 1 and count_graph_builds[0] is seed
+        assert builds == []
         assert queue.store.stats.invalidations == 0
 
 
@@ -93,12 +194,13 @@ def test_poisoned_entry_after_a_pinned_hit_is_still_invalidated():
         assert clean.record().from_store is True
         hit = queue.store.get(key)
         seed = hit.artifact.compiled.kernel
-        assert "_dependence_graph" in seed.__dict__  # the clean hit pinned it
+        assert "_dependence_graph" in seed.__dict__
 
-        # Poison the stored schedule; rule codes come from an unpinned audit.
+        # Poison the stored schedule; rule codes come from an independent audit.
+        verifier = _independent_verifier(seed)
         bad_kernel, expected_rules = None, ()
         for candidate in _audits(hit.artifact.optimized.kernel)[1:]:
-            fresh = verify_schedule(_unpinned(seed), candidate, include_warnings=False)
+            fresh = verifier.verify(candidate, include_warnings=False)
             if not fresh.ok:
                 bad_kernel = candidate
                 expected_rules = tuple(sorted({diag.rule for diag in fresh.errors}))
@@ -120,8 +222,9 @@ def test_poisoned_entry_after_a_pinned_hit_is_still_invalidated():
         assert queue.store.stats.invalidations == 1
 
 
-def test_pickled_seed_drops_the_pin_and_audits_identically():
-    seed = compile_spec(get_spec("bmm"), scale="test").kernel
+def test_pickled_seed_drops_the_pin_and_audits_identically(count_analyses):
+    builds = count_analyses["build_dependence_graph"]
+    seed = _fresh(compile_spec(get_spec("bmm"), scale="test").kernel, "pickled")
     candidates = _audits(seed)
     before = [verify_schedule(seed, c).summary() for c in candidates]
     assert "_dependence_graph" in seed.__dict__
@@ -129,17 +232,22 @@ def test_pickled_seed_drops_the_pin_and_audits_identically():
     # One pickle keeps the seed and its swaps sharing line objects.
     seed_copy, *copies = pickle.loads(pickle.dumps([seed, *candidates]))
     assert "_dependence_graph" not in seed_copy.__dict__
+    # With the original gone, no live kernel holds the listing's graph.
+    _forget(count_analyses)
+    del seed, candidates
     after = [verify_schedule(seed_copy, c).summary() for c in copies]
     assert after == before
+    assert len(builds) == 1 and builds[0] is seed_copy
     assert any(not summary["ok"] for summary in before)  # the swaps reach errors
 
 
-def test_concurrent_audits_of_one_seed_match_a_serial_audit():
+def test_concurrent_audits_of_one_seed_match_a_serial_audit(count_analyses):
+    builds = count_analyses["build_dependence_graph"]
     compiled = compile_spec(get_spec("mmLeakyReLu"), scale="test").kernel
-    seed = _unpinned(compiled)
+    seed = _fresh(compiled, "concurrent")
     candidates = _audits(seed)
-    serial_seed = _unpinned(compiled)
-    serial = [verify_schedule(serial_seed, c).summary() for c in candidates]
+    serial_verifier = _independent_verifier(seed)
+    serial = [serial_verifier.verify(c).summary() for c in candidates]
     threads = 4  # more than the cores of a small CI runner
     start = threading.Barrier(threads)
 
@@ -156,4 +264,7 @@ def test_concurrent_audits_of_one_seed_match_a_serial_audit():
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial] * threads
-    assert "_dependence_graph" in seed.__dict__
+    assert builds and all(kernel is seed for kernel in builds)  # a real first build
+    # However the builds raced, one graph is pinned and shared by the listing.
+    shared = seed.__dict__["_dependence_graph"]
+    assert deps_module.pinned_dependence_graph(_fresh(compiled, "concurrent")) is shared

@@ -32,9 +32,7 @@ def _walk_state(workload: str):
         analysis = run_pre_game_analysis(kernel)
         space = ActionSpace(kernel, analysis.candidate_indices)
         masker = ActionMasker(space, analysis.stalls)
-        verifier = ScheduleVerifier(
-            kernel, cfg=analysis.cfg, stalls=analysis.stalls
-        )
+        verifier = ScheduleVerifier(kernel)
         _STATE[workload] = (kernel, space, masker, verifier)
     return _STATE[workload]
 
