@@ -17,8 +17,9 @@ Four scenarios are timed per workload:
   agent moves per second (act + mask + step + embed), training with the
   ``ppo-short`` preset's settings on a memoizing measurement service.
 * **store_audit** — the serving store's static audit of one hit: the median
-  milliseconds of a cold audit (which builds the seed's dependence graph)
-  and of a repeat audit (which reads the graph pinned on the seed).
+  milliseconds of a cold audit (which builds the seed's dependence graph and
+  verifier) and of a repeat audit (which reads the verifier pinned on the
+  seed).
 * **functional** — one whole-grid ``GPUSimulator.run`` (the output check's
   cost per run) against the frozen seed runner
   (:class:`~repro.sim._reference_sm.ReferenceFunctionalRunner`) on the same
@@ -47,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 import repro.triton.kernels  # noqa: F401 - registers the workload specs
-from repro.analysis.deps import build_dependence_graph
 from repro.analysis.verify import ScheduleVerifier, verify_schedule
 from repro.api import CacheConfig, OptimizationConfig, RemoteConfig
 from repro.api.presets import preset_spec
@@ -191,14 +191,14 @@ def bench_static_pruner(kernel, candidates: list) -> dict:
     Overhead is billed the way the search pays it: the dependence graph (and
     the precise mode's alias context) is built *once* per seed listing and
     reused for every candidate the whole search generates, so it is reported
-    separately as ``graph_build_seconds``, timed as a cold build (the env
-    that found the candidates already holds the listing's shared graph); the
-    recurring cost is the vectorized ``is_legal`` pre-filter, reported per
-    candidate and as a percentage of measuring one candidate
-    (``overhead_pct``).
+    separately as ``graph_build_seconds``, timed as a cold build (a verifier
+    built directly builds a graph of its own, while the env that found the
+    candidates holds the listing's shared verifier); the recurring cost is
+    the vectorized ``is_legal`` pre-filter, reported per candidate and as a
+    percentage of measuring one candidate (``overhead_pct``).
     """
     build_start = time.perf_counter()
-    precise = ScheduleVerifier(kernel, graph=build_dependence_graph(kernel))
+    precise = ScheduleVerifier(kernel)
     graph_build = time.perf_counter() - build_start
     for candidate in candidates:  # warm any lazy state before timing
         precise.is_legal(candidate)
@@ -353,16 +353,16 @@ def bench_store_audit(kernel: SassKernel, rounds: int = STORE_AUDIT_ROUNDS) -> d
 
     The serving store audits every hit with ``verify_schedule`` against the
     stored seed.  The first audit of a listing no live kernel holds builds
-    its dependence graph and pins it; a repeat audit reads the pin and only
-    maps and checks the candidate, here the seed's own schedule.  ``kernel``
-    may already share its listing's graph (any env over it pinned one), so a
-    cold audit builds a graph of its own explicitly.  Cold and repeat audits
-    alternate, so a slow spell of the host hits both.
+    its dependence graph and verifier and pins the verifier on the seed; a
+    repeat audit reads the pinned verifier and only maps and checks the
+    candidate, here the seed's own schedule.  ``kernel`` may already share
+    its listing's verifier (any env over it pinned one), so a cold audit
+    builds a ``ScheduleVerifier`` directly, which builds a graph of its own.
+    Cold and repeat audits alternate, so a slow spell of the host hits both.
     """
 
     def cold_audit(seed: SassKernel) -> None:
-        verifier = ScheduleVerifier(seed, graph=build_dependence_graph(seed))
-        verifier.verify(kernel, include_warnings=False)
+        ScheduleVerifier(seed).verify(kernel, include_warnings=False)
 
     def pinned_audit(seed: SassKernel) -> None:
         verify_schedule(seed, kernel, include_warnings=False)

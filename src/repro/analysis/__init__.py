@@ -10,14 +10,16 @@ the disassembled SASS listing:
   inferred from the original (always-valid) schedule, or deny-listed;
 * the operand/memory tables used by the state embedding.
 
-The first two are read from the seed listing's dependence graph
-(:mod:`repro.analysis.deps`), which is built once and shared by every live
-kernel object with that listing.  On top of the pre-game passes,
-:mod:`repro.analysis.verify` provides an
+On top of the pre-game passes, :mod:`repro.analysis.verify` provides an
 independent whole-schedule semantic verifier (with structured diagnostics
 from :mod:`repro.analysis.diagnostics` over the dependence graph built by
 :mod:`repro.analysis.deps`) and ``python -m repro.analysis.lint`` exposes it
-as a linter for CI.
+as a linter for CI.  Each seed listing has one read-only verifier
+(:func:`~repro.analysis.verify.seed_verifier`), built once and shared by
+every live kernel object with that listing: the pre-game passes read the
+CFG and stall inference from its graph, and the env's ``is_legal``
+pre-filter, the verify cascade, the lint CLI and every serving-store audit
+read the verifier itself.
 
 The precision dataflow layer adds three passes on top:
 
@@ -66,6 +68,7 @@ from repro.analysis.verify import (
     ScheduleVerifier,
     VerificationResult,
     check_scoreboard_protocol,
+    seed_verifier,
     verify_schedule,
 )
 
@@ -109,5 +112,6 @@ __all__ = [
     "ScheduleVerifier",
     "VerificationResult",
     "check_scoreboard_protocol",
+    "seed_verifier",
     "verify_schedule",
 ]

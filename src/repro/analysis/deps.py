@@ -27,8 +27,6 @@ memory instruction.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -78,10 +76,10 @@ class StallConstraint:
 class DependenceGraph:
     """Result of :func:`build_dependence_graph`.
 
-    It holds listing indices, not the kernel, so a graph pinned on its
-    kernel (:func:`pinned_dependence_graph`) forms no reference cycle and
-    fits every kernel object with the same listing.  Shared graphs are
-    read-only, ``cfg`` and ``stalls`` included.
+    It holds listing indices, not the kernel, so it fits every kernel object
+    with the same listing.  The graph of a listing's shared verifier
+    (:func:`repro.analysis.verify.seed_verifier`) is read-only, ``cfg`` and
+    ``stalls`` included.
     """
 
     cfg: ControlFlowInfo
@@ -611,36 +609,4 @@ def build_dependence_graph(
         )
         graph.denylist_slack[index] = slack
 
-    return graph
-
-
-#: Digest of a listing -> the graph every live kernel with that listing shares.
-_SHARED_GRAPHS: weakref.WeakValueDictionary[str, DependenceGraph] = weakref.WeakValueDictionary()
-_SHARED_GRAPHS_LOCK = threading.Lock()
-
-
-def pinned_dependence_graph(kernel: SassKernel) -> DependenceGraph:
-    """The default (precise) dependence graph of ``kernel``'s listing, built once.
-
-    The graph is pinned on the kernel object, like the simulator's decoded
-    program, so one attribute read settles every later call.  On a miss the
-    listing is looked up by :meth:`SassKernel.content_digest` among the graphs
-    pinned on live kernels, so every kernel object with the same listing
-    shares one graph for as long as any of them lives (no LRU, no size
-    bound).  :meth:`SassKernel.__getstate__` drops the pin, so an unpickled
-    copy shares or rebuilds on first use.  The env, the verify cascade and
-    the serving store's audits all read this graph; it is read-only, so
-    concurrent callers may share it (two racing first builds keep whichever
-    graph is registered first).
-    """
-    graph: DependenceGraph | None = kernel.__dict__.get("_dependence_graph")
-    if graph is None:
-        digest = kernel.content_digest()
-        with _SHARED_GRAPHS_LOCK:
-            graph = _SHARED_GRAPHS.get(digest)
-        if graph is None:
-            built = build_dependence_graph(kernel)
-            with _SHARED_GRAPHS_LOCK:
-                graph = _SHARED_GRAPHS.setdefault(digest, built)
-        kernel.__dict__["_dependence_graph"] = graph
     return graph

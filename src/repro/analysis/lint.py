@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.analysis.funcdiff import audit_control_roundtrip
 from repro.analysis.liveness import pressure_report
-from repro.analysis.verify import ScheduleVerifier, VerificationResult
+from repro.analysis.verify import VerificationResult, seed_verifier
 from repro.sass.kernel import SassKernel
 
 #: Linter exit codes (also the CLI contract tested in ``tests/test_lint_cli.py``).
@@ -109,7 +109,7 @@ def _lint_one(
     quiet: bool,
     pressure: bool = False,
 ) -> VerificationResult:
-    verifier = ScheduleVerifier(seed)
+    verifier = seed_verifier(seed)
     if schedule is None:
         target = seed
         result = verifier.lint_seed()

@@ -3,8 +3,8 @@
 ``run_pre_game_analysis`` gathers, in order:
 
 1. control-flow / basic-block construction and stall-count resolution
-   (built-in table, inference, denylist), read from the listing's shared
-   dependence graph (:func:`repro.analysis.deps.pinned_dependence_graph`);
+   (built-in table, inference, denylist), read from the dependence graph of
+   the listing's shared verifier (:func:`repro.analysis.verify.seed_verifier`);
 2. embedding-table construction;
 3. memory-instruction (action candidate) enumeration.
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import ControlFlowInfo
-from repro.analysis.deps import pinned_dependence_graph
 from repro.analysis.memory_table import EmbeddingTables, build_embedding_tables
 from repro.analysis.stall_inference import StallInferenceResult
+from repro.analysis.verify import seed_verifier
 from repro.sass.kernel import SassKernel
 from repro.utils.logging import get_logger
 
@@ -60,7 +60,7 @@ class PreGameAnalysis:
 
 def run_pre_game_analysis(kernel: SassKernel) -> PreGameAnalysis:
     """Run every pre-game pass and assemble the result."""
-    graph = pinned_dependence_graph(kernel)
+    graph = seed_verifier(kernel).graph
     cfg, stalls = graph.cfg, graph.stalls
     embedding = build_embedding_tables(kernel)
     candidates = [

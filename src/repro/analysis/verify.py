@@ -25,22 +25,30 @@ warning severity so the guarantee holds both ways.
 The fast path :meth:`ScheduleVerifier.is_legal` runs only the
 error-severity order/stall checks on vectorized edge tables; it is cheap
 enough to pre-filter candidates ahead of simulator measurement.
+
+Each seed listing has one verifier: :func:`seed_verifier` builds it on first
+use, pins it on the kernel object and shares it, by
+:meth:`~repro.sass.kernel.SassKernel.content_digest`, with every live kernel
+of the same listing.  The env's pre-game analysis and ``is_legal``
+pre-filter, the verify cascade, the lint CLI and every serving-store hit
+audit (:func:`verify_schedule`) read that one object.  A verifier is
+read-only once built: its tables are non-writeable arrays and every call
+allocates its own working arrays, so threads may share it.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.analysis.cfg import ControlFlowInfo, build_cfg
-from repro.analysis.deps import (
-    DependenceGraph,
-    build_dependence_graph,
-    pinned_dependence_graph,
-)
+from repro.analysis.deps import DependenceGraph, build_dependence_graph
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity, make_diagnostic
 from repro.sass.instruction import Instruction, Label
 from repro.sass.kernel import SassKernel
@@ -94,14 +102,34 @@ def _describe(line: Instruction | Label) -> str:
     return line.opcode
 
 
+def _read_only(values: list[int] | np.ndarray) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
 class ScheduleVerifier:
     """Audits candidate schedules against a seed listing's dependence graph.
 
-    By default it reads the seed listing's shared graph
-    (:func:`repro.analysis.deps.pinned_dependence_graph`); the conservative
-    alias mode builds its own, and ``graph`` overrides both.  The graph is
-    shared, but a verifier is not: :meth:`is_legal` writes scratch arrays.
+    ``ScheduleVerifier(seed)`` builds a graph of its own for ``alias_mode``,
+    and ``graph`` supplies one instead; callers auditing a seed's schedules
+    read the listing's shared verifier through :func:`seed_verifier`.  The
+    verifier keeps the seed's ``lines`` and ``metadata`` but not the kernel,
+    so pinning it on that kernel makes no reference cycle.  It is read-only
+    once built, so threads may share it.
     """
+
+    # Slots keep the shared verifier and the per-kernel copies
+    # ``seed_verifier`` makes in one attribute layout: without them
+    # ``copy.copy`` leaves both dict-backed, and mixing those with fresh
+    # instances made every ``is_legal`` call slower.
+    __slots__ = (
+        "graph", "cfg", "stalls", "lines", "metadata", "_num_lines", "_seed_id_to_index",
+        "_boundary_indices", "_boundary_renders", "_boundary_set", "_block_of_seed",
+        "_seed_stalls", "_identity_pos", "_error_edges", "_warning_edges", "_err_src",
+        "_err_dst", "_warn_src", "_warn_dst", "_constraints", "_con_prod", "_con_cons",
+        "_con_min", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -111,19 +139,13 @@ class ScheduleVerifier:
         alias_mode: str = "precise",
     ):
         if graph is None:
-            graph = (
-                pinned_dependence_graph(seed)
-                if alias_mode == "precise"
-                else build_dependence_graph(seed, alias_mode=alias_mode)
-            )
-        self.seed = seed
+            graph = build_dependence_graph(seed, alias_mode=alias_mode)
         self.graph = graph
         self.cfg = graph.cfg
         self.stalls = graph.stalls
 
         lines = seed.lines
         self._num_lines = len(lines)
-        self._seed_id_to_index = {id(line): i for i, line in enumerate(lines)}
         #: Lines that must not move: labels and synchronizing instructions.
         self._boundary_indices = [
             i
@@ -133,13 +155,14 @@ class ScheduleVerifier:
         self._boundary_renders = [lines[i].render() for i in self._boundary_indices]
         self._boundary_set = frozenset(self._boundary_indices)
         #: Block index per seed line (-1 for labels), for cross-block detection.
-        self._block_of_seed = np.full(self._num_lines, -1, dtype=np.int64)
+        block_of_seed = np.full(self._num_lines, -1, dtype=np.int64)
         for line_index, block_index in self.cfg.block_of_line.items():
-            self._block_of_seed[line_index] = block_index
-        self._seed_stalls = np.array(
-            [line.control.stall if isinstance(line, Instruction) else 0 for line in lines],
-            dtype=np.int64,
+            block_of_seed[line_index] = block_index
+        self._block_of_seed = _read_only(block_of_seed)
+        self._seed_stalls = _read_only(
+            [line.control.stall if isinstance(line, Instruction) else 0 for line in lines]
         )
+        self._identity_pos = _read_only(np.arange(self._num_lines))
 
         # Vectorized edge tables, split by severity.
         error_edges = []
@@ -150,24 +173,24 @@ class ScheduleVerifier:
             )
         self._error_edges = error_edges
         self._warning_edges = warning_edges
-        self._err_src = np.array([e.src for e in error_edges], dtype=np.int64)
-        self._err_dst = np.array([e.dst for e in error_edges], dtype=np.int64)
-        self._warn_src = np.array([e.src for e in warning_edges], dtype=np.int64)
-        self._warn_dst = np.array([e.dst for e in warning_edges], dtype=np.int64)
+        self._err_src = _read_only([e.src for e in error_edges])
+        self._err_dst = _read_only([e.dst for e in error_edges])
+        self._warn_src = _read_only([e.src for e in warning_edges])
+        self._warn_dst = _read_only([e.dst for e in warning_edges])
 
         # Vectorized stall-constraint tables (Algorithm 1).
         constraints = graph.stall_constraints
         self._constraints = constraints
-        self._con_prod = np.array([c.producer for c in constraints], dtype=np.int64)
-        self._con_cons = np.array([c.consumer for c in constraints], dtype=np.int64)
-        self._con_min = np.array([c.min_stall for c in constraints], dtype=np.int64)
+        self._con_prod = _read_only([c.producer for c in constraints])
+        self._con_cons = _read_only([c.consumer for c in constraints])
+        self._con_min = _read_only([c.min_stall for c in constraints])
+        self._bind(seed)
 
-        # Scratch state for the is_legal hot path (not thread-safe; each
-        # search loop owns its verifier).  Every entry is overwritten per
-        # call because pos is always a full permutation.
-        self._identity_pos = np.arange(self._num_lines, dtype=np.int64)
-        self._stall_scratch = np.zeros(self._num_lines, dtype=np.int64)
-        self._prefix_scratch = np.zeros(self._num_lines + 1, dtype=np.int64)
+    def _bind(self, seed: SassKernel) -> None:
+        #: The seed's lines, which candidates are matched against by identity.
+        self.lines = seed.lines
+        self.metadata = seed.metadata
+        self._seed_id_to_index = {id(line): i for i, line in enumerate(self.lines)}
 
     # ------------------------------------------------------------------
     # Structural mapping
@@ -182,7 +205,7 @@ class ScheduleVerifier:
         rendered text: the i-th occurrence of a rendering in the candidate
         block pairs with the i-th occurrence in the seed block.
         """
-        seed_lines = self.seed.lines
+        seed_lines = self.lines
         cand_lines = candidate.lines
         if len(cand_lines) != len(seed_lines):
             diagnostics.append(
@@ -296,7 +319,7 @@ class ScheduleVerifier:
         return pos
 
     def _render_exists_elsewhere(self, render: str, block_index: int) -> bool:
-        for i, line in enumerate(self.seed.lines):
+        for i, line in enumerate(self.lines):
             if self._block_of_seed[i] != block_index and line.render() == render:
                 return True
         return False
@@ -314,7 +337,7 @@ class ScheduleVerifier:
         line objects, relocated boundaries, cross-block moves, or a
         non-bijective move set.
         """
-        seed_lines = self.seed.lines
+        seed_lines = self.lines
         cand_lines = candidate.lines
         if len(cand_lines) != self._num_lines:
             return None
@@ -347,7 +370,6 @@ class ScheduleVerifier:
         Equivalent to ``verify(candidate).ok`` for schedules reachable by
         in-block permutation (the scoreboard protocol checks it skips are
         invariant under permutations that preserve set/wait edge order).
-        Not thread-safe: reuses per-verifier scratch buffers.
         """
         pos = self._fast_pos(candidate)
         if pos is None:
@@ -367,16 +389,11 @@ class ScheduleVerifier:
         return True
 
     def _stall_prefix(self, pos: np.ndarray) -> np.ndarray:
-        """``prefix[k]`` = total stall of candidate lines ``[0, k)``.
-
-        Reuses scratch buffers: ``pos`` is a full permutation, so every
-        entry is overwritten before it is read.
-        """
-        cand_stalls = self._stall_scratch
-        cand_stalls[pos] = self._seed_stalls
-        prefix = self._prefix_scratch
-        cand_stalls.cumsum(out=prefix[1:])
-        return prefix
+        """``prefix[k]`` = total stall of candidate lines ``[0, k)``."""
+        stalls = np.empty(self._num_lines + 1, dtype=np.int64)
+        stalls[0] = 0
+        stalls[1:][pos] = self._seed_stalls
+        return stalls.cumsum()
 
     # ------------------------------------------------------------------
     # Full audit
@@ -414,7 +431,8 @@ class ScheduleVerifier:
 
     def lint_seed(self, *, include_warnings: bool = True) -> VerificationResult:
         """Audit the seed against itself (protocol + self-consistency checks)."""
-        return self.verify(self.seed, include_warnings=include_warnings)
+        seed = SassKernel(self.lines, self.metadata)
+        return self.verify(seed, include_warnings=include_warnings)
 
     def _check_edges(self, edges, src, dst, pos: np.ndarray, out: list[Diagnostic]) -> None:
         if not len(edges):
@@ -424,8 +442,8 @@ class ScheduleVerifier:
             edge = edges[int(index)]
             src_pos = int(pos[edge.src])
             dst_pos = int(pos[edge.dst])
-            src_line = self.seed.lines[edge.src]
-            dst_line = self.seed.lines[edge.dst]
+            src_line = self.lines[edge.src]
+            dst_line = self.lines[edge.dst]
             out.append(
                 make_diagnostic(
                     edge.rule,
@@ -448,8 +466,8 @@ class ScheduleVerifier:
         violated = np.flatnonzero((produced < consumed) & (budgets < self._con_min))
         for index in violated:
             constraint = self._constraints[int(index)]
-            producer = self.seed.lines[constraint.producer]
-            consumer = self.seed.lines[constraint.consumer]
+            producer = self.lines[constraint.producer]
+            consumer = self.lines[constraint.consumer]
             out.append(
                 make_diagnostic(
                     "V301",
@@ -479,7 +497,7 @@ class ScheduleVerifier:
             cand_index = int(pos[seed_index])
             slack = int(prefix[cand_index] - prefix[block.start])
             if slack < seed_slack:
-                line = self.seed.lines[seed_index]
+                line = self.lines[seed_index]
                 out.append(
                     make_diagnostic(
                         "V501",
@@ -603,6 +621,48 @@ def check_scoreboard_protocol(
 
 
 # ---------------------------------------------------------------------------
+# The shared verifier of a seed listing
+# ---------------------------------------------------------------------------
+#: Digest of a listing -> the verifier every live kernel with that listing shares.
+_SHARED_VERIFIERS: weakref.WeakValueDictionary[str, ScheduleVerifier] = (
+    weakref.WeakValueDictionary()
+)
+_SHARED_VERIFIERS_LOCK = threading.Lock()
+
+
+def seed_verifier(kernel: SassKernel) -> ScheduleVerifier:
+    """The default (precise) verifier of ``kernel``'s listing, built once.
+
+    The verifier is pinned on the kernel object, like the simulator's
+    decoded program, so one attribute read settles every later call.  On a
+    miss the listing is looked up by
+    :meth:`~repro.sass.kernel.SassKernel.content_digest` among the verifiers
+    of live kernels, so every kernel of the listing shares one graph and one
+    set of tables for as long as the kernel that built them lives (no LRU,
+    no size bound).  Pickling a kernel drops the pin.  Two racing first
+    builds keep whichever verifier is registered first.
+    """
+    verifier: ScheduleVerifier | None = kernel.__dict__.get("_seed_verifier")
+    if verifier is None:
+        digest = kernel.content_digest()
+        with _SHARED_VERIFIERS_LOCK:
+            shared = _SHARED_VERIFIERS.get(digest)
+        if shared is None:
+            built = ScheduleVerifier(kernel)
+            with _SHARED_VERIFIERS_LOCK:
+                shared = _SHARED_VERIFIERS.setdefault(digest, built)
+        verifier = shared
+        if shared.lines is not kernel.lines:
+            # Another kernel object of the listing (a second compile, an
+            # unpickled copy): a copy bound to its line objects shares every
+            # table and keeps the identity fast path for its swaps.
+            verifier = copy.copy(shared)
+            verifier._bind(kernel)
+        kernel.__dict__["_seed_verifier"] = verifier
+    return verifier
+
+
+# ---------------------------------------------------------------------------
 # Convenience entry point
 # ---------------------------------------------------------------------------
 def verify_schedule(
@@ -613,12 +673,11 @@ def verify_schedule(
 ) -> VerificationResult:
     """One-shot audit of ``candidate`` (or the seed itself) against ``seed``.
 
-    The audit reads the seed listing's shared graph
-    (:func:`repro.analysis.deps.pinned_dependence_graph`): the first audit of
-    a listing no live kernel holds builds it and later audits reuse it.  Only
-    the graph is shared; every audit still maps the candidate and checks
-    every edge, every stall constraint and the scoreboard protocol.
+    The audit reads the seed listing's shared verifier
+    (:func:`seed_verifier`): the first audit of a listing no live kernel
+    holds builds it, and later audits reuse it.  Every audit still maps the
+    candidate and checks every edge, every stall constraint and the
+    scoreboard protocol.
     """
-    verifier = ScheduleVerifier(seed)
     target = candidate if candidate is not None else seed
-    return verifier.verify(target, include_warnings=include_warnings)
+    return seed_verifier(seed).verify(target, include_warnings=include_warnings)

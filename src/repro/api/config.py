@@ -48,9 +48,6 @@ class PoolConfig:
     #: Sharding policy; any name in the scheduler registry
     #: (``"round_robin"``, ``"least_loaded"``, or a registered custom one).
     scheduler: str = "round_robin"
-    #: Share one measurement-memo table across all workers, so a schedule
-    #: measured by one worker is a hit for every sibling on the same workload.
-    share_memo: bool = True
 
     def replace(self, **overrides) -> "PoolConfig":
         """A copy of this config with the given fields replaced."""
@@ -67,8 +64,7 @@ class RetryPolicy:
     failures fail immediately on the first attempt.  Delays grow
     exponentially with a deterministic jitter (no hidden RNG state — the
     jitter is a pure function of the attempt number), so chaos tests replay
-    bit-identically.  Wall-clock accounting against :attr:`budget_s` uses the
-    queue's injectable clock (``JobQueue(clock=...)``).
+    bit-identically.
     """
 
     #: Total attempts per job, including the first run; 1 disables retries.
@@ -82,9 +78,6 @@ class RetryPolicy:
     #: Jitter amplitude as a fraction of the delay (0 disables); the realised
     #: jitter is deterministic per attempt number.
     jitter: float = 0.1
-    #: Total retry-delay budget per job, in seconds; once a job's cumulative
-    #: backoff would exceed this it fails instead.  ``None`` is unbounded.
-    budget_s: float | None = None
 
     def replace(self, **overrides) -> "RetryPolicy":
         """A copy of this policy with the given fields replaced."""

@@ -18,14 +18,13 @@ return the same :class:`~repro.api.report.RunReport` shape.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.funcdiff import OutputCheck, OutputCheckResult, audit_control_roundtrip
-from repro.analysis.verify import ScheduleVerifier, VerificationResult
+from repro.analysis.verify import ScheduleVerifier, VerificationResult, seed_verifier
 from repro.api.backends import resolve_backend
 from repro.api.config import CacheConfig, MeasurementPolicy, OptimizationConfig
 from repro.api.report import RunReport
@@ -90,9 +89,10 @@ class _Candidate:
     def name(self) -> str:
         return self.compiled.kernel.metadata.name
 
-    @functools.cached_property
+    @property
     def verifier(self) -> ScheduleVerifier:
-        return ScheduleVerifier(self.compiled.kernel)
+        """The seed listing's shared verifier, the one the search's env used."""
+        return seed_verifier(self.compiled.kernel)
 
 
 def _lint_seed(candidate: _Candidate) -> VerificationResult:

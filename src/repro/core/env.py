@@ -14,13 +14,12 @@ schedule seen across all episodes is tracked for deployment.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.analysis.passes import PreGameAnalysis, run_pre_game_analysis
-from repro.analysis.verify import ScheduleVerifier
+from repro.analysis.verify import ScheduleVerifier, seed_verifier
 from repro.core.actions import ActionSpace
 from repro.core.embedding import StateEmbedder
 from repro.core.masking import ActionMasker
@@ -101,6 +100,11 @@ class AssemblyGame(Env):
             # all instruction objects with the baseline) decode against it.
             decode_program(self.initial_kernel)
             self.analysis: PreGameAnalysis = run_pre_game_analysis(self.initial_kernel)
+            #: The seed listing's shared verifier, whose graph the pre-game
+            #: analysis read; the searches prune statically-illegal candidates
+            #: with its :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal`
+            #: fast path before measuring them.
+            self.verifier: ScheduleVerifier = seed_verifier(self.initial_kernel)
             if not self.analysis.candidate_indices:
                 raise EnvironmentError_(
                     f"kernel {self.initial_kernel.metadata.name!r} has no actionable memory instructions"
@@ -155,17 +159,6 @@ class AssemblyGame(Env):
     def measurement_stats(self) -> MeasurementStats:
         """Raw-measurement / memoization counters of the measurement service."""
         return self.measure_service.stats
-
-    @functools.cached_property
-    def verifier(self) -> ScheduleVerifier:
-        """Whole-schedule semantic verifier over this env's seed listing.
-
-        Built lazily (and once) over the graph the pre-game analysis read;
-        the searches use its
-        :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal` fast path to
-        prune statically-illegal candidates before measurement.
-        """
-        return ScheduleVerifier(self.initial_kernel)
 
     def close(self) -> None:
         """Release the measurement service's workers (no-op for inline)."""

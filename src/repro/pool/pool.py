@@ -18,9 +18,9 @@ Workers are isolated where it matters and shared where it pays:
 
 * each worker's cubin cache lives in a per-backend subdirectory, so deploy
   artifacts of different GPU targets never collide on disk;
-* all workers share one :class:`~repro.pool.shared_memo.SharedMemoTable`
-  (unless ``PoolConfig.share_memo`` is off), so a schedule measured by one
-  worker is a memo hit for every sibling on the same workload;
+* all workers share one :class:`~repro.pool.shared_memo.SharedMemoTable`,
+  so a schedule measured by one worker is a memo hit for every sibling on
+  the same workload;
 * a job that raises becomes a failed ``RunReport`` in its input-order slot
   without poisoning sibling workers, matching ``Session.optimize_many``'s
   ``on_error="report"/"raise"`` semantics pool-wide.
@@ -137,7 +137,7 @@ class SessionPool:
             raise ValueError("a SessionPool needs at least one backend")
         get_scheduler(pool_config.scheduler)  # fail fast on unknown names
         self.config = pool_config
-        self.shared_memo = SharedMemoTable() if pool_config.share_memo else None
+        self.shared_memo = SharedMemoTable()
 
         base_cache = cache or CacheConfig()
         if cache_dir is not None:
@@ -160,14 +160,12 @@ class SessionPool:
                     base_cache,
                     directory=Path(base_cache.directory) / self._namespace(simulator.config.name),
                 )
-            policy = base_measurement
-            if self.shared_memo is not None:
-                policy = dataclasses.replace(
-                    policy,
-                    memoize=True,
-                    shared_memo=self.shared_memo,
-                    memo_owner=f"w{index}:{simulator.config.name}",
-                )
+            policy = dataclasses.replace(
+                base_measurement,
+                memoize=True,
+                shared_memo=self.shared_memo,
+                memo_owner=f"w{index}:{simulator.config.name}",
+            )
             self._blueprints.append(
                 {
                     "backend": backend,
@@ -183,11 +181,10 @@ class SessionPool:
         self._closed = False
         self._queue = None
         _LOG.info(
-            "pool up: %d workers (%s), scheduler=%s, shared_memo=%s",
+            "pool up: %d workers (%s), scheduler=%s",
             len(self.workers),
             ", ".join(worker.name for worker in self.workers),
             pool_config.scheduler,
-            self.shared_memo is not None,
         )
 
     @classmethod
@@ -256,8 +253,7 @@ class SessionPool:
                     if first_error is None:
                         first_error = exc
         finally:
-            if self.shared_memo is not None:
-                self.shared_memo.clear()
+            self.shared_memo.clear()
         if first_error is not None:
             raise first_error
 
@@ -509,7 +505,7 @@ class SessionPool:
                 for worker, snapshot in zip(self.workers, snapshots)
             ],
             elapsed_s=elapsed,
-            memo={} if self.shared_memo is None else self.shared_memo.snapshot(),
+            memo=self.shared_memo.snapshot(),
         )
         _LOG.info(
             "pool run: %d jobs on %d workers in %.2fs (%.1f evals/s, %d failures, "

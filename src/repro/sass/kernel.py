@@ -75,18 +75,15 @@ class SassKernel:
         return hash((self._lines, self.metadata))
 
     def __getstate__(self):
-        """Drop the pins and the multiset cache when pickling.
+        """Pickle the kernel's own state: its lines, metadata and digest.
 
-        The pinned decoded program holds compiled closures, which do not
-        pickle; it re-decodes from the shared cache on the other side.  The
-        pinned dependence graph (:func:`repro.analysis.deps.pinned_dependence_graph`)
-        is rebuilt by the first audit after unpickling.  The content digest
-        is kept: it is small, deterministic and saves a re-hash."""
-        state = dict(self.__dict__)
-        state.pop("_decoded_program", None)
-        state.pop("_dependence_graph", None)
-        state.pop("_multiset_cache", None)
-        return state
+        Whatever other modules pin on a kernel object (the simulator's
+        decoded program, the listing's verifier, the multiset cache) stays
+        behind and is rebuilt or re-shared on first use after unpickling.
+        The content digest is kept: it is small, deterministic and saves a
+        re-hash."""
+        own = ("_lines", "metadata", "_content_digest")
+        return {key: value for key, value in self.__dict__.items() if key in own}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

@@ -71,7 +71,7 @@ class _Job:
         "report", "error", "worker_index", "worker", "stolen", "from_store",
         "measured", "last_progress_emit", "submitted_at", "started_at",
         "finished_at", "cache_key", "events", "tenant", "invalidation_rules",
-        "attempt", "checkpoint_state", "resumed", "request", "retry_delay_total",
+        "attempt", "checkpoint_state", "resumed", "request",
     )
 
     def __init__(self, job_id, spec, name, shapes, strategy, verify, store,
@@ -115,8 +115,6 @@ class _Job:
         #: JSON-able submission parameters (journaled so a restarted server
         #: can re-submit lost in-flight jobs faithfully).
         self.request: dict | None = None
-        #: Cumulative retry backoff spent, charged against RetryPolicy.budget_s.
-        self.retry_delay_total = 0.0
 
     def record(self) -> JobRecord:
         return JobRecord(
@@ -230,7 +228,6 @@ class JobQueue:
         journal=None,
         counter_start: int = 0,
         faults=None,
-        clock=time.monotonic,
     ):
         if pool.closed:
             raise OptimizationError("cannot serve from a closed session pool")
@@ -239,9 +236,6 @@ class JobQueue:
         #: Optional :class:`repro.faults.FaultPlan` consulted at the
         #: measurement checkpoint of every running job (chaos testing).
         self.faults = faults
-        #: Injectable monotonic clock; retry-budget accounting and backoff
-        #: bookkeeping read it so tests can drive time deterministically.
-        self.clock = clock
         self.store = (
             ResultStore(self.serve_config.store_max_entries)
             if self.serve_config.result_store
@@ -894,8 +888,8 @@ class JobQueue:
         a hit that no longer verifies (stale entry, corrupted artifact) is
         invalidated and the job re-optimizes instead.  Reports without an
         artifact carry no schedule to audit and pass through unchanged.  The
-        audit reads the dependence graph pinned on the stored seed, so only
-        a key's first hit builds it.
+        audit reads the verifier pinned on the stored seed (the optimizing
+        job's), so a hit builds nothing while that seed lives.
 
         Returns ``(ok, rule_codes, detail)``: the verifier rule codes that
         fired are surfaced in the job's ``invalidated`` event and record so
@@ -1015,8 +1009,7 @@ class JobQueue:
 
         Only infrastructure failures retry — verifier rejections and user
         errors are deterministic and would fail identically again.  The
-        retry count, per-policy backoff and optional cumulative delay budget
-        all come from ``ServeConfig.retry``.
+        retry count and backoff come from ``ServeConfig.retry``.
         """
         if not is_infrastructure_failure(exc):
             return False
@@ -1030,12 +1023,6 @@ class JobQueue:
             if next_attempt >= policy.max_attempts:
                 return False
             delay = policy.delay_for(next_attempt)
-            if (
-                policy.budget_s is not None
-                and job.retry_delay_total + delay > policy.budget_s
-            ):
-                return False
-            job.retry_delay_total += delay
             # The failed attempt's accounting happens here because the normal
             # post-run accounting path is skipped for a retried job.
             worker.busy_s += elapsed

@@ -108,14 +108,6 @@ def test_shared_memo_scopes_backends_apart():
     assert result[0].best_time_ms != result[1].best_time_ms
 
 
-def test_shared_memo_can_be_disabled():
-    pool_config = PoolConfig(share_memo=False)
-    with SessionPool(["A100-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE) as pool:
-        assert pool.shared_memo is None
-        result = pool.optimize_many(["softmax"])
-    assert result.memo == {}
-
-
 def test_shared_memo_table_is_bounded_and_race_safe():
     from concurrent.futures import Future
 

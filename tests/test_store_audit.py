@@ -1,15 +1,16 @@
-"""One analysis per seed listing, and the serving store's hit audit.
+"""One analysis and one verifier per seed listing, and the store's hit audit.
 
-A seed listing's CFG, stall inference and dependence graph are built once
-and pinned on the seed object
-(:func:`repro.analysis.deps.pinned_dependence_graph`); every live kernel
-object with the same listing shares that graph.  The env's pre-game analysis
-and ``is_legal`` pre-filter, the verify cascade and every result-store hit
-audit (:func:`repro.analysis.verify.verify_schedule`) read it, and each audit
+A seed listing's CFG, stall inference, dependence graph and
+:class:`~repro.analysis.verify.ScheduleVerifier` are built once and the
+verifier is pinned on the seed object
+(:func:`repro.analysis.verify.seed_verifier`); every live kernel object with
+the same listing shares it.  The env's pre-game analysis and ``is_legal``
+pre-filter, the verify cascade and every result-store hit audit
+(:func:`repro.analysis.verify.verify_schedule`) read it, and each audit
 still maps the candidate and checks every edge, stall constraint and the
-scoreboard protocol.  These tests count the analyses a job runs and hold
-shared audits to independent ones: identical verdicts after poisoning,
-pickling and concurrent use.
+scoreboard protocol.  These tests count the analyses and verifier builds a
+job runs and hold shared audits to independent ones: identical verdicts
+after poisoning, pickling and concurrent use.
 """
 
 import dataclasses
@@ -25,8 +26,7 @@ import repro.analysis.defuse as defuse_module
 import repro.analysis.deps as deps_module
 import repro.analysis.stall_inference as stall_module
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
-from repro.analysis.deps import build_dependence_graph
-from repro.analysis.verify import ScheduleVerifier, verify_schedule
+from repro.analysis.verify import ScheduleVerifier, seed_verifier, verify_schedule
 from repro.api import CacheConfig, OptimizationConfig, Session
 from repro.core.env import AssemblyGame
 from repro.errors import SassError
@@ -54,11 +54,6 @@ def _fresh(kernel: SassKernel, tag: str) -> SassKernel:
     return kernel.with_metadata(name=f"{kernel.metadata.name}-{tag}")
 
 
-def _independent_verifier(seed: SassKernel) -> ScheduleVerifier:
-    """A verifier over a graph of its own, shared with no other caller."""
-    return ScheduleVerifier(seed, graph=build_dependence_graph(seed))
-
-
 def _audits(seed: SassKernel) -> list[SassKernel]:
     """The seed itself plus every adjacent swap of two instructions in it."""
     candidates = [seed]
@@ -80,14 +75,22 @@ def _counting(original, calls: list):
 
 @pytest.fixture
 def count_analyses(monkeypatch):
-    """The kernel of every call of each seed analysis, wherever it is bound."""
-    calls = {name: [] for name in _ANALYSES}
+    """The kernel of every call of each seed analysis, wherever it is bound,
+    and the seed of every ``ScheduleVerifier`` built."""
+    calls = {name: [] for name in (*_ANALYSES, "ScheduleVerifier")}
     for name, home in _ANALYSES.items():
         original = getattr(home, name)
         counting = _counting(original, calls[name])
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "repro" and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counting)
+    verifier_init = ScheduleVerifier.__init__
+
+    def counting_init(self, seed, *args, **kwargs):
+        calls["ScheduleVerifier"].append(seed)
+        verifier_init(self, seed, *args, **kwargs)
+
+    monkeypatch.setattr(ScheduleVerifier, "__init__", counting_init)
     return calls
 
 
@@ -120,6 +123,7 @@ def test_a_job_on_a_fresh_listing_analyzes_it_once(count_analyses, config, kerne
         "build_cfg": 1,
         "infer_stall_counts": 1,
         "build_def_use": 0,
+        "ScheduleVerifier": 1,
     }
 
 
@@ -136,31 +140,37 @@ def test_a_second_key_of_a_live_listing_builds_nothing(count_analyses):
     other = second.artifact.compiled.kernel
     assert other is not seed and other.content_digest() == seed.content_digest()
     assert second.verified is True
-    assert _counts(count_analyses) == dict.fromkeys(_ANALYSES, 0)
+    assert _counts(count_analyses) == dict.fromkeys(count_analyses, 0)
+    # The second compile's verifier shares the first one's graph and tables
+    # but matches candidates against its own line objects (the is_legal
+    # identity fast path).
+    shared, bound = seed_verifier(seed), seed_verifier(other)
+    assert bound.graph is shared.graph and bound._err_src is shared._err_src
+    assert bound.lines is other.lines and shared.lines is seed.lines
 
 
 def test_the_verify_cascade_reads_the_env_graph(monkeypatch):
-    envs, verifiers = [], []
-    game_init, verifier_init = AssemblyGame.__init__, ScheduleVerifier.__init__
+    envs, audits = [], []
+    game_init, verify = AssemblyGame.__init__, ScheduleVerifier.verify
 
     def recording_game(self, *args, **kwargs):
         game_init(self, *args, **kwargs)
         envs.append(self)
 
-    def recording_verifier(self, *args, **kwargs):
-        verifier_init(self, *args, **kwargs)
-        verifiers.append(self)
+    def recording_verify(self, *args, **kwargs):
+        audits.append(self)
+        return verify(self, *args, **kwargs)
 
     monkeypatch.setattr(AssemblyGame, "__init__", recording_game)
-    monkeypatch.setattr(ScheduleVerifier, "__init__", recording_verifier)
+    monkeypatch.setattr(ScheduleVerifier, "verify", recording_verify)
     with Session("A100-sim", config=_CONFIG, cache=_NO_CACHE) as session:
         report = session.optimize(
             "mmLeakyReLu", shapes={"B": 1, "M": 64, "N": 32, "K": 192}, store=False
         )
     assert report.verified is True
     (env,) = envs
-    cascade = [verifier for verifier in verifiers if verifier is not env.verifier]
-    assert cascade and all(verifier.graph is env.verifier.graph for verifier in cascade)
+    # The cascade audits with the env's verifier object itself.
+    assert audits and all(verifier is env.verifier for verifier in audits)
 
 
 def _warm_queue(pool):
@@ -172,17 +182,17 @@ def _warm_queue(pool):
 
 
 def test_store_hits_of_one_key_build_the_seed_graph_once(count_analyses):
-    builds = count_analyses["build_dependence_graph"]
     with SessionPool(["A100-sim"], config=_CONFIG, cache=_NO_CACHE) as pool:
         queue, key = _warm_queue(pool)
         seed = queue.store.get(key).artifact.compiled.kernel
-        assert "_dependence_graph" in seed.__dict__  # the optimizing job pinned it
-        builds.clear()
+        assert "_seed_verifier" in seed.__dict__  # the optimizing job pinned it
+        _forget(count_analyses)
         for _ in range(5):
             handle = queue.submit("softmax")
             handle.result(timeout=300)
             assert handle.record().from_store is True
-        assert builds == []
+        assert count_analyses["build_dependence_graph"] == []
+        assert count_analyses["ScheduleVerifier"] == []
         assert queue.store.stats.invalidations == 0
 
 
@@ -194,10 +204,11 @@ def test_poisoned_entry_after_a_pinned_hit_is_still_invalidated():
         assert clean.record().from_store is True
         hit = queue.store.get(key)
         seed = hit.artifact.compiled.kernel
-        assert "_dependence_graph" in seed.__dict__
+        assert "_seed_verifier" in seed.__dict__
 
-        # Poison the stored schedule; rule codes come from an independent audit.
-        verifier = _independent_verifier(seed)
+        # Poison the stored schedule; rule codes come from an independent
+        # audit (a verifier built directly builds a graph of its own).
+        verifier = ScheduleVerifier(seed)
         bad_kernel, expected_rules = None, ()
         for candidate in _audits(hit.artifact.optimized.kernel)[1:]:
             fresh = verifier.verify(candidate, include_warnings=False)
@@ -227,11 +238,11 @@ def test_pickled_seed_drops_the_pin_and_audits_identically(count_analyses):
     seed = _fresh(compile_spec(get_spec("bmm"), scale="test").kernel, "pickled")
     candidates = _audits(seed)
     before = [verify_schedule(seed, c).summary() for c in candidates]
-    assert "_dependence_graph" in seed.__dict__
+    assert "_seed_verifier" in seed.__dict__
 
     # One pickle keeps the seed and its swaps sharing line objects.
     seed_copy, *copies = pickle.loads(pickle.dumps([seed, *candidates]))
-    assert "_dependence_graph" not in seed_copy.__dict__
+    assert "_seed_verifier" not in seed_copy.__dict__
     # With the original gone, no live kernel holds the listing's graph.
     _forget(count_analyses)
     del seed, candidates
@@ -246,14 +257,21 @@ def test_concurrent_audits_of_one_seed_match_a_serial_audit(count_analyses):
     compiled = compile_spec(get_spec("mmLeakyReLu"), scale="test").kernel
     seed = _fresh(compiled, "concurrent")
     candidates = _audits(seed)
-    serial_verifier = _independent_verifier(seed)
-    serial = [serial_verifier.verify(c).summary() for c in candidates]
+    serial_verifier = ScheduleVerifier(seed)  # independent: a graph of its own
+    serial = [
+        (serial_verifier.verify(c).summary(), serial_verifier.is_legal(c)) for c in candidates
+    ]
+    _forget(count_analyses)
     threads = 4  # more than the cores of a small CI runner
     start = threading.Barrier(threads)
 
-    def audit_all() -> list[dict]:
+    def audit_all() -> list[tuple[dict, bool]]:
         start.wait(timeout=60)  # every thread races for the first build too
-        return [verify_schedule(seed, c).summary() for c in candidates]
+        # Full audits and is_legal calls interleave on the one shared verifier.
+        return [
+            (verify_schedule(seed, c).summary(), seed_verifier(seed).is_legal(c))
+            for c in candidates
+        ]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -265,6 +283,7 @@ def test_concurrent_audits_of_one_seed_match_a_serial_audit(count_analyses):
         sys.setswitchinterval(interval)
     assert results == [serial] * threads
     assert builds and all(kernel is seed for kernel in builds)  # a real first build
-    # However the builds raced, one graph is pinned and shared by the listing.
-    shared = seed.__dict__["_dependence_graph"]
-    assert deps_module.pinned_dependence_graph(_fresh(compiled, "concurrent")) is shared
+    assert any(not legal for _, legal in serial)  # the swaps reach illegal ones
+    # However the builds raced, one verifier is pinned and shared by the listing.
+    shared = seed.__dict__["_seed_verifier"]
+    assert seed_verifier(_fresh(compiled, "concurrent")) is shared
