@@ -34,7 +34,6 @@ The precision dataflow layer adds three passes on top:
 """
 
 from repro.analysis.cfg import BasicBlock, ControlFlowInfo, build_cfg
-from repro.analysis.defuse import DefUseChains, build_def_use
 from repro.analysis.deps import (
     ALIAS_MODES,
     AliasContext,
@@ -76,8 +75,6 @@ __all__ = [
     "BasicBlock",
     "ControlFlowInfo",
     "build_cfg",
-    "DefUseChains",
-    "build_def_use",
     "ALIAS_MODES",
     "AliasContext",
     "DepEdge",

@@ -19,8 +19,7 @@ toolchain can answer two new questions:
 
 Register keys are tagged with their space (general / predicate / uniform) so
 liveness can never confuse ``R2`` with ``P2`` or ``UR2`` — the same space
-partition ``deps.py`` uses for dependence edges (see ``defuse.py``, which
-shares :func:`line_defs` / :func:`line_uses`).
+partition ``deps.py`` uses for dependence edges.
 """
 
 from __future__ import annotations

@@ -105,18 +105,18 @@ class ServeConfig:
 
     The queue owns one worker thread per pool worker plus a dispatcher that
     feeds per-worker queues; these knobs control how aggressively idle
-    workers steal queued jobs from deep sibling queues and whether finished
-    ``(workload, backend)`` results are kept in a pool-level store so
-    re-submissions resolve instantly from their cache key.
+    workers steal queued jobs from deep sibling queues, how large the
+    pool-level result store of finished ``(workload, backend)`` reports
+    grows, and how job records are bounded.
     """
 
     #: Idle workers steal queued (unpinned, backend-compatible) jobs from the
     #: tail of the deepest sibling queue instead of going idle.
     steal: bool = True
-    #: Keep finished ``RunReport``\ s in a pool-level result store, keyed by
-    #: the §4.2 cache key, so re-submitted jobs skip optimization entirely.
-    result_store: bool = True
-    #: Size bound of the result store; ``None`` keeps it unbounded.
+    #: Size bound of the pool-level result store, which keeps finished
+    #: ``RunReport``\ s by §4.2 cache key so re-submitted jobs skip
+    #: optimization (``use_store=False`` on a submit forces a fresh run);
+    #: ``None`` keeps it unbounded.
     store_max_entries: int | None = None
     #: Emit a ``measured(n)`` progress event every N candidate submissions.
     progress_every: int = 1
@@ -127,7 +127,8 @@ class ServeConfig:
     #: Job-record TTL: terminal records older than this many seconds are
     #: evicted by :meth:`repro.serve.JobQueue.gc` (run opportunistically on
     #: submit).  ``None`` keeps terminal records forever.  In-flight jobs are
-    #: never evicted regardless.
+    #: never evicted regardless.  Journal-restored records count like live
+    #: ones, here and in ``max_records``.
     job_ttl_s: float | None = None
     #: Hard bound on retained job records; the oldest *terminal* records are
     #: evicted beyond it.  ``None`` keeps the job map unbounded.
@@ -177,10 +178,6 @@ class RemoteConfig:
     #: Longest server-side block of one ``GET /v1/jobs/<id>/result`` call;
     #: clients long-poll in slices of at most this many seconds.
     result_timeout_s: float = 60.0
-    #: On restart, re-queue journal-replayed *in-flight* jobs (resuming from
-    #: their last journaled checkpoint when one exists) instead of marking
-    #: them failed with a ``ServerRestart`` error.
-    resume_inflight: bool = True
 
     def replace(self, **overrides) -> "RemoteConfig":
         """A copy of this config with the given fields replaced."""

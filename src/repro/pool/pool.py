@@ -364,7 +364,6 @@ class SessionPool:
         serve: ServeConfig | None = None,
         *,
         journal=None,
-        counter_start: int = 0,
         faults=None,
     ):
         """The pool's async :class:`repro.serve.JobQueue` front door.
@@ -377,10 +376,10 @@ class SessionPool:
         never bricks the pool.  Passing a *different* ``ServeConfig`` while
         a live queue exists is an error.
 
-        ``journal`` and ``counter_start`` (see :class:`repro.remote.JobJournal`)
-        make the queue's state durable; ``faults`` injects a chaos-testing
-        :class:`repro.faults.FaultPlan`.  All three only take effect on the
-        call that creates the queue.
+        ``journal`` (a :class:`repro.remote.JobJournal`) makes the queue's
+        state durable and restores what it holds; ``faults`` injects a
+        chaos-testing :class:`repro.faults.FaultPlan`.  Both only take effect
+        on the call that creates the queue.
         """
         self._ensure_open()
         from repro.serve.queue import JobQueue
@@ -389,10 +388,7 @@ class SessionPool:
             self._queue.close()  # join any straggler threads before re-serving
             self._queue = None
         if self._queue is None:
-            self._queue = JobQueue(
-                self, serve=serve, journal=journal, counter_start=counter_start,
-                faults=faults,
-            )
+            self._queue = JobQueue(self, serve=serve, journal=journal, faults=faults)
         elif serve is not None and serve != self._queue.serve_config:
             raise OptimizationError(
                 "this pool already serves a JobQueue with a different ServeConfig"

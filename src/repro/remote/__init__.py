@@ -8,8 +8,8 @@ adds the network layer the roadmap calls the serving front door:
   result store (:mod:`repro.remote.journal`).
 - :class:`TenantQuota` — per-tenant token-bucket admission control
   (:mod:`repro.remote.admission`).
-- :class:`RemoteApp` — the protocol-agnostic serving application: replay,
-  quotas, GC, journal compaction (:mod:`repro.remote.app`).
+- :class:`RemoteApp` — the protocol-agnostic serving application: the
+  journaled queue, quotas, journal compaction (:mod:`repro.remote.app`).
 - :class:`RemoteServer` — stdlib HTTP/JSON + SSE server
   (:mod:`repro.remote.server`); boot it with ``python -m repro.remote.serve``.
 - :class:`RemoteClient` / :class:`RemoteJobHandle` — stdlib client mirroring

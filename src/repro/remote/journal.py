@@ -38,7 +38,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from repro.api.report import JobRecord, RunReport
 from repro.utils.logging import get_logger
@@ -91,10 +91,10 @@ class JournalReplay:
 class JobJournal:
     """Append-only JSONL journal of serving state, thread-safe.
 
-    Implements the duck-typed hook contract of
-    :class:`repro.serve.JobQueue` (``record_submitted`` /
-    ``record_terminal`` / ``record_store``); every append is flushed so a
-    killed process loses at most the line being written.
+    A :class:`repro.serve.JobQueue` built with one restores it through
+    :meth:`replay` and appends through the ``record_*`` methods; every
+    append is flushed so a killed process loses at most the line being
+    written.
     """
 
     def __init__(self, path: str | Path, *, faults=None):
@@ -118,25 +118,13 @@ class JobJournal:
     # Queue-facing hooks (append side)
     # ------------------------------------------------------------------
     def record_submitted(self, record: JobRecord, request: dict | None = None) -> None:
-        payload = {"kind": "submitted", "v": JOURNAL_VERSION, "record": record.as_dict()}
-        if request is not None:
-            payload["request"] = request
-        self._append(payload)
+        self._append(_submitted_entry(record, request))
 
     def record_terminal(self, record: JobRecord, report: RunReport | None) -> None:
-        self._append(
-            {
-                "kind": "terminal",
-                "v": JOURNAL_VERSION,
-                "record": record.as_dict(),
-                "report": None if report is None else report.summary(),
-            }
-        )
+        self._append(_terminal_entry(record, report))
 
     def record_store(self, key: str, report: RunReport) -> None:
-        self._append(
-            {"kind": "store", "v": JOURNAL_VERSION, "key": key, "report": report.summary()}
-        )
+        self._append(_store_entry(key, report))
 
     def record_checkpoint(self, job_id: str, state: dict) -> None:
         """Persist a strategy's latest search-state checkpoint for ``job_id``.
@@ -144,9 +132,7 @@ class JobJournal:
         Latest-wins like every other entry; replay keeps only the newest
         checkpoint per job and drops it once the job turns terminal.
         """
-        self._append(
-            {"kind": "checkpoint", "v": JOURNAL_VERSION, "job_id": job_id, "state": state}
-        )
+        self._append(_checkpoint_entry(job_id, state))
 
     def _append(self, payload: dict) -> None:
         line = to_json_str(payload)
@@ -260,7 +246,6 @@ class JobJournal:
         and ``os.replace``, so a crash mid-compaction leaves either the old
         or the new journal, never a half-written one.
         """
-        resume = resume or {}
         tmp = self.path.with_name(self.path.name + ".compact")
         written = 0
         with self._lock:
@@ -268,52 +253,8 @@ class JobJournal:
                 self._fh.close()
                 self._fh = None
             with tmp.open("w", encoding="utf8") as fh:
-                for record, report in records:
-                    if record.status.terminal:
-                        payload = {
-                            "kind": "terminal",
-                            "v": JOURNAL_VERSION,
-                            "record": record.as_dict(),
-                            "report": None if report is None else report.summary(),
-                        }
-                    else:
-                        payload = {
-                            "kind": "submitted",
-                            "v": JOURNAL_VERSION,
-                            "record": record.as_dict(),
-                        }
-                        request = (resume.get(record.job_id) or {}).get("request")
-                        if request is not None:
-                            payload["request"] = request
+                for payload in _compacted(records, store, resume):
                     fh.write(to_json_str(payload) + "\n")
-                    written += 1
-                    if not record.status.terminal:
-                        checkpoint = (resume.get(record.job_id) or {}).get("checkpoint")
-                        if checkpoint is not None:
-                            fh.write(
-                                to_json_str(
-                                    {
-                                        "kind": "checkpoint",
-                                        "v": JOURNAL_VERSION,
-                                        "job_id": record.job_id,
-                                        "state": checkpoint,
-                                    }
-                                )
-                                + "\n"
-                            )
-                            written += 1
-                for key, report in store:
-                    fh.write(
-                        to_json_str(
-                            {
-                                "kind": "store",
-                                "v": JOURNAL_VERSION,
-                                "key": key,
-                                "report": report.summary(),
-                            }
-                        )
-                        + "\n"
-                    )
                     written += 1
             os.replace(tmp, self.path)
             self.appends = 0
@@ -345,3 +286,44 @@ class JobJournal:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _submitted_entry(record: JobRecord, request: dict | None) -> dict:
+    payload = {"kind": "submitted", "v": JOURNAL_VERSION, "record": record.as_dict()}
+    if request is not None:
+        payload["request"] = request
+    return payload
+
+
+def _terminal_entry(record: JobRecord, report: RunReport | None) -> dict:
+    return {
+        "kind": "terminal",
+        "v": JOURNAL_VERSION,
+        "record": record.as_dict(),
+        "report": None if report is None else report.summary(),
+    }
+
+
+def _store_entry(key: str, report: RunReport) -> dict:
+    return {"kind": "store", "v": JOURNAL_VERSION, "key": key, "report": report.summary()}
+
+
+def _checkpoint_entry(job_id: str, state: dict) -> dict:
+    return {"kind": "checkpoint", "v": JOURNAL_VERSION, "job_id": job_id, "state": state}
+
+
+def _compacted(records, store, resume: dict | None) -> Iterator[dict]:
+    """The entries of a compacted journal: each job's latest state (with the
+    request and checkpoint that keep an in-flight one resumable), then the
+    store."""
+    resume = resume or {}
+    for record, report in records:
+        if record.status.terminal:
+            yield _terminal_entry(record, report)
+            continue
+        saved = resume.get(record.job_id) or {}
+        yield _submitted_entry(record, saved.get("request"))
+        if saved.get("checkpoint") is not None:
+            yield _checkpoint_entry(record.job_id, saved["checkpoint"])
+    for key, report in store:
+        yield _store_entry(key, report)

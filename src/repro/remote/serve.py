@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         help="base exponential-backoff delay between attempts",
     )
-    retry.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="mark journal-replayed in-flight jobs failed instead of resuming them",
-    )
 
     chaos = parser.add_argument_group(
         "chaos (deterministic fault injection for resilience testing)"
@@ -194,7 +189,6 @@ def configs_from_args(args) -> tuple[OptimizationConfig | None, ServeConfig, Rem
         compact_every=args.compact_every,
         tenant_tokens=args.tenant_tokens,
         tenant_refill_per_s=args.tenant_refill,
-        resume_inflight=not args.no_resume,
     )
     return optimization, serve, remote
 

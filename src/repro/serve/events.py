@@ -50,6 +50,9 @@ class ProgressEvent:
     #: Retries consumed so far (``retrying`` events carry the new attempt
     #: count; 0 on first-attempt events).
     attempt: int = 0
+    #: The terminal event of a job restored from the journal after a
+    #: restart (its live stream died with the previous server process).
+    replayed: bool = False
 
     @property
     def terminal(self) -> bool:
@@ -68,6 +71,7 @@ class ProgressEvent:
             "detail": self.detail,
             "rules": list(self.rules),
             "attempt": self.attempt,
+            "replayed": self.replayed,
         }
 
 
@@ -153,20 +157,29 @@ class EventBus:
             if not self._closed:
                 for subscription in self._subscriptions:
                     subscription._offer(event)
+                if event.terminal:
+                    # The job's own subscriptions completed at this event.
+                    self._subscriptions = [
+                        subscription for subscription in self._subscriptions
+                        if not subscription._finished
+                    ]
         return event
 
     def subscribe(
         self, job_id: str | None = None, history: list | None = None
     ) -> EventSubscription:
         """A new live subscription; ``history`` (the job's events so far) is
-        replayed first so late subscribers still see the whole stream."""
+        replayed first so late subscribers still see the whole stream.  A
+        per-job subscription is registered only while its job runs: one
+        whose history already ended is complete at once, and a live one is
+        dropped at its job's terminal event."""
         subscription = EventSubscription(self, job_id)
         with self._lock:
             for event in history or ():
                 subscription._offer(event)
             if self._closed:
                 subscription._finish()
-            else:
+            elif not subscription._finished:
                 self._subscriptions.append(subscription)
         return subscription
 

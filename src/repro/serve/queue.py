@@ -61,6 +61,16 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("serve.queue")
 
+#: Error of a journaled in-flight job that a restarted queue cannot re-queue.
+_LOST_IN_RESTART = "ServerRestart: job was in flight when the server stopped"
+
+#: :class:`JobRecord` fields a journal-restored job takes over as they are.
+_RESTORED_STATE = (
+    "status", "worker", "stolen", "from_store", "measured", "submitted_at",
+    "started_at", "finished_at", "error", "cache_key", "invalidation_rules",
+    "resumed", "replayed",
+)
+
 
 class _Job:
     """Mutable queue-internal job state; callers see it through JobHandle."""
@@ -71,7 +81,7 @@ class _Job:
         "report", "error", "worker_index", "worker", "stolen", "from_store",
         "measured", "last_progress_emit", "submitted_at", "started_at",
         "finished_at", "cache_key", "events", "tenant", "invalidation_rules",
-        "attempt", "checkpoint_state", "resumed", "request",
+        "attempt", "checkpoint_state", "resumed", "replayed",
     )
 
     def __init__(self, job_id, spec, name, shapes, strategy, verify, store,
@@ -112,9 +122,19 @@ class _Job:
         self.checkpoint_state: dict | None = None
         #: The job was re-queued after a server restart.
         self.resumed = False
-        #: JSON-able submission parameters (journaled so a restarted server
-        #: can re-submit lost in-flight jobs faithfully).
-        self.request: dict | None = None
+        #: The job ran in a previous server process (restored from the journal).
+        self.replayed = False
+
+    def request(self) -> dict:
+        """JSON-able submission parameters, journaled so a restarted server
+        can re-queue the job faithfully."""
+        return {
+            "shapes": dict(self.shapes) if self.shapes is not None else None,
+            "strategy": self.strategy,
+            "verify": self.verify,
+            "store": bool(self.store),
+            "use_store": bool(self.use_store),
+        }
 
     def record(self) -> JobRecord:
         return JobRecord(
@@ -136,6 +156,7 @@ class _Job:
             invalidation_rules=self.invalidation_rules,
             attempt=self.attempt,
             resumed=self.resumed,
+            replayed=self.replayed,
         )
 
 
@@ -218,6 +239,12 @@ class JobQueue:
     The queue does not own the pool (``SessionPool.close`` tears down its
     queue, not the other way around); closing the queue stops its threads
     and cancels still-pending jobs but leaves the worker sessions usable.
+
+    A queue built with a ``journal`` (:class:`repro.remote.JobJournal`)
+    appends every submission, checkpoint, terminal record and store entry to
+    it, and first restores the state the journal holds (see
+    :meth:`_restore`), so one job table serves a restarted server's old and
+    new jobs alike.  Journal failures are logged, never fatal to serving.
     """
 
     def __init__(
@@ -226,7 +253,6 @@ class JobQueue:
         *,
         serve: ServeConfig | None = None,
         journal=None,
-        counter_start: int = 0,
         faults=None,
     ):
         if pool.closed:
@@ -236,24 +262,14 @@ class JobQueue:
         #: Optional :class:`repro.faults.FaultPlan` consulted at the
         #: measurement checkpoint of every running job (chaos testing).
         self.faults = faults
-        self.store = (
-            ResultStore(self.serve_config.store_max_entries)
-            if self.serve_config.result_store
-            else None
-        )
-        #: Optional durability hook (see :class:`repro.remote.JobJournal`):
-        #: ``record_submitted(record)`` / ``record_terminal(record, report)``
-        #: / ``record_store(key, report)`` are invoked as serving state
-        #: changes; journal failures are logged, never fatal to serving.
+        self.store = ResultStore(self.serve_config.store_max_entries)
         self.journal = journal
         self._bus = EventBus()
         self._work = threading.Condition(threading.Lock())
         self._inbox: "deque[_Job]" = deque()
         self._queues: "list[deque[_Job]]" = [deque() for _ in pool.workers]
         self._jobs: dict[str, _Job] = {}
-        # counter_start lets a restarted server mint ids after the highest
-        # journaled one, so replayed records never collide with fresh jobs.
-        self._counter = max(0, counter_start)
+        self._counter = 0
         self._closed = False
         self._joined = False
         self._stats = {
@@ -263,6 +279,8 @@ class JobQueue:
         }
         #: Pending backoff timers of jobs awaiting a retry, by job id.
         self._retry_timers: dict[str, threading.Timer] = {}
+        if journal is not None:
+            self._restore(journal.replay())
         self._threads = [
             threading.Thread(target=self._dispatch_loop, name="serve-dispatch", daemon=True)
         ]
@@ -276,8 +294,8 @@ class JobQueue:
         for thread in self._threads:
             thread.start()
         _LOG.info(
-            "serve queue up: %d workers, steal=%s, result_store=%s",
-            len(pool.workers), self.serve_config.steal, self.store is not None,
+            "serve queue up: %d workers, steal=%s, %d record(s) restored",
+            len(pool.workers), self.serve_config.steal, len(self._jobs),
         )
 
     # ------------------------------------------------------------------
@@ -296,11 +314,6 @@ class JobQueue:
         use_store: bool = True,
         pin_worker: int | None = None,
         tenant: str | None = None,
-        job_id: str | None = None,
-        resume_state: dict | None = None,
-        resumed: bool = False,
-        attempt: int = 0,
-        enforce_admission: bool = True,
     ) -> JobHandle:
         """Queue one workload and return its handle immediately.
 
@@ -318,26 +331,8 @@ class JobQueue:
         that many jobs are already waiting is refused: the job is minted
         terminal-``rejected`` (so its record and ``rejected`` event are
         observable) and :class:`repro.errors.AdmissionError` is raised.
-
-        The restart-resume path (:class:`repro.remote.RemoteApp`) re-queues
-        journal-replayed in-flight jobs under their *original* ``job_id``,
-        hands the last journaled strategy checkpoint back via
-        ``resume_state``, marks them ``resumed`` and keeps their ``attempt``
-        count; ``enforce_admission=False`` exempts them from ``max_pending``
-        — they were admitted (and quota-charged) before the restart.
         """
-        canonical = None
-        if backend is not None:
-            canonical = backend_spec(backend).name
-            if not any(worker.backend == canonical for worker in self.pool.workers):
-                raise KeyError(
-                    f"no pool worker targets backend {canonical!r}; "
-                    f"workers: {[worker.name for worker in self.pool.workers]}"
-                )
-        if strategy is not None:
-            strategy = get_strategy(strategy).name
-        if verify is not None:
-            verify = normalize_verify_mode(verify)
+        backend, strategy, verify = self._resolve(backend, strategy, verify)
         if pin_worker is not None and not 0 <= pin_worker < len(self.pool.workers):
             raise ValueError(f"pin_worker {pin_worker} out of range")
         self.gc()  # opportunistic TTL/bound sweep of terminal records
@@ -347,13 +342,9 @@ class JobQueue:
             if self._closed:
                 raise OptimizationError("job queue is closed")
             pending = len(self._inbox) + sum(len(queued) for queued in self._queues)
-            if (
-                enforce_admission
-                and max_pending is not None
-                and pending >= max_pending
-            ):
+            if max_pending is not None and pending >= max_pending:
                 job = self._mint_rejected_locked(
-                    spec, name, cost=float(cost), backend=canonical, tenant=tenant,
+                    spec, name, cost=float(cost), backend=backend, tenant=tenant,
                     reason=f"pending queue full ({pending} waiting >= {max_pending})",
                 )
                 raise AdmissionError(
@@ -362,38 +353,105 @@ class JobQueue:
                     job_id=job.id,
                     tenant=tenant,
                 )
-            if job_id is None:
-                self._counter += 1
-                job_id = f"j{self._counter:05d}"
-            elif job_id in self._jobs:
-                raise ValueError(f"job id {job_id!r} already exists in this queue")
+            self._counter += 1
             job = _Job(
-                job_id=job_id,
+                job_id=f"j{self._counter:05d}",
                 spec=spec, name=name, shapes=shapes, strategy=strategy,
                 verify=verify, store=store, cost=float(cost),
-                backend=canonical, pin=pin_worker, use_store=use_store,
+                backend=backend, pin=pin_worker, use_store=use_store,
                 tenant=tenant,
             )
-            job.attempt = max(0, int(attempt))
-            job.resumed = bool(resumed)
-            if resume_state is not None:
-                job.checkpoint_state = dict(resume_state)
-            job.request = {
-                "shapes": dict(shapes) if shapes is not None else None,
-                "strategy": strategy,
-                "verify": verify,
-                "store": bool(store),
-                "use_store": bool(use_store),
-            }
-            self._jobs[job.id] = job
-            self._stats["submitted"] += 1
-            if job.resumed:
-                self._stats["resumed"] += 1
-            self._inbox.append(job)
-            self._emit(job, "queued", detail="resumed from journal" if job.resumed else "")
-            self._journal_submitted(job)
-            self._work.notify_all()
+            self._enqueue_locked(job)
         return JobHandle(self, job)
+
+    def _resolve(self, backend, strategy, verify) -> tuple:
+        """Canonical ``(backend, strategy, verify)`` of a submission.
+
+        Raises ``KeyError`` for a backend no pool worker targets or an
+        unknown strategy, and ``ValueError`` for an unknown verify mode.
+        """
+        if backend is not None:
+            backend = backend_spec(backend).name
+            if not any(worker.backend == backend for worker in self.pool.workers):
+                raise KeyError(
+                    f"no pool worker targets backend {backend!r}; "
+                    f"workers: {[worker.name for worker in self.pool.workers]}"
+                )
+        if strategy is not None:
+            strategy = get_strategy(strategy).name
+        if verify is not None:
+            verify = normalize_verify_mode(verify)
+        return backend, strategy, verify
+
+    def _enqueue_locked(self, job: _Job) -> None:
+        self._jobs[job.id] = job
+        self._stats["submitted"] += 1
+        if job.resumed:
+            self._stats["resumed"] += 1
+        self._inbox.append(job)
+        self._emit(job, "queued", detail="resumed from journal" if job.resumed else "")
+        self._journal("submitted", job.record(), request=job.request())
+        self._work.notify_all()
+
+    def _restore(self, replay) -> None:
+        """Rebuild the job table and result store from a journal replay.
+
+        Terminal records come back as finished ``replayed`` jobs with their
+        journaled report and one terminal event.  In-flight records are
+        re-queued under their own ids with their journaled request,
+        checkpoint and attempt count, marked ``resumed`` and exempt from
+        ``max_pending`` (they were admitted before the restart); one that no
+        worker or strategy here can take fails with
+        :data:`_LOST_IN_RESTART`.  New ids mint above the highest replayed
+        one, and :meth:`gc` bounds replayed and live records together.
+        """
+        for key, report in replay.store.items():
+            self.store.put(key, report)
+        with self._work:
+            self._counter = replay.max_job_number
+            for job_id, record in replay.records.items():
+                request = replay.requests.get(job_id, {})
+                job = _Job(
+                    job_id=job_id, spec=record.kernel, name=record.kernel,
+                    shapes=request.get("shapes"), strategy=request.get("strategy"),
+                    verify=request.get("verify"), store=request.get("store", True),
+                    cost=record.cost, backend=record.backend, pin=None,
+                    use_store=request.get("use_store", True), tenant=record.tenant,
+                )
+                job.attempt = record.attempt
+                if not record.status.terminal:
+                    try:
+                        job.backend, job.strategy, job.verify = self._resolve(
+                            job.backend, job.strategy, job.verify
+                        )
+                    except (KeyError, ValueError) as exc:
+                        _LOG.warning("cannot resume job %s (%s): %s", job_id, job.name, exc)
+                    else:
+                        job.resumed = True
+                        job.checkpoint_state = replay.checkpoints.get(job_id)
+                        self._enqueue_locked(job)
+                        continue
+                # A finished job, or a lost one that fails now: as journaled.
+                for name in _RESTORED_STATE:
+                    setattr(job, name, getattr(record, name))
+                self._jobs[job_id] = job
+                if record.status.terminal:
+                    job.report = replay.reports.get(job_id)
+                    job.events.append(
+                        ProgressEvent(
+                            seq=0, job_id=job_id, kind=job.status.value,
+                            timestamp=job.finished_at, worker=job.worker,
+                            measured=job.measured, stolen=job.stolen,
+                            detail=job.error or "replayed from journal",
+                            rules=job.invalidation_rules, attempt=job.attempt,
+                            replayed=True,
+                        )
+                    )
+                    job.done_event.set()
+                else:
+                    job.error = _LOST_IN_RESTART
+                    self._finalize_locked(job, JobStatus.FAILED, detail=_LOST_IN_RESTART)
+        self.gc()
 
     def reject(
         self,
@@ -502,7 +560,8 @@ class JobQueue:
             return JobHandle(self, self._jobs[job_id])
 
     def jobs(self) -> list[JobRecord]:
-        """Snapshot of every job this queue has seen, submission order."""
+        """Snapshot of every job record this queue holds: journal-restored
+        ones first (journal order), then the rest in submission order."""
         with self._work:
             return [job.record() for job in self._jobs.values()]
 
@@ -518,7 +577,7 @@ class JobQueue:
         journal keeps enough to re-queue these jobs after a restart."""
         with self._work:
             return {
-                job.id: {"request": job.request, "checkpoint": job.checkpoint_state}
+                job.id: {"request": job.request(), "checkpoint": job.checkpoint_state}
                 for job in self._jobs.values()
                 if not job.status.terminal
             }
@@ -583,16 +642,16 @@ class JobQueue:
                 **stats,
             },
             "pool": self.pool.snapshot(),
-            "store": {} if self.store is None else self.store.snapshot(),
+            "store": self.store.snapshot(),
             "health": self.pool.health(),
         }
 
     @property
     def stats(self) -> dict:
-        """Queue counters plus the result-store snapshot (if enabled)."""
+        """Queue counters plus the result-store snapshot."""
         with self._work:
             stats = dict(self._stats)
-        stats["store"] = {} if self.store is None else self.store.snapshot()
+        stats["store"] = self.store.snapshot()
         return stats
 
     def join(self, timeout: float | None = None) -> None:
@@ -774,7 +833,7 @@ class JobQueue:
         job.started_at = time.time()
         started = time.perf_counter()
 
-        if self.store is not None and job.use_store:
+        if job.use_store:
             key = self._store_key(session, job)
             hit = None if key is None else self.store.get(key)
             if hit is not None:
@@ -857,11 +916,11 @@ class JobQueue:
             worker.failures += 1 if report.failed else 0
             worker.evaluations += report.evaluations
             job.cache_key = report.cache_key
-        if not report.failed and self.store is not None:
+        if not report.failed:
             key = report.cache_key or self._store_key(session, job)
             if key is not None:
                 self.store.put(key, report)
-                self._journal_store(key, report)
+                self._journal("store", key, report)
         with self._work:
             self._finalize_locked(
                 job,
@@ -945,7 +1004,7 @@ class JobQueue:
             snapshot = dict(state)
             with self._work:
                 job.checkpoint_state = snapshot
-            self._journal_checkpoint(job, snapshot)
+            self._journal("checkpoint", job.id, snapshot)
 
         return save_state
 
@@ -1102,7 +1161,7 @@ class JobQueue:
             job, status.value, worker=job.worker, measured=job.measured,
             stolen=job.stolen, detail=detail, rules=self._terminal_rules(job, report),
         )
-        self._journal_terminal(job)
+        self._journal("terminal", job.record(), job.report)
         job.done_event.set()
 
     @staticmethod
@@ -1118,44 +1177,16 @@ class JobQueue:
                     rules.append(code)
         return tuple(rules)
 
-    def _journal_submitted(self, job: _Job) -> None:
-        if self.journal is None:
+    def _journal(self, kind: str, *args, **kwargs) -> None:
+        """Append one ``kind`` entry through ``journal.record_<kind>``;
+        durability is best-effort, so a failed append is only logged."""
+        journal = self.journal
+        if journal is None:
             return
         try:
-            try:
-                self.journal.record_submitted(job.record(), request=job.request)
-            except TypeError:
-                # Duck-typed journals predating the request parameter.
-                self.journal.record_submitted(job.record())
+            getattr(journal, f"record_{kind}")(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - durability is best-effort
-            _LOG.warning("journal submit record for %s failed: %s", job.id, exc)
-
-    def _journal_checkpoint(self, job: _Job, state: dict) -> None:
-        if self.journal is None:
-            return
-        record_checkpoint = getattr(self.journal, "record_checkpoint", None)
-        if record_checkpoint is None:
-            return
-        try:
-            record_checkpoint(job.id, state)
-        except Exception as exc:  # noqa: BLE001 - durability is best-effort
-            _LOG.warning("journal checkpoint for %s failed: %s", job.id, exc)
-
-    def _journal_terminal(self, job: _Job) -> None:
-        if self.journal is None:
-            return
-        try:
-            self.journal.record_terminal(job.record(), job.report)
-        except Exception as exc:  # noqa: BLE001 - durability is best-effort
-            _LOG.warning("journal terminal record for %s failed: %s", job.id, exc)
-
-    def _journal_store(self, key: str, report: RunReport) -> None:
-        if self.journal is None:
-            return
-        try:
-            self.journal.record_store(key, report)
-        except Exception as exc:  # noqa: BLE001 - durability is best-effort
-            _LOG.warning("journal store entry for %s failed: %s", key, exc)
+            _LOG.warning("journal %s entry failed: %s", kind, exc)
 
     def _emit(self, job: _Job, kind: str, **fields) -> None:
         self._bus.publish(job.events, job_id=job.id, kind=kind, **fields)

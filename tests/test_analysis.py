@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     Resolution,
     build_cfg,
-    build_def_use,
     build_embedding_tables,
     infer_stall_counts,
     run_pre_game_analysis,
@@ -42,19 +41,6 @@ def test_cfg_blocks_split_at_labels_and_sync(kernel):
     assert first_block.start == 0
     # Lines before the label and after it are never in the same block.
     assert not cfg.same_block(0, cfg.label_positions[".L_loop"] + 1)
-
-
-def test_def_use_chains(kernel):
-    cfg = build_cfg(kernel)
-    chains = build_def_use(kernel, cfg)
-    lines = kernel.lines
-    # The LDG at listing index 3 reads R6/R7 defined by the IMAD.WIDE at 2.
-    assert chains.definition_of(3, 6) == 2
-    assert chains.is_user(2, 3)
-    # The FADD after the label reads R8, which is defined in the previous
-    # block, so it is a live-in use.
-    fadd_index = next(i for i, l in enumerate(lines) if getattr(l, "base_opcode", None) == "FADD")
-    assert fadd_index in chains.live_in_uses
 
 
 def test_stall_inference_resolutions(kernel):

@@ -25,7 +25,6 @@ from repro.analysis.liveness import (
     compute_liveness,
     pressure_report,
 )
-from repro.analysis.defuse import build_def_use
 from repro.analysis.verify import ScheduleVerifier
 from repro.api import (
     CacheConfig,
@@ -490,26 +489,6 @@ def test_pressure_report_flags_over_budget_listing():
     assert not report.fits
     assert report.peak >= n
     assert report.headroom < 0
-
-
-def test_defuse_keys_distinguish_spaces_and_expand_pairs():
-    listing = """
-[B------:R-:W-:-:S05] ISETP.GE.AND P4, PT, R4, 0x1, PT ;
-[B------:R-:W-:-:S04] MOV R4, 0x2 ;
-[B------:R-:W-:-:S04] IMAD.WIDE R6, R4, R4, RZ ;
-[B------:R-:W-:-:S05] IADD3 R10, R7, RZ, RZ ;
-[B------:R-:W-:-:S05] @P4 IADD3 R12, R4, RZ, RZ ;
-[B------:R-:W-:-:S05] EXIT ;
-"""
-    kernel = SassKernel.from_text(listing, KernelMetadata(name="keys", num_warps=1))
-    chains = build_def_use(kernel)
-    # P4 (predicate) and R4 (general) share the index but are distinct keys:
-    # the MOV at line 1 must not count as defining the predicate.
-    assert chains.definition_of(4, ("p", 4)) == 0
-    assert chains.definition_of(4, ("r", 4)) == 1
-    assert chains.definition_of(4, 4) == 1  # bare-int compat = general space
-    # IMAD.WIDE defines the pair R6:R7 — a use of the high half reaches it.
-    assert chains.definition_of(3, ("r", 7)) == 2
 
 
 def test_lint_pressure_gate_exit_codes(tmp_path):

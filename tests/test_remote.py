@@ -383,7 +383,7 @@ def test_gc_never_evicts_inflight_jobs():
 
 def test_gc_max_records_evicts_oldest_terminal_first():
     with _single_worker_pool() as pool:
-        queue = pool.serve(ServeConfig(max_records=2, result_store=False))
+        queue = pool.serve(ServeConfig(max_records=2))
         handles = [queue.submit("softmax") for _ in range(3)]
         for handle in handles:
             handle.result(timeout=300)
@@ -495,24 +495,29 @@ def test_restart_replays_terminal_records_and_store(tmp_path):
 
 
 def test_restart_marks_lost_inflight_jobs_failed(tmp_path):
-    # With resume_inflight off, lost in-flight jobs surface as failed
-    # (the pre-resume behavior, still available as an operator choice).
+    # A journaled in-flight job that no worker of the restarted pool can
+    # take (no worker targets its backend) ends failed, never a ghost.
     path = tmp_path / "j.jsonl"
     journal = JobJournal(path)
-    journal.record_submitted(_record("j00007", JobStatus.RUNNING))
+    journal.record_submitted(
+        dataclasses.replace(_record("j00007", JobStatus.RUNNING), backend="H100-sim")
+    )
     journal.close()
 
     with _single_worker_pool() as pool:
-        remote = RemoteConfig(journal_path=path, resume_inflight=False)
-        with RemoteApp(pool, remote=remote) as app:
+        with RemoteApp(pool, remote=RemoteConfig(journal_path=path)) as app:
             record = app.status("j00007")
-            assert record.status is JobStatus.FAILED
+            assert record.status is JobStatus.FAILED and record.replayed
             assert "restart" in (record.error or "").lower()
             assert app.cancel("j00007") is False  # already terminal
+            assert app.metrics()["server"]["resumed_jobs"] == 0
             # New ids mint above the replayed one.
             fresh = app.submit({"kernel": "softmax"})
             assert int(fresh.job_id[1:]) > 7
             app.result(fresh.job_id, timeout=300)
+        # The failure was journaled: the next boot replays it as it ended.
+        with RemoteApp(pool, remote=RemoteConfig(journal_path=path)) as app:
+            assert app.status("j00007").status is JobStatus.FAILED
 
 
 def test_restart_resumes_lost_inflight_jobs(tmp_path):
@@ -554,6 +559,56 @@ def test_restart_applies_ttl_to_replayed_records(tmp_path):
             with pytest.raises(KeyError):
                 app.status("j00001")  # expired while the server was down
             assert app.status("j00002").status is JobStatus.DONE
+
+
+def _journal_of_finished(path, finished_at):
+    """A journal of one done record per ``finished_at``: j00001, j00002, ..."""
+    journal = JobJournal(path)
+    for number, when in enumerate(finished_at, start=1):
+        journal.record_terminal(_record(f"j{number:05d}", finished_at=when), _done_report())
+    journal.close()
+
+
+def test_restart_gc_expires_replayed_records_after_boot(tmp_path):
+    now = time.time()
+    _journal_of_finished(tmp_path / "j.jsonl", [now - 3590, now])
+    serve = ServeConfig(job_ttl_s=3600.0)
+    remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, serve=serve, remote=remote) as app:
+            assert app.status("j00001").status is JobStatus.DONE  # 10 s left
+            assert app.queue.gc(now=now + 20) == 1
+            with pytest.raises(KeyError):
+                app.status("j00001")
+            assert app.status("j00002").replayed
+
+
+def test_restart_metrics_count_replayed_records(tmp_path):
+    now = time.time()
+    _journal_of_finished(tmp_path / "j.jsonl", [now] * 5)
+    serve = ServeConfig(job_ttl_s=3600.0, max_records=100)
+    remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, serve=serve, remote=remote) as app:
+            metrics = app.metrics()
+            assert metrics["queue"]["records"] == len(app.jobs()) == 5
+            assert metrics["server"]["replayed_records"] == 5
+
+
+def test_restart_max_records_bounds_replayed_and_live_together(tmp_path):
+    now = time.time()
+    _journal_of_finished(tmp_path / "j.jsonl", [now] * 3)
+    serve = ServeConfig(max_records=3)
+    remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, serve=serve, remote=remote) as app:
+            live = []
+            for _ in range(3):
+                live.append(app.submit({"kernel": "softmax"}).job_id)
+                app.result(live[-1], timeout=300)
+            app.queue.gc()
+            # The oldest records, the replayed ones, made way for live ones.
+            assert [record.job_id for record in app.jobs()] == live
 
 
 def test_app_quota_mints_observable_rejection(tmp_path):
@@ -607,6 +662,32 @@ def test_app_rejects_malformed_payloads():
             outcomes = app.submit_many([{"kernel": "softmax"}, {"bad": 1}])
             assert "job_id" in outcomes[0]
             assert outcomes[1]["error"]["code"] == "bad-request"
+            app.queue.join(timeout=300)
+
+
+_BAD_COSTS = (-50, 0, 0.0, [1], "2", True, None, float("nan"), float("inf"), 10**400)
+
+
+def test_app_refuses_a_bad_cost_before_charging_the_quota():
+    remote = RemoteConfig(journal=False, tenant_tokens=2.0)
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, remote=remote) as app:
+            for cost in _BAD_COSTS:
+                with pytest.raises(ValueError, match="cost"):
+                    app.submit({"kernel": "softmax", "cost": cost}, tenant="alice")
+            assert app.quota.remaining("alice") == 2.0
+            assert app.queue.jobs() == []
+            # A bad entry fails alone; the entries around it are queued.
+            outcomes = app.submit_many(
+                [{"kernel": "softmax"}, {"kernel": "softmax", "cost": [1]},
+                 {"kernel": "softmax", "cost": 0.5}],
+                tenant="alice",
+            )
+            assert [sorted(outcome) for outcome in outcomes] == [
+                ["job_id"], ["error"], ["job_id"]
+            ]
+            assert outcomes[1]["error"]["code"] == "bad-request"
+            assert app.quota.remaining("alice") == pytest.approx(0.5)
             app.queue.join(timeout=300)
 
 
@@ -673,6 +754,17 @@ def test_http_batch_mixed_outcomes(http_stack):
     assert "job_id" in outcomes[0]
     assert outcomes[1]["error"]["code"] == "bad-request"
     client.result(outcomes[0]["job_id"], timeout=300)
+
+
+def test_http_bad_cost_is_a_400(http_stack):
+    client, app = http_stack
+    for cost in (-50, [1], True):
+        with pytest.raises(ValueError, match="cost"):
+            client._request("POST", "/v1/jobs", {"kernel": "softmax", "cost": cost})
+    outcomes = client.submit_many([{"kernel": "softmax", "cost": -50}, {"kernel": "softmax"}])
+    assert outcomes[0]["error"]["code"] == "bad-request" and "job_id" in outcomes[1]
+    assert app.quota.remaining("pytest") == 49.0  # only the good entry was charged
+    client.result(outcomes[1]["job_id"], timeout=300)
 
 
 def test_http_quota_429(http_stack):

@@ -241,6 +241,22 @@ def test_job_subscription_replays_history_and_completes():
         assert kinds[0] == "queued" and kinds[-1] == "done"
 
 
+def test_finished_job_subscriptions_are_unregistered():
+    with _single_worker_pool() as pool:
+        queue = pool.serve()
+        feed = queue.subscribe()  # pool-wide: registered until closed
+        handles = [queue.submit("softmax") for _ in range(5)]
+        for handle in handles:
+            assert list(handle.subscribe())[-1].kind == "done"
+        assert queue._bus._subscriptions == [feed]
+        # A subscription to a finished job completes without registering.
+        for _ in range(3):
+            assert list(handles[0].subscribe())[-1].kind == "done"
+        assert queue._bus._subscriptions == [feed]
+        feed.close()
+        assert queue._bus._subscriptions == []
+
+
 def test_pool_wide_subscription_sees_every_job():
     with SessionPool(["A100-sim", "A100-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         queue = pool.serve()
@@ -277,7 +293,7 @@ def test_result_store_hit_skips_optimization():
         assert "running" not in kinds  # resolved without optimizing
 
 
-def test_result_store_respects_use_store_and_config():
+def test_result_store_respects_use_store():
     with _single_worker_pool() as pool:
         queue = pool.serve()
         first = queue.submit("softmax")
@@ -285,13 +301,6 @@ def test_result_store_respects_use_store_and_config():
         fresh = queue.submit("softmax", use_store=False)
         fresh.result(timeout=120)
         assert not fresh.from_store
-    with SessionPool(["A100-sim"], config=_FAST, cache=_NO_CACHE) as pool:
-        queue = pool.serve(ServeConfig(result_store=False))
-        assert queue.store is None
-        one = queue.submit("softmax")
-        two = queue.submit("softmax")
-        two.result(timeout=120)
-        assert not one.from_store and not two.from_store
 
 
 def test_result_store_is_lru_bounded():

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.analysis.cfg as cfg_module
-import repro.analysis.defuse as defuse_module
 import repro.analysis.deps as deps_module
 import repro.analysis.stall_inference as stall_module
 import repro.triton.kernels  # noqa: F401 - registers the bundled specs
@@ -45,7 +44,6 @@ _ANALYSES = {
     "build_dependence_graph": deps_module,
     "build_cfg": cfg_module,
     "infer_stall_counts": stall_module,
-    "build_def_use": defuse_module,
 }
 
 
@@ -122,7 +120,6 @@ def test_a_job_on_a_fresh_listing_analyzes_it_once(count_analyses, config, kerne
         "build_dependence_graph": 1,
         "build_cfg": 1,
         "infer_stall_counts": 1,
-        "build_def_use": 0,
         "ScheduleVerifier": 1,
     }
 
