@@ -1,9 +1,10 @@
-"""Ablation: measurement-service backends (inline vs process vs memoized).
+"""Ablation: measurement-service memoization (inline vs inline + memo).
 
 The §3.6 measurement protocol is the bottleneck of every search strategy;
-this entry records evaluations/sec of the greedy search per backend and
-checks the service is semantics-preserving: every backend finds the same
-best schedule, and memoization strictly reduces raw simulator measurements.
+this entry records evaluations/sec of the greedy search with and without
+memoization and checks the memo is semantics-preserving: both rows find the
+same best schedule, and memoization strictly reduces raw simulator
+measurements.
 """
 
 from repro.bench.experiments import format_table, measurement_backend_throughput
@@ -15,18 +16,16 @@ def test_measurement_backend_throughput(benchmark, simulator):
         rounds=1,
         iterations=1,
     )
-    print("\nAblation — measurement backends (greedy search, mmLeakyReLu)")
+    print("\nAblation — measurement memoization (greedy search, mmLeakyReLu)")
     print(format_table(rows, floatfmt="{:.4f}"))
 
     by_backend = {row["backend"]: row for row in rows}
     inline = by_backend["inline"]
-    process = by_backend["process"]
     memoized = by_backend["inline+memo"]
 
-    # The search is deterministic: backends change throughput, not results.
-    assert process["best_ms"] == inline["best_ms"]
+    # The search is deterministic: memoization changes throughput, not results.
     assert memoized["best_ms"] == inline["best_ms"]
-    assert process["evaluations"] == inline["evaluations"]
+    assert memoized["evaluations"] == inline["evaluations"]
 
     # Memoization dedups repeated schedules: strictly fewer raw measurements.
     assert memoized["memo_hits"] > 0

@@ -35,7 +35,7 @@ def main() -> None:
     # Enumerate the suite from the kernel registry: every ``llm``-tagged
     # workload, which grows automatically as kernels are registered.
     workloads = available_kernels(tags=("llm",))
-    reports = session.optimize_many(workloads, jobs=2)
+    reports = session.optimize_many(workloads)
     succeeded = []
     for report in reports:
         if report.failed:

@@ -13,7 +13,7 @@ Run with:  python examples/pool_scaleout.py
 
 import tempfile
 
-from repro.api import MeasurementPolicy, OptimizationConfig, PoolConfig
+from repro.api import OptimizationConfig, PoolConfig
 from repro.pool import SessionPool
 from repro.utils.logging import enable_console_logging
 
@@ -46,8 +46,6 @@ def main() -> None:
             pool=PoolConfig(scheduler="least_loaded"),
             cache_dir=cache_dir,
             config=config,
-            # "process" sidesteps the GIL for the timing loop on multi-core hosts.
-            measurement=MeasurementPolicy(backend="process", max_workers=2),
         ) as pool:
             result = pool.optimize_many(workloads)
 

@@ -59,12 +59,11 @@ class RetryPolicy:
     """How the serve queue retries jobs that hit *infrastructure* failures.
 
     Only failures classified by :func:`repro.errors.is_infrastructure_failure`
-    (worker crashes, closed sessions, broken measurement executors) are ever
-    retried; verifier rejections, compile errors and other user-attributable
-    failures fail immediately on the first attempt.  Delays grow
-    exponentially with a deterministic jitter (no hidden RNG state — the
-    jitter is a pure function of the attempt number), so chaos tests replay
-    bit-identically.
+    (worker crashes, closed sessions) are ever retried; verifier rejections,
+    compile errors and other user-attributable failures fail immediately on
+    the first attempt.  Delays grow exponentially with a deterministic jitter
+    (no hidden RNG state — the jitter is a pure function of the attempt
+    number), so chaos tests replay bit-identically.
     """
 
     #: Total attempts per job, including the first run; 1 disables retries.
@@ -134,7 +133,7 @@ class ServeConfig:
     #: evicted beyond it.  ``None`` keeps the job map unbounded.
     max_records: int | None = None
     #: Retry jobs that hit infrastructure failures (worker crash, closed
-    #: session, broken executor) with exponential backoff; ``None`` fails
+    #: session) with exponential backoff; ``None`` fails
     #: them on the first attempt.  See :class:`RetryPolicy`.
     retry: RetryPolicy | None = None
 

@@ -8,7 +8,7 @@ exposes the paper's lifecycle as four verbs::
     compiled = session.compile("softmax")            # stage 1: autotune + -O3
     report   = session.optimize("softmax")           # stage 2: schedule search
     deployed = session.deploy("softmax")             # §4.2: cached cubin lookup
-    reports  = session.optimize_many(["bmm", "softmax"], jobs=2)
+    reports  = session.optimize_many(["bmm", "softmax"])
 
 ``strategy="ppo"`` (the paper's RL agent) and the §7 baselines
 (``"greedy"``, ``"random"``, ``"evolutionary"``) are interchangeable and all
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -551,18 +550,16 @@ class Session:
         self,
         specs: Iterable[str | KernelSpec],
         *,
-        jobs: int = 1,
         strategy: str | None = None,
         verify: str | bool | None = None,
         store: bool = True,
         on_error: str = "report",
     ) -> list[RunReport]:
-        """Fan one optimization run out over many workloads.
+        """Run one optimization over many workloads, one after another.
 
-        Reports come back in input order.  ``jobs > 1`` runs workloads on a
-        thread pool; each workload compiles, searches and verifies
-        independently, and cache writes go to per-key files so concurrent
-        stores do not collide.
+        Reports come back in input order; each workload compiles, searches
+        and verifies independently.  To spread workloads over several
+        backends, use a :class:`~repro.pool.SessionPool`.
 
         A failing workload no longer discards the rest of the batch.  With
         ``on_error="report"`` (the default) it yields a failed
@@ -588,12 +585,7 @@ class Session:
                     error=f"{type(exc).__name__}: {exc}",
                 )
 
-        if jobs <= 1 or len(resolved) <= 1:
-            reports = [one(spec) for spec in resolved]
-        else:
-            with ThreadPoolExecutor(max_workers=min(jobs, len(resolved))) as pool:
-                futures = [pool.submit(one, spec) for spec in resolved]
-                reports = [future.result() for future in futures]
+        reports = [one(spec) for spec in resolved]
 
         failures = [report for report in reports if report.failed]
         if failures and on_error == "raise":

@@ -121,15 +121,12 @@ class PPOStrategy:
             episode_length=config.episode_length,
             policy=context.policy,
         )
-        try:
-            result = trainer.train(config.train_timesteps)
-            details: dict = {"history": result.history, "episodes": result.episodes}
-            if config.trace:
-                details["moves"] = trainer.trace_inference(seed=config.seed)
-            details["measurement"] = trainer.env.measurement_stats.as_dict()
-            details["invalid_actions"] = trainer.env.invalid_actions
-        finally:
-            trainer.env.close()
+        result = trainer.train(config.train_timesteps)
+        details: dict = {"history": result.history, "episodes": result.episodes}
+        if config.trace:
+            details["moves"] = trainer.trace_inference(seed=config.seed)
+        details["measurement"] = trainer.env.measurement_stats.as_dict()
+        details["invalid_actions"] = trainer.env.invalid_actions
         return StrategyOutcome(
             strategy=self.name,
             baseline_time_ms=result.baseline_time_ms,

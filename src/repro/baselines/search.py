@@ -122,68 +122,65 @@ def run_random_search(
     policy = policy or MeasurementPolicy()
     save_state, resume_state = policy.save_state, policy.resume_state
     env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
-    try:
-        rng = as_rng(seed)
-        env.reset()
-        evaluations, episode_swaps, best_swaps = _resume_search(env, resume_state, "random")
-        resumed_from = evaluations
-        if resumed_from and isinstance(resume_state, dict):
-            rng_state = resume_state.get("rng_state")
-            if rng_state is not None:
-                try:
-                    rng.bit_generator.state = rng_state
-                except Exception as exc:
-                    _LOG.warning("random: could not restore RNG stream (%s)", exc)
-        history = []
+    rng = as_rng(seed)
+    env.reset()
+    evaluations, episode_swaps, best_swaps = _resume_search(env, resume_state, "random")
+    resumed_from = evaluations
+    if resumed_from and isinstance(resume_state, dict):
+        rng_state = resume_state.get("rng_state")
+        if rng_state is not None:
+            try:
+                rng.bit_generator.state = rng_state
+            except Exception as exc:
+                _LOG.warning("random: could not restore RNG stream (%s)", exc)
+    history = []
 
-        def export_state() -> None:
-            if save_state is None:
-                return
-            save_state({
-                "strategy": "random",
-                "evaluations": evaluations,
-                "swaps": [list(move) for move in episode_swaps],
-                "best_swaps": [list(move) for move in best_swaps],
-                "best_time_ms": env.best_time_ms,
-                "rng_state": rng.bit_generator.state,
-            })
+    def export_state() -> None:
+        if save_state is None:
+            return
+        save_state({
+            "strategy": "random",
+            "evaluations": evaluations,
+            "swaps": [list(move) for move in episode_swaps],
+            "best_swaps": [list(move) for move in best_swaps],
+            "best_time_ms": env.best_time_ms,
+            "rng_state": rng.bit_generator.state,
+        })
 
-        while evaluations < budget:
-            mask = env.action_masks()
-            valid = np.flatnonzero(mask)
-            if len(valid) == 0:
-                # A freshly reset schedule with no legal move: nothing to search.
-                if not history and not resumed_from:
-                    break
-                env.reset()
-                episode_swaps = []
-                continue
-            action = int(rng.choice(valid))
-            previous_best = env.best_time_ms
-            _, _, terminated, truncated, info = env.step(action)
-            evaluations += 1
-            history.append(info.get("time_ms", env.best_time_ms))
-            if "swap" in info:
-                episode_swaps.append(tuple(info["swap"]))
-            if env.best_time_ms < previous_best:
-                best_swaps = list(episode_swaps)
-            export_state()
-            if terminated or truncated:
-                env.reset()
-                episode_swaps = []
-        return ScheduleSearchResult(
-            method="random",
-            baseline_time_ms=env.baseline_time_ms,
-            best_time_ms=env.best_time_ms,
-            best_kernel=env.best_kernel,
-            evaluations=evaluations,
-            history=history,
-            measurement_stats=env.measurement_stats.as_dict(),
-            invalid_actions=env.invalid_actions,
-            resumed_from=resumed_from,
-        )
-    finally:
-        env.close()
+    while evaluations < budget:
+        mask = env.action_masks()
+        valid = np.flatnonzero(mask)
+        if len(valid) == 0:
+            # A freshly reset schedule with no legal move: nothing to search.
+            if not history and not resumed_from:
+                break
+            env.reset()
+            episode_swaps = []
+            continue
+        action = int(rng.choice(valid))
+        previous_best = env.best_time_ms
+        _, _, terminated, truncated, info = env.step(action)
+        evaluations += 1
+        history.append(info.get("time_ms", env.best_time_ms))
+        if "swap" in info:
+            episode_swaps.append(tuple(info["swap"]))
+        if env.best_time_ms < previous_best:
+            best_swaps = list(episode_swaps)
+        export_state()
+        if terminated or truncated:
+            env.reset()
+            episode_swaps = []
+    return ScheduleSearchResult(
+        method="random",
+        baseline_time_ms=env.baseline_time_ms,
+        best_time_ms=env.best_time_ms,
+        best_kernel=env.best_kernel,
+        evaluations=evaluations,
+        history=history,
+        measurement_stats=env.measurement_stats.as_dict(),
+        invalid_actions=env.invalid_actions,
+        resumed_from=resumed_from,
+    )
 
 
 def run_greedy_search(
@@ -205,8 +202,8 @@ def run_greedy_search(
     path *is* the best path — no separate best tracking rides the snapshot.
 
     Each round batch-measures *all* valid single-move candidates through the
-    env's measurement service (concurrently under ``backend="process"``),
-    then commits the winner with a real ``env.step``.  The committing step is
+    env's measurement service, then commits the winner with a real
+    ``env.step``.  The committing step is
     a measurement too, so it counts against the budget — and under a
     memoizing policy it is a guaranteed memoization hit, as are probes of
     previously visited schedules (e.g. the swap that reverts the last move).
@@ -216,80 +213,77 @@ def run_greedy_search(
     """
     policy = policy or MeasurementPolicy()
     env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
-    try:
-        env.reset()
-        evaluations, committed, _ = _resume_search(env, policy.resume_state, "greedy")
-        resumed_from = evaluations
-        history = []
+    env.reset()
+    evaluations, committed, _ = _resume_search(env, policy.resume_state, "greedy")
+    resumed_from = evaluations
+    history = []
+    improved = True
+    while improved and evaluations < budget:
+        improved = False
+        valid = list(np.flatnonzero(env.action_masks()))
+        if not valid:
+            break
+        base_kernel = env.current_kernel
+        base_time = env.current_time_ms
+        # Probe at most budget-1 remaining candidates: the committing step
+        # below is a measurement too and needs its own budget slot.
+        actions = valid[: max(budget - evaluations - 1, 0)]
+        candidates = [
+            base_kernel.swap(*env.action_space_map.target_indices(base_kernel, action))
+            for action in actions
+        ]
+        # Static pre-filter: every masked action should verify legal, so
+        # anything pruned here is masking drift — skip its measurement and
+        # leave a visible trace.
+        legal = [env.verifier.is_legal(candidate) for candidate in candidates]
+        if not all(legal):
+            pruned = legal.count(False)
+            env.measurement_stats.count_pruned(pruned)
+            _LOG.warning(
+                "greedy: pruned %d statically-illegal candidate(s) on %s; "
+                "the action mask and the verifier disagree",
+                pruned,
+                base_kernel.metadata.name,
+            )
+            actions = [action for action, ok in zip(actions, legal) if ok]
+            candidates = [candidate for candidate, ok in zip(candidates, legal) if ok]
+        times = env.measure_candidates(candidates)
+        evaluations += len(times)
+        history.extend(times)
+        if not times:
+            break
+        best_index = int(np.argmin(times))
+        if times[best_index] >= base_time - 1e-12:
+            break
+        _, _, terminated, truncated, info = env.step(int(actions[best_index]))
+        evaluations += 1
+        history.append(info.get("time_ms", times[best_index]))
         improved = True
-        while improved and evaluations < budget:
-            improved = False
-            valid = list(np.flatnonzero(env.action_masks()))
-            if not valid:
-                break
-            base_kernel = env.current_kernel
-            base_time = env.current_time_ms
-            # Probe at most budget-1 remaining candidates: the committing step
-            # below is a measurement too and needs its own budget slot.
-            actions = valid[: max(budget - evaluations - 1, 0)]
-            candidates = [
-                base_kernel.swap(*env.action_space_map.target_indices(base_kernel, action))
-                for action in actions
-            ]
-            # Static pre-filter: every masked action should verify legal, so
-            # anything pruned here is masking drift — skip its measurement and
-            # leave a visible trace.
-            legal = [env.verifier.is_legal(candidate) for candidate in candidates]
-            if not all(legal):
-                pruned = legal.count(False)
-                env.measurement_stats.count_pruned(pruned)
-                _LOG.warning(
-                    "greedy: pruned %d statically-illegal candidate(s) on %s; "
-                    "the action mask and the verifier disagree",
-                    pruned,
-                    base_kernel.metadata.name,
-                )
-                actions = [action for action, ok in zip(actions, legal) if ok]
-                candidates = [candidate for candidate, ok in zip(candidates, legal) if ok]
-            times = env.measure_candidates(candidates)
-            evaluations += len(times)
-            history.extend(times)
-            if not times:
-                break
-            best_index = int(np.argmin(times))
-            if times[best_index] >= base_time - 1e-12:
-                break
-            _, _, terminated, truncated, info = env.step(int(actions[best_index]))
-            evaluations += 1
-            history.append(info.get("time_ms", times[best_index]))
-            improved = True
-            if "swap" in info:
-                committed.append(tuple(info["swap"]))
-            if policy.save_state is not None:
-                policy.save_state({
-                    "strategy": "greedy",
-                    "evaluations": evaluations,
-                    "swaps": [list(move) for move in committed],
-                    "best_swaps": [list(move) for move in committed],
-                    "best_time_ms": env.best_time_ms,
-                })
-            if terminated or truncated:
-                # The episode is over (move horizon reached or no actions
-                # left); stepping a finished episode would corrupt the climb.
-                break
-        return ScheduleSearchResult(
-            method="greedy",
-            baseline_time_ms=env.baseline_time_ms,
-            best_time_ms=env.best_time_ms,
-            best_kernel=env.best_kernel,
-            evaluations=evaluations,
-            history=history,
-            measurement_stats=env.measurement_stats.as_dict(),
-            invalid_actions=env.invalid_actions,
-            resumed_from=resumed_from,
-        )
-    finally:
-        env.close()
+        if "swap" in info:
+            committed.append(tuple(info["swap"]))
+        if policy.save_state is not None:
+            policy.save_state({
+                "strategy": "greedy",
+                "evaluations": evaluations,
+                "swaps": [list(move) for move in committed],
+                "best_swaps": [list(move) for move in committed],
+                "best_time_ms": env.best_time_ms,
+            })
+        if terminated or truncated:
+            # The episode is over (move horizon reached or no actions
+            # left); stepping a finished episode would corrupt the climb.
+            break
+    return ScheduleSearchResult(
+        method="greedy",
+        baseline_time_ms=env.baseline_time_ms,
+        best_time_ms=env.best_time_ms,
+        best_kernel=env.best_kernel,
+        evaluations=evaluations,
+        history=history,
+        measurement_stats=env.measurement_stats.as_dict(),
+        invalid_actions=env.invalid_actions,
+        resumed_from=resumed_from,
+    )
 
 
 def run_evolutionary_search(
@@ -318,74 +312,71 @@ def run_evolutionary_search(
     if policy.resume_state is not None:
         _LOG.info("evolutionary: population checkpoints unsupported; starting fresh")
     env = AssemblyGame(compiled, simulator, episode_length=episode_length, policy=policy)
-    try:
-        rng = as_rng(seed)
-        evaluations = 0
-        history: list[float] = []
+    rng = as_rng(seed)
+    evaluations = 0
+    history: list[float] = []
 
-        def evaluate(sequence: list[int]) -> float:
-            nonlocal evaluations
-            env.reset()
-            last_time = env.baseline_time_ms
-            for action in sequence:
-                mask = env.action_masks()
-                if not mask[action % len(mask)]:
-                    valid = np.flatnonzero(mask)
-                    if len(valid) == 0:
-                        break
-                    action = int(valid[action % len(valid)])
-                else:
-                    action = action % len(mask)
-                # Static pre-filter (same contract as greedy): prune the move
-                # instead of measuring it when the verifier rejects the swap.
-                source, destination = env.action_space_map.target_indices(
-                    env.current_kernel, action
-                )
-                if not env.verifier.is_legal(env.current_kernel.swap(source, destination)):
-                    env.measurement_stats.count_pruned()
-                    _LOG.warning(
-                        "evolutionary: pruned statically-illegal move %d on %s; "
-                        "the action mask and the verifier disagree",
-                        action,
-                        env.current_kernel.metadata.name,
-                    )
-                    continue
-                _, _, terminated, truncated, info = env.step(action)
-                evaluations += 1
-                last_time = info.get("time_ms", last_time)
-                if terminated or truncated:
+    def evaluate(sequence: list[int]) -> float:
+        nonlocal evaluations
+        env.reset()
+        last_time = env.baseline_time_ms
+        for action in sequence:
+            mask = env.action_masks()
+            if not mask[action % len(mask)]:
+                valid = np.flatnonzero(mask)
+                if len(valid) == 0:
                     break
-            history.append(last_time)
-            return last_time
+                action = int(valid[action % len(valid)])
+            else:
+                action = action % len(mask)
+            # Static pre-filter (same contract as greedy): prune the move
+            # instead of measuring it when the verifier rejects the swap.
+            source, destination = env.action_space_map.target_indices(
+                env.current_kernel, action
+            )
+            if not env.verifier.is_legal(env.current_kernel.swap(source, destination)):
+                env.measurement_stats.count_pruned()
+                _LOG.warning(
+                    "evolutionary: pruned statically-illegal move %d on %s; "
+                    "the action mask and the verifier disagree",
+                    action,
+                    env.current_kernel.metadata.name,
+                )
+                continue
+            _, _, terminated, truncated, info = env.step(action)
+            evaluations += 1
+            last_time = info.get("time_ms", last_time)
+            if terminated or truncated:
+                break
+        history.append(last_time)
+        return last_time
 
-        genome_space = max(env.action_space.n, 1)
-        populace = [
-            [int(rng.integers(0, genome_space)) for _ in range(moves_per_individual)]
-            for _ in range(population)
-        ]
+    genome_space = max(env.action_space.n, 1)
+    populace = [
+        [int(rng.integers(0, genome_space)) for _ in range(moves_per_individual)]
+        for _ in range(population)
+    ]
+    scored = [(evaluate(individual), individual) for individual in populace]
+    for _ in range(generations):
+        scored.sort(key=lambda item: item[0])
+        parents = [individual for _, individual in scored[: max(2, population // 2)]]
+        children = []
+        while len(children) < population - len(parents):
+            parent = parents[int(rng.integers(0, len(parents)))]
+            child = list(parent)
+            index = int(rng.integers(0, len(child)))
+            child[index] = int(rng.integers(0, genome_space))
+            children.append(child)
+        populace = parents + children
         scored = [(evaluate(individual), individual) for individual in populace]
-        for _ in range(generations):
-            scored.sort(key=lambda item: item[0])
-            parents = [individual for _, individual in scored[: max(2, population // 2)]]
-            children = []
-            while len(children) < population - len(parents):
-                parent = parents[int(rng.integers(0, len(parents)))]
-                child = list(parent)
-                index = int(rng.integers(0, len(child)))
-                child[index] = int(rng.integers(0, genome_space))
-                children.append(child)
-            populace = parents + children
-            scored = [(evaluate(individual), individual) for individual in populace]
 
-        return ScheduleSearchResult(
-            method="evolutionary",
-            baseline_time_ms=env.baseline_time_ms,
-            best_time_ms=env.best_time_ms,
-            best_kernel=env.best_kernel,
-            evaluations=evaluations,
-            history=history,
-            measurement_stats=env.measurement_stats.as_dict(),
-            invalid_actions=env.invalid_actions,
-        )
-    finally:
-        env.close()
+    return ScheduleSearchResult(
+        method="evolutionary",
+        baseline_time_ms=env.baseline_time_ms,
+        best_time_ms=env.best_time_ms,
+        best_kernel=env.best_kernel,
+        evaluations=evaluations,
+        history=history,
+        measurement_stats=env.measurement_stats.as_dict(),
+        invalid_actions=env.invalid_actions,
+    )

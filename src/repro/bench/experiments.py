@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from statistics import geometric_mean
 
 from repro.analysis.stall_inference import infer_stall_counts
-from repro.api import CacheConfig, MeasurementPolicy, OptimizationConfig, PoolConfig, Session
+from repro.api import CacheConfig, MeasurementPolicy, OptimizationConfig, Session
 from repro.arch.latency_table import default_stall_table
 from repro.baselines.vendor import VendorBaselines
 from repro.microbench.clockbased import clock_based_stall_estimate
@@ -235,7 +235,7 @@ def figure6_summary(rows: list[Figure6Row]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Measurement-service ablation: evaluations/sec per backend
+# Measurement-service ablation: evaluations/sec with and without memoization
 # ---------------------------------------------------------------------------
 def measurement_backend_throughput(
     kernel: str = "mmLeakyReLu",
@@ -243,16 +243,15 @@ def measurement_backend_throughput(
     scale: str = "test",
     search_budget: int = 48,
     episode_length: int = 16,
-    max_workers: int = 4,
     simulator: GPUSimulator | None = None,
 ) -> list[dict]:
-    """Greedy-search measurement throughput under each measurement backend.
+    """Greedy-search measurement throughput, inline and inline + memo.
 
-    One row per backend configuration: evaluations/sec of the search loop,
-    raw simulator measurements actually issued, and memoization hits.  The
-    search itself is deterministic, so every configuration must land on the
-    same ``best_ms`` — the backends only change how fast (and how often) the
-    simulator is consulted.
+    One row per configuration: evaluations/sec of the search loop, raw
+    simulator measurements actually issued, and memoization hits.  The
+    search itself is deterministic, so both rows must land on the same
+    ``best_ms`` — memoization only changes how often the simulator is
+    consulted.
     """
     config = OptimizationConfig(
         strategy="greedy",
@@ -264,7 +263,6 @@ def measurement_backend_throughput(
     )
     policies = [
         ("inline", MeasurementPolicy()),
-        ("process", MeasurementPolicy(backend="process", max_workers=max_workers)),
         ("inline+memo", MeasurementPolicy(memoize=True)),
     ]
     rows = []
@@ -284,138 +282,6 @@ def measurement_backend_throughput(
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Pool-sharding ablation: evaluations/sec of a SessionPool per measurement backend
-# ---------------------------------------------------------------------------
-def pool_sharding_throughput(
-    # Round-robin puts the duplicate of each kernel on the *other* worker, so
-    # the shared memo sees genuine cross-worker traffic.
-    kernels=("mmLeakyReLu", "mmLeakyReLu", "rmsnorm", "rmsnorm"),
-    *,
-    backends=("A100-80GB-PCIe", "A100-80GB-PCIe"),
-    scheduler: str = "round_robin",
-    scale: str = "test",
-    search_budget: int = 24,
-    episode_length: int = 8,
-    max_workers: int = 2,
-    measure_backends=("inline", "process"),
-    steady_state_kernel: str = "mmLeakyReLu",
-    steady_state_scale: str = "bench",
-    steady_state_batch: int = 8,
-) -> list[dict]:
-    """Sharded greedy search plus steady-state timing per measurement backend.
-
-    One row per measurement backend, combining two phases:
-
-    * **pool phase** — the same workload list runs through a
-      :class:`~repro.pool.SessionPool` over ``backends`` (duplicates by
-      default, so the shared memo sees cross-worker traffic).  The search is
-      deterministic, so every backend must land on the same per-job
-      ``best_ms`` — the backends only change how fast the simulator is
-      consulted.  ``evals_per_sec`` is end-to-end pool throughput, including
-      executor startup and memo dedup, and is therefore noisy at quick scale.
-    * **steady-state phase** — run once, before the pool phases: one warm
-      measurement service per backend times a fixed candidate batch of one
-      bench-scale workload (``steady_evals_per_sec``), isolating raw
-      measurement throughput from pool scheduling and startup.  This is where
-      ``"process"`` wins on multi-core hosts: the timing loop is pure Python,
-      so only worker processes run candidates in parallel.
-    """
-    from repro.pool import SessionPool
-
-    config = OptimizationConfig(
-        strategy="greedy",
-        scale=scale,
-        search_budget=search_budget,
-        episode_length=episode_length,
-        autotune=False,
-        verify=False,
-    )
-    steady_compiled = compile_spec(get_spec(steady_state_kernel), scale=steady_state_scale)
-    steady_inputs = steady_compiled.make_inputs(0)
-    steady_rates = _steady_state_throughput(
-        measure_backends, steady_compiled, steady_inputs, max_workers, steady_state_batch
-    )
-    rows = []
-    for name in measure_backends:
-        policy = MeasurementPolicy(backend=name, max_workers=max_workers)
-        with SessionPool(
-            backends, pool=PoolConfig(scheduler=scheduler),
-            config=config, measurement=policy, cache=_NO_CACHE,
-        ) as pool:
-            result = pool.optimize_many(kernels)
-        steady = steady_rates[name]
-        rows.append(
-            {
-                "backend": name,
-                "best_ms": tuple(report.best_time_ms for report in result),
-                "evaluations": result.evaluations,
-                "elapsed_s": result.elapsed_s,
-                "evals_per_sec": result.evaluations_per_sec,
-                "jobs_per_sec": result.jobs_per_sec,
-                "memo_hits": result.memo.get("hits"),
-                "cross_worker_hits": result.memo.get("cross_worker_hits"),
-                "failures": len(result.failures),
-                "steady_time_ms": steady["time_ms"],
-                "steady_evals_per_sec": steady["evals_per_sec"],
-            }
-        )
-    return rows
-
-
-#: Shortest time each backend spends timing in :func:`_steady_state_throughput`.
-STEADY_STATE_MIN_SECONDS = 0.5
-
-
-def _steady_state_throughput(
-    backends, compiled, inputs: dict, max_workers: int, batch: int
-) -> dict[str, dict]:
-    """Evaluations/sec of one warm measurement service per backend.
-
-    Every service is warmed with one submission per worker before timing, so
-    executor startup, including each worker binding its own launch
-    (amortized over a whole search in real runs), stays out of the
-    steady-state number.  Then the service timed least so far times the next
-    batch, until each has timed :data:`STEADY_STATE_MIN_SECONDS`.  A shared
-    host slows down for seconds at a time; taking turns exposes every backend
-    to the same slowdowns, where back-to-back windows would let one land on a
-    single backend.
-    """
-    import time as _time
-
-    from repro.sim.measure_service import create_measurement_service
-
-    services = {}
-    try:
-        for backend in backends:
-            policy = MeasurementPolicy(backend=backend, max_workers=max_workers)
-            services[backend] = create_measurement_service(
-                GPUSimulator(), compiled.grid, inputs, compiled.param_order, policy
-            )
-        warm = {
-            backend: service.measure_batch([compiled.kernel] * max_workers)[0]
-            for backend, service in services.items()
-        }
-        timings: dict[str, list] = {backend: [] for backend in services}
-        elapsed = dict.fromkeys(services, 0.0)
-        while min(elapsed.values()) < STEADY_STATE_MIN_SECONDS:
-            backend = min(elapsed, key=elapsed.__getitem__)
-            started = _time.perf_counter()
-            timings[backend] += services[backend].measure_batch([compiled.kernel] * batch)
-            elapsed[backend] += _time.perf_counter() - started
-    finally:
-        for service in services.values():
-            service.close()
-    rates = {}
-    for backend in services:
-        assert all(timing == warm[backend] for timing in timings[backend])
-        rates[backend] = {
-            "time_ms": warm[backend].time_ms,
-            "evals_per_sec": len(timings[backend]) / elapsed[backend],
-        }
-    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -92,41 +92,33 @@ class AssemblyGame(Env):
             memo_scope=memo_scope,
         )
 
-        try:
-            # Pre-game static analysis on the -O3 schedule (§3.2).
-            self.initial_kernel: SassKernel = compiled.kernel
-            # Warm the decoded-program cache for the -O3 schedule: the baseline
-            # measurement below and every mutated candidate (which shares almost
-            # all instruction objects with the baseline) decode against it.
-            decode_program(self.initial_kernel)
-            self.analysis: PreGameAnalysis = run_pre_game_analysis(self.initial_kernel)
-            #: The seed listing's shared verifier, whose graph the pre-game
-            #: analysis read; the searches prune statically-illegal candidates
-            #: with its :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal`
-            #: fast path before measuring them.
-            self.verifier: ScheduleVerifier = seed_verifier(self.initial_kernel)
-            if not self.analysis.candidate_indices:
-                raise EnvironmentError_(
-                    f"kernel {self.initial_kernel.metadata.name!r} has no actionable memory instructions"
-                )
-            self.embedder = StateEmbedder(self.initial_kernel, self.analysis.embedding)
-            self.action_space_map = ActionSpace(
-                self.initial_kernel, self.analysis.candidate_indices
+        # Pre-game static analysis on the -O3 schedule (§3.2).
+        self.initial_kernel: SassKernel = compiled.kernel
+        # Warm the decoded-program cache for the -O3 schedule: the baseline
+        # measurement below and every mutated candidate (which shares almost
+        # all instruction objects with the baseline) decode against it.
+        decode_program(self.initial_kernel)
+        self.analysis: PreGameAnalysis = run_pre_game_analysis(self.initial_kernel)
+        #: The seed listing's shared verifier, whose graph the pre-game
+        #: analysis read; the searches prune statically-illegal candidates
+        #: with its :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal`
+        #: fast path before measuring them.
+        self.verifier: ScheduleVerifier = seed_verifier(self.initial_kernel)
+        if not self.analysis.candidate_indices:
+            raise EnvironmentError_(
+                f"kernel {self.initial_kernel.metadata.name!r} has no actionable memory instructions"
             )
-            self.masker = ActionMasker(self.action_space_map, self.analysis.stalls)
-            self._initial_mask = self._frozen_mask(self.initial_kernel)
-            self._mask_kernel, self._mask = self.initial_kernel, self._initial_mask
+        self.embedder = StateEmbedder(self.initial_kernel, self.analysis.embedding)
+        self.action_space_map = ActionSpace(self.initial_kernel, self.analysis.candidate_indices)
+        self.masker = ActionMasker(self.action_space_map, self.analysis.stalls)
+        self._initial_mask = self._frozen_mask(self.initial_kernel)
+        self._mask_kernel, self._mask = self.initial_kernel, self._initial_mask
 
-            self.observation_space = Box(self.embedder.shape)
-            self.action_space = Discrete(self.action_space_map.n)
+        self.observation_space = Box(self.embedder.shape)
+        self.action_space = Discrete(self.action_space_map.n)
 
-            # Baseline runtime T0 of the -O3 schedule.
-            self.baseline_time_ms = self.measure_candidate(self.initial_kernel)
-        except BaseException:
-            # A failed (or cancelled) setup must still release the service's
-            # workers; nobody else holds a reference yet.
-            self.measure_service.close()
-            raise
+        # Baseline runtime T0 of the -O3 schedule.
+        self.baseline_time_ms = self.measure_candidate(self.initial_kernel)
         self.best_time_ms = self.baseline_time_ms
         self.best_kernel = self.initial_kernel
         self.episodes: list[EpisodeRecord] = []
@@ -149,20 +141,16 @@ class AssemblyGame(Env):
         Probing a candidate does not advance the episode; committing a move is
         still :meth:`step`.
         """
-        return self.measure_service.submit(kernel).result().time_ms
+        return self.measure_service.measure(kernel).time_ms
 
     def measure_candidates(self, kernels: list[SassKernel]) -> list[float]:
-        """Batch-measure candidate schedules; concurrent under a pooled backend."""
+        """Measure candidate schedules, results in input order."""
         return [timing.time_ms for timing in self.measure_service.measure_batch(kernels)]
 
     @property
     def measurement_stats(self) -> MeasurementStats:
         """Raw-measurement / memoization counters of the measurement service."""
         return self.measure_service.stats
-
-    def close(self) -> None:
-        """Release the measurement service's workers (no-op for inline)."""
-        self.measure_service.close()
 
     def _measure(self, kernel: SassKernel) -> float:
         return self.measure_candidate(kernel)

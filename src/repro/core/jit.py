@@ -200,9 +200,8 @@ class CubinCache:
         Recency is the metadata file's mtime: stores write it and loads touch
         it.  Ties (filesystems with coarse timestamps) break by key so the
         eviction order stays deterministic.  Concurrent writers may share one
-        directory (duplicate-backend pool workers, ``optimize_many(jobs>1)``),
-        so files that vanish between listing and stat/unlink are skipped, not
-        errors.
+        directory (duplicate-backend pool workers), so files that vanish
+        between listing and stat/unlink are skipped, not errors.
         """
         metas = []
         for meta_path in self.directory.glob("*.json"):

@@ -180,15 +180,8 @@ def is_infrastructure_failure(exc: BaseException) -> bool:
     """True when ``exc`` indicates broken serving machinery, not a bad job.
 
     This is the retry/supervision classifier used by the serve queue: worker
-    crashes (including injected ones), closed sessions and broken
-    ``concurrent.futures`` executors (the ``process`` measurement backend
-    dying) are infrastructure; everything else — compile errors, verifier
-    rejections, bad shapes — is the job's own fault and must not be retried.
+    crashes (including injected ones) and closed sessions are infrastructure;
+    everything else — compile errors, verifier rejections, bad shapes — is
+    the job's own fault and must not be retried.
     """
-    if isinstance(exc, InfrastructureError):
-        return True
-    try:
-        from concurrent.futures import BrokenExecutor
-    except ImportError:  # pragma: no cover - stdlib always has it on 3.8+
-        return False
-    return isinstance(exc, BrokenExecutor)
+    return isinstance(exc, InfrastructureError)

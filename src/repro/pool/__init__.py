@@ -8,7 +8,8 @@ Scale the single-``Session`` workflow out to many workers:
 * Scheduler registry — ``"round_robin"`` and ``"least_loaded"`` built in;
   extend with :func:`register_scheduler`.
 * :class:`SharedMemoTable` — cross-session measurement memoization, so a
-  schedule measured by one worker is a hit for all siblings.
+  schedule measured by one worker is a hit for all siblings (defined in
+  :mod:`repro.sim.measure_service`, which serves private memo tables too).
 
 The async serving front door over the pool — job handles, progress events,
 cancellation, work stealing, result store — lives in :mod:`repro.serve`;
@@ -25,7 +26,7 @@ from repro.pool.scheduler import (
     get_scheduler,
     register_scheduler,
 )
-from repro.pool.shared_memo import SharedMemoStats, SharedMemoTable
+from repro.sim.measure_service import SharedMemoStats, SharedMemoTable
 
 __all__ = [
     "SessionPool",

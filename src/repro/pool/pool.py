@@ -18,7 +18,7 @@ Workers are isolated where it matters and shared where it pays:
 
 * each worker's cubin cache lives in a per-backend subdirectory, so deploy
   artifacts of different GPU targets never collide on disk;
-* all workers share one :class:`~repro.pool.shared_memo.SharedMemoTable`,
+* all workers share one :class:`~repro.sim.measure_service.SharedMemoTable`,
   so a schedule measured by one worker is a memo hit for every sibling on
   the same workload;
 * a job that raises becomes a failed ``RunReport`` in its input-order slot
@@ -52,7 +52,7 @@ from repro.api.report import PoolReport, RunReport, WorkerReport
 from repro.api.session import Session
 from repro.errors import JobCancelled, OptimizationError
 from repro.pool.scheduler import PoolJob, get_scheduler
-from repro.pool.shared_memo import SharedMemoTable
+from repro.sim.measure_service import SharedMemoTable
 from repro.triton.spec import KernelSpec
 from repro.utils.logging import get_logger
 

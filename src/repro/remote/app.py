@@ -234,13 +234,7 @@ class RemoteApp:
     def compact(self) -> int:
         """Rewrite the journal from the queue's state; returns its new line
         count (0 when journaling is off)."""
-        if self.journal is None:
-            return 0
-        return self.journal.compact(
-            self.queue.records_with_reports(),
-            self.queue.store.items(),
-            resume=self.queue.resume_snapshot(),
-        )
+        return self.queue.compact()
 
     def maybe_compact(self) -> None:
         if (

@@ -16,6 +16,7 @@ Entry shapes (one JSON object per line)::
     {"kind": "terminal",   "v": 1, "record": {...}, "report": {...summary...}}
     {"kind": "store",      "v": 1, "key": "<§4.2 cache key>", "report": {...}}
     {"kind": "checkpoint", "v": 1, "job_id": "j00001", "state": {...}}
+    {"kind": "minted",     "v": 1, "job_id": "j00009"}
 
 ``request`` (optional on submits) and ``checkpoint`` entries are what make
 in-flight jobs *resumable*: a restarted server re-queues a lost job from its
@@ -26,7 +27,8 @@ makes replay a simple left-to-right fold and appends crash-safe: a process
 killed mid-write leaves at most one truncated trailing line, which replay
 skips with a warning.  :meth:`compact` rewrites the file from live state
 (atomically, via a temp file) so superseded and GC'd entries do not grow the
-journal forever.
+journal forever; when it drops the job with the highest id ever recorded,
+a ``minted`` entry keeps that id, so a restarted server never reuses it.
 """
 
 from __future__ import annotations
@@ -75,17 +77,14 @@ class JournalReplay:
     skipped: int = 0
     #: Total lines scanned.
     lines: int = 0
+    #: Highest job number of a ``minted`` entry (0 without one).
+    minted: int = 0
 
     @property
     def max_job_number(self) -> int:
-        """Highest numeric job id seen; a fresh queue mints ids above it so
-        replayed records never collide with new jobs."""
-        best = 0
-        for job_id in self.records:
-            match = _JOB_ID.match(job_id)
-            if match:
-                best = max(best, int(match.group(1)))
-        return best
+        """Highest numeric job id ever minted; a fresh queue mints ids above
+        it so no new job reuses the id of an old one."""
+        return max([self.minted, *map(_job_number, self.records)])
 
 
 class JobJournal:
@@ -113,15 +112,17 @@ class JobJournal:
         #: Optional :class:`repro.faults.FaultPlan` whose
         #: ``on_journal_append`` fires inside :meth:`_append` (chaos tests).
         self.faults = faults
+        #: Highest job number recorded, replayed or compacted so far.
+        self.last_job_number = 0
 
     # ------------------------------------------------------------------
     # Queue-facing hooks (append side)
     # ------------------------------------------------------------------
     def record_submitted(self, record: JobRecord, request: dict | None = None) -> None:
-        self._append(_submitted_entry(record, request))
+        self._append(_submitted_entry(record, request), record.job_id)
 
     def record_terminal(self, record: JobRecord, report: RunReport | None) -> None:
-        self._append(_terminal_entry(record, report))
+        self._append(_terminal_entry(record, report), record.job_id)
 
     def record_store(self, key: str, report: RunReport) -> None:
         self._append(_store_entry(key, report))
@@ -134,9 +135,12 @@ class JobJournal:
         """
         self._append(_checkpoint_entry(job_id, state))
 
-    def _append(self, payload: dict) -> None:
+    def _append(self, payload: dict, job_id: str | None = None) -> None:
         line = to_json_str(payload)
         with self._lock:
+            if job_id is not None:
+                # Noted even if the write fails: the id is minted either way.
+                self.last_job_number = max(self.last_job_number, _job_number(job_id))
             try:
                 if self.faults is not None:
                     self.faults.on_journal_append(payload)
@@ -194,6 +198,7 @@ class JobJournal:
                     )
         with self._lock:
             self.appends = replay.lines
+            self.last_job_number = max(self.last_job_number, replay.max_job_number)
         _LOG.info(
             "journal replay: %d record(s), %d report(s), %d store entr(ies) "
             "from %d line(s), %d skipped",
@@ -222,6 +227,8 @@ class JobJournal:
             state = payload["state"]
             if isinstance(state, dict):
                 replay.checkpoints[payload["job_id"]] = state
+        elif kind == "minted":
+            replay.minted = max(replay.minted, _job_number(payload["job_id"]))
         else:
             raise ValueError(f"unknown journal entry kind {kind!r}")
 
@@ -241,19 +248,24 @@ class JobJournal:
         Everything not passed in — superseded entries, GC'd job records,
         evicted store keys — is dropped.  ``resume`` (job id →
         ``{"request", "checkpoint"}``, see
-        :meth:`repro.serve.JobQueue.resume_snapshot`) keeps in-flight jobs
-        resumable across the rewrite.  The rewrite goes through a temp file
-        and ``os.replace``, so a crash mid-compaction leaves either the old
-        or the new journal, never a half-written one.
+        :meth:`repro.serve.JobQueue.compact`) keeps in-flight jobs resumable
+        across the rewrite.  A job number recorded here above every kept
+        record's is kept as one ``minted`` entry.  The rewrite goes through a
+        temp file and ``os.replace``, so a crash mid-compaction leaves either
+        the old or the new journal, never a half-written one.
         """
+        records = list(records)
+        kept = max((_job_number(record.job_id) for record, _ in records), default=0)
         tmp = self.path.with_name(self.path.name + ".compact")
         written = 0
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+            self.last_job_number = max(self.last_job_number, kept)
+            minted = self.last_job_number if self.last_job_number > kept else None
             with tmp.open("w", encoding="utf8") as fh:
-                for payload in _compacted(records, store, resume):
+                for payload in _compacted(records, store, resume, minted):
                     fh.write(to_json_str(payload) + "\n")
                     written += 1
             os.replace(tmp, self.path)
@@ -312,11 +324,19 @@ def _checkpoint_entry(job_id: str, state: dict) -> dict:
     return {"kind": "checkpoint", "v": JOURNAL_VERSION, "job_id": job_id, "state": state}
 
 
-def _compacted(records, store, resume: dict | None) -> Iterator[dict]:
-    """The entries of a compacted journal: each job's latest state (with the
-    request and checkpoint that keep an in-flight one resumable), then the
-    store."""
+def _job_number(job_id: str) -> int:
+    """The number of a ``j<digits>`` job id; 0 for any other id."""
+    match = _JOB_ID.match(job_id)
+    return int(match.group(1)) if match else 0
+
+
+def _compacted(records, store, resume: dict | None, minted: int | None) -> Iterator[dict]:
+    """The entries of a compacted journal: the ``minted`` job number if one
+    is given, each job's latest state (with the request and checkpoint that
+    keep an in-flight one resumable), then the store."""
     resume = resume or {}
+    if minted is not None:
+        yield {"kind": "minted", "v": JOURNAL_VERSION, "job_id": f"j{minted:05d}"}
     for record, report in records:
         if record.status.terminal:
             yield _terminal_entry(record, report)

@@ -565,22 +565,27 @@ class JobQueue:
         with self._work:
             return [job.record() for job in self._jobs.values()]
 
-    def records_with_reports(self) -> list:
-        """Snapshot of ``(record, report)`` pairs for journal compaction."""
-        with self._work:
-            return [(job.record(), job.report) for job in self._jobs.values()]
+    def compact(self) -> int:
+        """Rewrite the journal from this queue's jobs and store; returns its
+        new line count (0 without a journal).
 
-    def resume_snapshot(self) -> dict:
-        """Per-job resume payloads of every in-flight job, for compaction.
-
-        Maps job id to ``{"request": ..., "checkpoint": ...}`` so a compacted
-        journal keeps enough to re-queue these jobs after a restart."""
+        Every journal append runs under the queue's lock, and so do the
+        snapshot and the rewrite here, so no entry can land between them
+        and be lost to the rewrite.  In-flight jobs keep their request and
+        checkpoint, so a restarted server can re-queue them.
+        """
+        if self.journal is None:
+            return 0
         with self._work:
-            return {
+            jobs = list(self._jobs.values())
+            resume = {
                 job.id: {"request": job.request(), "checkpoint": job.checkpoint_state}
-                for job in self._jobs.values()
+                for job in jobs
                 if not job.status.terminal
             }
+            return self.journal.compact(
+                [(job.record(), job.report) for job in jobs], self.store.items(), resume=resume
+            )
 
     def gc(self, *, now: float | None = None) -> int:
         """Evict expired/excess *terminal* job records; returns the count.
@@ -916,12 +921,11 @@ class JobQueue:
             worker.failures += 1 if report.failed else 0
             worker.evaluations += report.evaluations
             job.cache_key = report.cache_key
-        if not report.failed:
-            key = report.cache_key or self._store_key(session, job)
+        key = None if report.failed else report.cache_key or self._store_key(session, job)
+        with self._work:
             if key is not None:
                 self.store.put(key, report)
                 self._journal("store", key, report)
-        with self._work:
             self._finalize_locked(
                 job,
                 JobStatus.FAILED if report.failed else JobStatus.DONE,
@@ -1004,7 +1008,7 @@ class JobQueue:
             snapshot = dict(state)
             with self._work:
                 job.checkpoint_state = snapshot
-            self._journal("checkpoint", job.id, snapshot)
+                self._journal("checkpoint", job.id, snapshot)
 
         return save_state
 
@@ -1178,8 +1182,9 @@ class JobQueue:
         return tuple(rules)
 
     def _journal(self, kind: str, *args, **kwargs) -> None:
-        """Append one ``kind`` entry through ``journal.record_<kind>``;
-        durability is best-effort, so a failed append is only logged."""
+        """Append one ``kind`` entry through ``journal.record_<kind>``; the
+        caller holds the queue's lock (see :meth:`compact`).  Durability is
+        best-effort, so a failed append is only logged."""
         journal = self.journal
         if journal is None:
             return

@@ -10,12 +10,9 @@ from repro.sim.functional import compare_outputs
 from repro.sim.gpu import GPUSimulator, KernelRun, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig, LaunchContext, bind_tensors
 from repro.sim.measure_service import (
-    InlineMeasurementBackend,
-    MeasurementBackend,
+    MeasurementService,
     MeasurementStats,
-    MemoizedMeasurementBackend,
-    ProcessMeasurementBackend,
-    available_measurement_backends,
+    SharedMemoTable,
     create_measurement_service,
     workload_memo_scope,
 )
@@ -42,12 +39,9 @@ __all__ = [
     "KernelRun",
     "KernelTiming",
     "MeasurementConfig",
-    "MeasurementBackend",
+    "MeasurementService",
     "MeasurementStats",
-    "InlineMeasurementBackend",
-    "ProcessMeasurementBackend",
-    "MemoizedMeasurementBackend",
-    "available_measurement_backends",
+    "SharedMemoTable",
     "create_measurement_service",
     "workload_memo_scope",
     "GridConfig",

@@ -1,49 +1,35 @@
-"""Batched measurement service configured by one :class:`MeasurementPolicy` (§3.6).
+"""Candidate measurement configured by one :class:`MeasurementPolicy` (§3.6).
 
 Every search strategy bottoms out in "measure this mutated schedule on the
-(simulated) GPU".  The service layer decouples *how* those measurements are
-issued from the search loop.  A :class:`MeasurementPolicy` says how, and it
-travels unchanged from :class:`repro.api.Session` through the strategies,
-searches and :class:`repro.core.env.AssemblyGame` to
-:func:`create_measurement_service`:
+(simulated) GPU".  A :class:`MeasurementPolicy` says how, and it travels
+unchanged from :class:`repro.api.Session` through the strategies, searches
+and :class:`repro.core.env.AssemblyGame` to :func:`create_measurement_service`.
 
-* ``inline`` — the historical behavior: one synchronous
-  :meth:`~repro.sim.gpu.GPUSimulator.measure` call per candidate;
-* ``process`` — fan candidates out over a *process* pool, sidestepping the
-  GIL for the cycle-accurate timing loop (which is pure Python and therefore
-  does not parallelize on threads); the workload ships to each worker process
-  once via the pool initializer, individual submissions only ship the
-  candidate's rendered lines, and each worker parses a line once;
-* memoization — an orthogonal wrapper that dedups repeated schedules by a
-  content digest of the instruction sequence.  Greedy and evolutionary search
-  re-measure identical schedules constantly (the committing step, reverted
-  swaps, shared prefixes), so the wrapper trades a dictionary lookup for a
-  full timing simulation.  The memo table is private per service by default;
-  a :class:`repro.pool.shared_memo.SharedMemoTable` can be plugged in so
-  several sessions (e.g. the workers of a ``SessionPool``) share one table,
-  with entries namespaced by a workload *scope* key.
+A :class:`MeasurementService` is bound to one workload (kernel launch
+geometry, input tensors, measurement protocol) and measures *candidate
+schedules* of that workload, one synchronous simulator call per candidate —
+exactly the shape of the assembly game's reward query.
 
-A service instance is bound to one workload (kernel launch geometry, input
-tensors, measurement protocol) and measures *candidate schedules* of that
-workload — exactly the shape of the assembly game's reward query.  Both
-backends are deterministic for a fixed workload, so ``process`` returns
-bit-identical timings to ``inline``, and the
-per-``(seed, schedule)`` noise streams of :meth:`GPUSimulator.measure` make
-memoization semantics-preserving even under synthetic measurement noise.
+Memoization dedups repeated schedules by a content digest of the instruction
+sequence.  Greedy and evolutionary search re-measure identical schedules
+constantly (the committing step, reverted swaps, shared prefixes), so a
+table lookup replaces a full timing simulation.  ``memoize=True`` gives the
+service a private :class:`SharedMemoTable`; a :class:`~repro.pool.SessionPool`
+hands every worker one shared table instead, with entries namespaced by a
+workload *scope* key.  The per-``(seed, schedule)`` noise streams of
+:meth:`GPUSimulator.measure` keep memoization semantics-preserving even under
+synthetic measurement noise.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
-from repro.sass.kernel import KernelMetadata, SassKernel
-from repro.sass.parser import parse_line
+from repro.sass.kernel import SassKernel
 from repro.sim.gpu import GPUSimulator, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig
 
@@ -62,30 +48,23 @@ class MeasurementPolicy:
     #: Seed of the synthetic measurement noise; each schedule derives its own
     #: noise stream from ``(seed, schedule digest)``.
     seed: int = 0
-    #: Measurement-service backend: ``"inline"`` (synchronous, the default)
-    #: or ``"process"`` (a process pool — the GIL-free choice for the
-    #: pure-Python timing loop; bit-identical timings to ``"inline"`` for a
-    #: fixed seed).  Any other name is rejected at construction.
-    backend: str = "inline"
-    #: Workers of the ``"process"`` backend; ``None`` picks a default.
-    max_workers: int | None = None
     #: Dedup repeated schedules by content digest before hitting the simulator.
     memoize: bool = False
-    #: Cross-session memo table (see :class:`repro.pool.SharedMemoTable`);
-    #: set by :class:`~repro.pool.SessionPool` so workers share measurements.
+    #: Cross-session memo table (see :class:`SharedMemoTable`); set by
+    #: :class:`~repro.pool.SessionPool` so workers share measurements.
     #: Implies memoization for the workloads it covers.
-    shared_memo: "object | None" = field(default=None, repr=False, compare=False)
+    shared_memo: "SharedMemoTable | None" = field(default=None, repr=False, compare=False)
     #: This session's identity in the shared table (cross-worker-hit
     #: accounting); meaningless without ``shared_memo``.
     memo_owner: str = ""
     #: Cooperative cancellation checkpoint: a zero-argument callable the
-    #: measurement service invokes before issuing candidate (batches); raise
+    #: measurement service invokes before every candidate and batch; raise
     #: from it (e.g. :class:`repro.errors.JobCancelled`) to abort the search.
     #: Installed per-run via :class:`~repro.api.session.SessionHooks`.
     checkpoint: "object | None" = field(default=None, repr=False, compare=False)
     #: Per-step progress callback ``progress(submitted: int)`` invoked after
-    #: every candidate submission with the cumulative submission count; the
-    #: serve layer turns these into streamed ``measured(n)`` events.
+    #: every measured candidate with the cumulative count; the serve layer
+    #: turns these into streamed ``measured(n)`` events.
     progress: "object | None" = field(default=None, repr=False, compare=False)
     #: Checkpoint-state exporter ``save_state(state: dict)``: strategies that
     #: support resumption call it with an opaque JSON-able snapshot of their
@@ -97,14 +76,6 @@ class MeasurementPolicy:
     #: A previously exported checkpoint to resume from (the dict handed to
     #: ``save_state``); ``None`` (or an unrecognised payload) starts fresh.
     resume_state: "object | None" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Fail at configuration time, not on every job that measures.
-        if self.backend not in _MEASUREMENT_BACKENDS:
-            raise ValueError(
-                f"unknown measurement backend {self.backend!r}; "
-                f"available: {list(available_measurement_backends())}"
-            )
 
     def to_measurement_config(self) -> MeasurementConfig:
         """Lower to the :mod:`repro.sim` measurement record."""
@@ -118,7 +89,7 @@ class MeasurementPolicy:
 
 @dataclass
 class MeasurementStats:
-    """Counters shared by a backend stack (wrapper and wrapped see one object)."""
+    """Counters of one measurement service."""
 
     #: Candidate measurements requested through the service.
     submitted: int = 0
@@ -143,27 +114,110 @@ class MeasurementStats:
         }
 
 
-@runtime_checkable
-class MeasurementBackend(Protocol):
-    """How candidate schedules of one workload get measured."""
+@dataclass
+class SharedMemoStats:
+    """Counters of one memo table, aggregated across every service using it."""
 
-    stats: MeasurementStats
+    #: Lookups issued against the table.
+    lookups: int = 0
+    #: Lookups answered from the table.
+    hits: int = 0
+    #: Hits on entries stored by a *different* owner — the measurements a
+    #: pool saved that per-session memoization could not have.
+    cross_worker_hits: int = 0
+    #: Entries written.
+    stores: int = 0
+    #: Entries dropped by the LRU bound.
+    evictions: int = 0
 
-    def submit(self, candidate: SassKernel) -> "Future[KernelTiming]":
-        """Queue one candidate; the future resolves to its timing."""
-        ...  # pragma: no cover - protocol
-
-    def measure_batch(self, candidates: Sequence[SassKernel]) -> list[KernelTiming]:
-        """Measure a batch of candidates, results in input order."""
-        ...  # pragma: no cover - protocol
-
-    def close(self) -> None:
-        """Release any workers; the service must not be used afterwards."""
-        ...  # pragma: no cover - protocol
+    def as_dict(self) -> dict:
+        return {
+            "lookups": self.lookups,
+            "hits": self.hits,
+            "cross_worker_hits": self.cross_worker_hits,
+            "stores": self.stores,
+            "evictions": self.evictions,
+        }
 
 
-class _WorkloadMeasurer:
-    """Shared base: one workload's launch geometry plus measurement counters."""
+class SharedMemoTable:
+    """Thread-safe, size-bounded (LRU) table of measured timings.
+
+    A service with ``memoize=True`` owns a private one; a
+    :class:`~repro.pool.SessionPool` hands all its workers one table, so a
+    schedule measured by one worker is a hit for every sibling measuring the
+    same workload.  Keys are ``scope | schedule-digest``, where the scope
+    (see :func:`workload_memo_scope`) pins the GPU target, workload and
+    measurement protocol: a hit is only possible when the memoized timing
+    would be bit-identical for the requester.
+
+    Two owners racing on the same unmeasured schedule may both simulate it;
+    :meth:`put` keeps the first timing, so every requester converges on one
+    timing object.
+    """
+
+    def __init__(self, max_entries: int = 65536):
+        self.max_entries = int(max_entries)
+        self.stats = SharedMemoStats()
+        self._entries: "OrderedDict[str, tuple[KernelTiming, str]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str, *, owner: str = "") -> KernelTiming | None:
+        """The memoized timing for ``key``, or ``None`` on a miss."""
+        with self._lock:
+            self.stats.lookups += 1
+            item = self._entries.get(key)
+            if item is None:
+                return None
+            self._entries.move_to_end(key)
+            timing, stored_by = item
+            self.stats.hits += 1
+            if stored_by != owner:
+                self.stats.cross_worker_hits += 1
+            return timing
+
+    def put(self, key: str, timing: KernelTiming, *, owner: str = "") -> KernelTiming:
+        """Store ``timing`` under ``key`` and return the table's entry.
+
+        If another owner won the race for this key, its timing is returned
+        instead, so every caller hands out the same timing object.
+        """
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
+                return existing[0]
+            while len(self._entries) >= self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+            self._entries[key] = (timing, owner)
+            self.stats.stores += 1
+            return timing
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def snapshot(self) -> dict:
+        """JSON-able view: the counters plus the current table size."""
+        with self._lock:
+            return {**self.stats.as_dict(), "entries": len(self._entries)}
+
+
+class MeasurementService:
+    """Measures candidate schedules of one workload, one at a time.
+
+    The policy's ``checkpoint`` runs at the start of every batch and before
+    every candidate, memo hits included, so a cancelled job stops even when
+    every remaining answer would come from the table; ``progress`` runs
+    after every candidate with the cumulative count.  A candidate whose
+    simulation raises is counted as submitted and measured, leaves no memo
+    entry and raises again on its next measurement.
+    """
 
     def __init__(
         self,
@@ -171,23 +225,27 @@ class _WorkloadMeasurer:
         grid: GridConfig,
         tensors: dict,
         param_order: list[str],
-        policy: MeasurementPolicy,
+        policy: MeasurementPolicy | None = None,
+        *,
+        memo_scope: str = "",
     ):
+        policy = policy or MeasurementPolicy()
+        if policy.shared_memo is not None and not memo_scope:
+            raise ValueError("shared_memo requires a memo_scope identifying the workload")
         self.simulator = simulator
         self.grid = grid
         self.tensors = tensors
         self.param_order = param_order
-        #: The lowered protocol record; all a process worker receives, since
-        #: the policy's hooks and shared memo table do not pickle.
         self.measurement = policy.to_measurement_config()
         self.stats = MeasurementStats()
-        #: Cooperative cancellation checkpoint, run before every candidate
-        #: submission and batch; raising from it aborts the search between
-        #: measurements (see :class:`repro.errors.JobCancelled`).
         self.checkpoint = policy.checkpoint
-        #: ``progress(submitted)`` callback, run after every submission with
-        #: the cumulative submission count (memo hits included by wrappers).
         self.progress = policy.progress
+        #: The memo table, ``None`` without memoization.
+        self.table: SharedMemoTable | None = policy.shared_memo
+        if self.table is None and policy.memoize:
+            self.table = SharedMemoTable(max_entries=4096)
+        self.scope = memo_scope
+        self.owner = policy.memo_owner
         self._lock = threading.Lock()
         # The workload's tensors are bound into a launch context once per
         # measuring thread and reused across every candidate: timing
@@ -203,240 +261,40 @@ class _WorkloadMeasurer:
             self._thread_launches.launch = launch
         return launch
 
-    def _measure(self, candidate: SassKernel) -> KernelTiming:
-        with self._lock:
-            self.stats.measured += 1
-        return self.simulator.measure_with_launch(
-            candidate, self._workload_launch(), measurement=self.measurement
-        )
-
-    def _tick(self) -> None:
-        """Per-submission hooks: cancellation checkpoint, then progress."""
-        if self.checkpoint is not None:
-            self.checkpoint()
-        with self._lock:
-            self.stats.submitted += 1
-            submitted = self.stats.submitted
-        if self.progress is not None:
-            self.progress(submitted)
-
-    def measure_batch(self, candidates: Sequence[SassKernel]) -> list[KernelTiming]:
-        if self.checkpoint is not None:
-            self.checkpoint()
-        futures = [self.submit(candidate) for candidate in candidates]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        pass
-
-
-class InlineMeasurementBackend(_WorkloadMeasurer):
-    """Synchronous measurement, one simulator call per candidate (the default)."""
-
-    def submit(self, candidate: SassKernel) -> "Future[KernelTiming]":
-        self._tick()
-        future: Future[KernelTiming] = Future()
-        try:
-            future.set_result(self._measure(candidate))
-        except BaseException as exc:  # noqa: BLE001 - future carries the error
-            future.set_exception(exc)
-        return future
-
-
-#: Workload bound to each process-pool worker by the pool initializer, so a
-#: submission only ships the candidate schedule, not the input tensors.
-_PROCESS_WORKLOAD: tuple | None = None
-#: The worker's reusable launch, bound lazily from the workload on the first
-#: measurement and reused (memory restored) for every later candidate.
-_PROCESS_LAUNCH = None
-#: The worker's parsed lines by rendered text.  A search's candidates reorder
-#: the same lines, so each line is parsed once and its instruction object,
-#: with its compiled handlers, serves every later candidate.
-_PROCESS_LINES: dict = {}
-
-
-def _process_worker_init(workload: tuple) -> None:
-    global _PROCESS_WORKLOAD, _PROCESS_LAUNCH
-    _PROCESS_WORKLOAD = workload
-    _PROCESS_LAUNCH = None
-    _PROCESS_LINES.clear()
-
-
-def _process_measure(metadata: KernelMetadata, texts: tuple[str, ...]) -> KernelTiming:
-    """Measure the schedule whose lines render as ``texts``.
-
-    The rendered listing is a schedule's identity (its content digest), and
-    parsing a rendered line gives back an equal line, so the rebuilt kernel
-    times exactly like the one submitted.
-    """
-    global _PROCESS_LAUNCH
-    simulator, grid, tensors, param_order, measurement = _PROCESS_WORKLOAD
-    if _PROCESS_LAUNCH is None:
-        _PROCESS_LAUNCH = simulator.build_launch(grid, tensors, param_order)
-    lines = []
-    for text in texts:
-        line = _PROCESS_LINES.get(text)
-        if line is None:
-            line = _PROCESS_LINES[text] = parse_line(text)
-        lines.append(line)
-    return simulator.measure_with_launch(
-        SassKernel(lines, metadata), _PROCESS_LAUNCH, measurement=measurement
-    )
-
-
-def _resolve_mp_context():
-    """A multiprocessing context for the process backend's workers.
-
-    ``fork`` is preferred where available because the worker processes inherit
-    the imported package instead of re-importing it on every pool start — but
-    only while the parent is single-threaded: forking a multithreaded process
-    (e.g. a ``SessionPool`` running shards on worker threads) can clone locks
-    in a held state and deadlock the child.  With threads live we fall back to
-    ``forkserver`` (workers fork from a clean single-threaded server, at the
-    cost of re-importing the package when the workload unpickles).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "forkserver" in methods:
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context()
-
-
-class ProcessMeasurementBackend(_WorkloadMeasurer):
-    """Process-pool fan-out: parallel timing simulation without the GIL.
-
-    The timing loop is pure Python, so only worker processes run candidates
-    in parallel on multi-core hosts.  The simulation is deterministic, so the
-    timings are bit-identical to ``inline`` for a fixed measurement seed.
-
-    ``stats.measured`` is counted on submission (worker processes cannot
-    update the parent's counters); a submission that errors still counts as
-    an issued measurement.
-    """
-
-    def __init__(self, simulator, grid, tensors, param_order, policy: MeasurementPolicy):
-        super().__init__(simulator, grid, tensors, param_order, policy)
-        self.max_workers = int(policy.max_workers or min(8, os.cpu_count() or 1))
-        workload = (self.simulator, self.grid, self.tensors, self.param_order, self.measurement)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=_resolve_mp_context(),
-            initializer=_process_worker_init,
-            initargs=(workload,),
-        )
-
-    def submit(self, candidate: SassKernel) -> "Future[KernelTiming]":
-        self._tick()
-        with self._lock:
-            self.stats.measured += 1
-        texts = tuple(line.render() for line in candidate.lines)
-        return self._pool.submit(_process_measure, candidate.metadata, texts)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class MemoizedMeasurementBackend:
-    """Wrapper that dedups repeated schedules by their content digest.
-
-    The first submission of a schedule goes to the wrapped backend; repeats
-    share the same future (and therefore the exact same timing object).  The
-    wrapped backend's :class:`MeasurementStats` is shared, so ``measured``
-    counts raw simulator work and ``memo_hits`` counts deduped requests.
-
-    The table is bounded (``max_entries``, FIFO eviction): a long search over
-    mostly unique schedules — e.g. a PPO run under a memoizing policy — must not
-    retain a timing object per schedule ever measured.  An evicted schedule
-    simply re-measures on its next submission.
-
-    With ``table`` set (any object with the ``get(key, owner=...)`` /
-    ``put(key, future, owner=...)`` shape of
-    :class:`repro.pool.shared_memo.SharedMemoTable`), the memo lives *outside*
-    the service and is shared across sessions: a schedule measured by one pool
-    worker is a hit for every sibling measuring the same workload.  Keys are
-    then prefixed with ``scope`` (the workload identity, so unrelated
-    workloads never alias) and lookups carry ``owner`` so the table can
-    account cross-worker hits.  Two workers racing on the same unmeasured
-    schedule may both issue a raw measurement; the table keeps the first
-    future and the race costs one redundant (deterministic) simulation.
-    """
-
-    def __init__(
-        self,
-        inner: MeasurementBackend,
-        max_entries: int = 4096,
-        *,
-        table=None,
-        scope: str = "",
-        owner: str = "",
-    ):
-        self.inner = inner
-        self.stats = inner.stats
-        self.max_entries = int(max_entries)
-        self.table = table
-        self.scope = scope
-        self.owner = owner
-        # Memo hits never reach the inner backend, so the wrapper runs the
-        # same per-submission hooks itself: a cancelled job must stop even
-        # when every remaining candidate would be answered from the table.
-        self.checkpoint = getattr(inner, "checkpoint", None)
-        self.progress = getattr(inner, "progress", None)
-        self._futures: dict[str, Future[KernelTiming]] = {}
-        self._lock = threading.Lock()
-
     def _key(self, candidate: SassKernel) -> str:
         digest = candidate.content_digest()
         return f"{self.scope}|{digest}" if self.scope else digest
 
-    def _tick_hit(self) -> None:
-        with self._lock:
-            self.stats.submitted += 1
-            self.stats.memo_hits += 1
-            submitted = self.stats.submitted
-        if self.progress is not None:
-            self.progress(submitted)
-
-    def submit(self, candidate: SassKernel) -> "Future[KernelTiming]":
+    def measure(self, candidate: SassKernel) -> KernelTiming:
+        """The timing of one candidate schedule."""
         if self.checkpoint is not None:
             self.checkpoint()
-        key = self._key(candidate)
+        timing = None
         if self.table is not None:
-            cached = self.table.get(key, owner=self.owner)
-            if cached is not None:
-                self._tick_hit()
-                return cached
-            future = self.inner.submit(candidate)
-            return self.table.put(key, future, owner=self.owner)
+            key = self._key(candidate)
+            timing = self.table.get(key, owner=self.owner)
         with self._lock:
-            cached = self._futures.get(key)
-        if cached is not None:
-            self._tick_hit()
-            return cached
-        future = self.inner.submit(candidate)
-        with self._lock:
-            while len(self._futures) >= self.max_entries:
-                self._futures.pop(next(iter(self._futures)))
-            self._futures[key] = future
-        return future
+            self.stats.submitted += 1
+            if timing is None:
+                self.stats.measured += 1
+            else:
+                self.stats.memo_hits += 1
+            submitted = self.stats.submitted
+        if timing is None:
+            timing = self.simulator.measure_with_launch(
+                candidate, self._workload_launch(), measurement=self.measurement
+            )
+            if self.table is not None:
+                timing = self.table.put(key, timing, owner=self.owner)
+        if self.progress is not None:
+            self.progress(submitted)
+        return timing
 
     def measure_batch(self, candidates: Sequence[SassKernel]) -> list[KernelTiming]:
-        futures = [self.submit(candidate) for candidate in candidates]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-#: Registered backend constructors, keyed by :attr:`MeasurementPolicy.backend` name.
-_MEASUREMENT_BACKENDS = {
-    "inline": InlineMeasurementBackend,
-    "process": ProcessMeasurementBackend,
-}
-
-
-def available_measurement_backends() -> tuple[str, ...]:
-    return tuple(sorted(_MEASUREMENT_BACKENDS))
+        """Timings of a batch of candidates, in input order."""
+        if self.checkpoint is not None:
+            self.checkpoint()
+        return [self.measure(candidate) for candidate in candidates]
 
 
 def workload_memo_scope(
@@ -480,27 +338,13 @@ def create_measurement_service(
     policy: MeasurementPolicy | None = None,
     *,
     memo_scope: str = "",
-) -> MeasurementBackend:
-    """Build the measurement backend stack for one workload under ``policy``.
+) -> MeasurementService:
+    """Build the measurement service for one workload under ``policy``.
 
-    ``policy.backend`` selects the execution style; ``policy.memoize`` wraps
-    it in schedule-digest deduplication.  A ``policy.shared_memo`` (a
-    cross-session table; see :class:`~repro.pool.shared_memo.SharedMemoTable`)
-    implies memoization and requires ``memo_scope`` to namespace this
-    workload's entries.  The policy's ``checkpoint`` (cooperative
-    cancellation between candidate submissions and batches) and ``progress``
-    (cumulative submission counts) hooks survive memo wrapping.
+    ``policy.memoize`` gives the service a private memo table.  A
+    ``policy.shared_memo`` implies memoization and requires ``memo_scope``
+    to namespace this workload's entries.
     """
-    policy = policy or MeasurementPolicy()
-    if policy.shared_memo is not None and not memo_scope:
-        raise ValueError("shared_memo requires a memo_scope identifying the workload")
-    service: MeasurementBackend = _MEASUREMENT_BACKENDS[policy.backend](
-        simulator, grid, tensors, param_order, policy
+    return MeasurementService(
+        simulator, grid, tensors, param_order, policy, memo_scope=memo_scope
     )
-    if policy.shared_memo is not None:
-        service = MemoizedMeasurementBackend(
-            service, table=policy.shared_memo, scope=memo_scope, owner=policy.memo_owner
-        )
-    elif policy.memoize:
-        service = MemoizedMeasurementBackend(service)
-    return service

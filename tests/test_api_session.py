@@ -147,7 +147,7 @@ def test_custom_strategy_registration(session):
 
 
 def test_optimize_many_preserves_order(session):
-    reports = session.optimize_many(["softmax", "rmsnorm"], jobs=2, strategy="random", verify=False)
+    reports = session.optimize_many(["softmax", "rmsnorm"], strategy="random", verify=False)
     assert [report.kernel for report in reports] == ["softmax", "rmsnorm"]
     assert all(report.cached for report in reports)
 
@@ -175,7 +175,7 @@ class _FailOnRmsnorm:
 
 def test_optimize_many_surfaces_per_job_failures(session):
     reports = session.optimize_many(
-        ["softmax", "rmsnorm"], jobs=2, strategy="fail-on-rmsnorm-test", verify=False
+        ["softmax", "rmsnorm"], strategy="fail-on-rmsnorm-test", verify=False
     )
     assert [report.kernel for report in reports] == ["softmax", "rmsnorm"]
     assert not reports[0].failed and reports[0].evaluations == 1
@@ -189,7 +189,7 @@ def test_optimize_many_on_error_raise_carries_successes(session):
 
     with pytest.raises(OptimizationError) as excinfo:
         session.optimize_many(
-            ["softmax", "rmsnorm"], jobs=2, strategy="fail-on-rmsnorm-test",
+            ["softmax", "rmsnorm"], strategy="fail-on-rmsnorm-test",
             verify=False, on_error="raise",
         )
     assert "rmsnorm" in str(excinfo.value)

@@ -1,6 +1,4 @@
-"""Tests for the batched measurement service and the per-schedule noise streams."""
-
-import dataclasses
+"""Tests for the measurement service and the per-schedule noise streams."""
 
 import numpy as np
 import pytest
@@ -8,13 +6,13 @@ import pytest
 from repro.api import CacheConfig, MeasurementPolicy, OptimizationConfig, Session
 from repro.baselines.search import run_greedy_search
 from repro.core.env import AssemblyGame
+from repro.errors import ExecutionError
 from repro.sass import KernelMetadata, SassKernel, parse_line
 from repro.sim import (
     GPUSimulator,
     GridConfig,
     KernelTiming,
     MeasurementConfig,
-    available_measurement_backends,
     create_measurement_service,
 )
 from repro.triton import compile_spec, get_spec
@@ -56,46 +54,12 @@ def _candidates(compiled, simulator, count=4):
     return kernels
 
 
-# ---------------------------------------------------------------------------
-# Backend equivalence: process returns bit-identical timings to inline
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["process"])
-def test_pooled_backends_match_inline(compiled, simulator, backend):
-    kernels = _candidates(compiled, simulator)
-    inputs = compiled.make_inputs(0)
-    inline = create_measurement_service(simulator, compiled.grid, inputs, compiled.param_order)
-    pooled = create_measurement_service(
-        simulator, compiled.grid, inputs, compiled.param_order,
-        MeasurementPolicy(backend=backend, max_workers=2),
-    )
-    try:
-        inline_timings = inline.measure_batch(kernels)
-        pooled_timings = pooled.measure_batch(kernels)
-    finally:
-        pooled.close()
-    # KernelTiming (and the nested TimingResult) are dataclasses: this is a
-    # field-by-field, bit-identical comparison.
-    assert inline_timings == pooled_timings
-    assert inline.stats.measured == pooled.stats.measured == len(kernels)
-
-
-def test_process_workers_parse_back_every_bundled_line():
-    """Process workers rebuild each candidate from its rendered lines, so
-    every line of every bundled kernel must parse back to an equal line."""
+def test_every_bundled_line_parses_back():
+    """A schedule's identity is its rendered listing, so every line of every
+    bundled kernel must parse back to an equal line."""
     for name in available_kernels():
         for line in compile_spec(get_spec(name), scale="test").kernel.lines:
             assert parse_line(line.render()) == line
-
-
-def test_unknown_backend_rejected():
-    assert available_measurement_backends() == ("inline", "process")
-    # Rejected when the policy is built, not by every job that later measures
-    # through it; older configs may still name a "threaded" backend.
-    for name in ("quantum", "threaded"):
-        with pytest.raises(ValueError, match=rf"'{name}'.*\['inline', 'process'\]"):
-            MeasurementPolicy(backend=name)
-    with pytest.raises(ValueError, match="unknown measurement backend"):
-        dataclasses.replace(MeasurementPolicy(), backend="threaded")
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +126,9 @@ def test_shared_memo_through_service_scopes_and_dedups():
 
     first = service(stub_a, "w0")
     second = service(stub_b, "w1")
-    timing = first.submit(kernel).result()
+    timing = first.measure(kernel)
     # The sibling service answers from the shared table: no raw measurement.
-    assert second.submit(kernel).result() is timing
+    assert second.measure(kernel) is timing
     assert stub_a.calls == 1 and stub_b.calls == 0
     assert table.stats.cross_worker_hits == 1
 
@@ -174,7 +138,7 @@ def test_shared_memo_through_service_scopes_and_dedups():
         MeasurementPolicy(shared_memo=table, memo_owner="w1"),
         memo_scope=workload_memo_scope("A30", "addone", {"n": 8}, {"warps": 1}),
     )
-    other.submit(kernel).result()
+    other.measure(kernel)
     assert stub_b.calls == 1
 
     with pytest.raises(ValueError, match="memo_scope"):
@@ -203,13 +167,33 @@ def test_memo_table_is_bounded():
     service = create_measurement_service(
         stub, GridConfig((1, 1, 1), 1), {}, [], MeasurementPolicy(memoize=True)
     )
-    service.max_entries = 1
+    service.table.max_entries = 1
     service.measure_batch([kernel_a, kernel_b, kernel_a])  # b evicts a; a re-measures
     assert stub.calls == 3
     assert service.stats.memo_hits == 0
     service.measure_batch([kernel_a])  # still resident after the re-measure
     assert stub.calls == 3
     assert service.stats.memo_hits == 1
+
+
+def test_failing_candidate_raises_on_every_measure_and_leaves_no_memo_entry(simulator):
+    # The load reads its address from a register nothing wrote: out of bounds.
+    faulty = SassKernel.from_text(
+        ADD_ONE.replace("[R8.64]", "[R30.64]"), KernelMetadata(name="addone", num_warps=1)
+    )
+    x = np.zeros((2, 256), dtype=np.float16)
+    service = create_measurement_service(
+        simulator, GridConfig((2, 1, 1), 1), {"x": x, "y": np.zeros_like(x)}, ["x", "y"],
+        MeasurementPolicy(memoize=True),
+    )
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ExecutionError, match="out-of-bounds") as excinfo:
+            service.measure(faulty)
+        errors.append((type(excinfo.value), excinfo.value.args))
+    assert errors[0] == errors[1]
+    assert len(service.table) == 0
+    assert service.stats.as_dict() == {"submitted": 2, "measured": 2, "memo_hits": 0, "pruned": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +237,7 @@ def test_greedy_counts_committing_steps_and_stays_in_episode(compiled, simulator
     assert result.speedup >= 0.999
 
 
-def test_greedy_process_memoized_matches_inline_with_fewer_raw_measurements(simulator):
+def test_greedy_memoized_matches_inline_with_fewer_raw_measurements(simulator):
     config = OptimizationConfig(
         strategy="greedy", scale="test", search_budget=24, episode_length=8,
         autotune=False, verify=False,
@@ -264,7 +248,7 @@ def test_greedy_process_memoized_matches_inline_with_fewer_raw_measurements(simu
         gpu=simulator,
         config=config,
         cache=no_cache,
-        measurement=MeasurementPolicy(backend="process", max_workers=2, memoize=True),
+        measurement=MeasurementPolicy(memoize=True),
     ).optimize("mmLeakyReLu")
 
     assert memo_report.best_time_ms == inline_report.best_time_ms
@@ -333,7 +317,7 @@ def test_checkpoint_fires_on_memo_hits_too(compiled, simulator):
     # Re-measuring a memoized schedule must still consult the checkpoint: a
     # cancelled search stops even when every answer would come from the memo.
     with pytest.raises(RuntimeError, match="cancelled"):
-        service.submit(kernels[0])
+        service.measure(kernels[0])
 
 
 def test_progress_reports_cumulative_submissions(compiled, simulator):

@@ -109,17 +109,15 @@ def test_shared_memo_scopes_backends_apart():
 
 
 def test_shared_memo_table_is_bounded_and_race_safe():
-    from concurrent.futures import Future
-
     table = SharedMemoTable(max_entries=2)
-    first, second = Future(), Future()
+    first, second = object(), object()  # stand-ins for two equal timings
     assert table.put("a", first, owner="w0") is first
-    # A losing racer gets the stored future back, not its own.
+    # A losing racer gets the stored timing back, not its own.
     assert table.put("a", second, owner="w1") is first
     assert table.get("a", owner="w1") is first
     assert table.stats.cross_worker_hits == 1
-    table.put("b", Future(), owner="w0")
-    table.put("c", Future(), owner="w0")  # evicts the LRU entry
+    table.put("b", object(), owner="w0")
+    table.put("c", object(), owner="w0")  # evicts the LRU entry
     assert len(table) == 2
     assert table.stats.evictions == 1
     table.clear()
@@ -400,13 +398,13 @@ def test_pool_close_tears_workers_down():
 
 def test_pool_measurement_policy_is_worker_scoped():
     """The pool must not mutate the caller's policy, only derive from it."""
-    policy = MeasurementPolicy(backend="process", max_workers=2)
+    policy = MeasurementPolicy(noise_std=0.01)
     with SessionPool(
         ["A100-sim"], config=_FAST, measurement=policy, cache=_NO_CACHE
     ) as pool:
         worker_policy = pool.workers[0].session.measurement
         assert worker_policy.memoize and worker_policy.shared_memo is pool.shared_memo
-        assert worker_policy.backend == "process"
+        assert worker_policy.noise_std == 0.01
     assert policy.shared_memo is None and not policy.memoize
     # Frozen configs still round-trip through replace with the new fields.
     assert dataclasses.replace(policy, memo_owner="x").memo_owner == "x"

@@ -303,12 +303,14 @@ def test_journal_survives_a_crash_during_compaction(tmp_path, monkeypatch, crash
     assert replay.records["j00004"].status is JobStatus.QUEUED
     assert "k2" not in replay.store and "j00001" in replay.records
 
-    # ... and the next compaction succeeds and replaces the leftover.
-    assert journal.compact(*_LIVE, resume=_RESUME) == _COMPACTED_LINES
+    # ... and the next compaction succeeds and replaces the leftover.  It
+    # drops j00004, so a ``minted`` entry keeps that id from being reused.
+    assert journal.compact(*_LIVE, resume=_RESUME) == _COMPACTED_LINES + 1
     journal.close()
     assert not leftover.exists()
     replay = JobJournal(path).replay()
     assert set(replay.records) == {"j00002", "j00003"} and set(replay.store) == {"k1", "k2"}
+    assert replay.max_job_number == 4
     assert replay.checkpoints == {"j00002": {"evaluations": 3}}
     assert replay.requests["j00002"] == {"kernel": "softmax"}
 
@@ -638,6 +640,54 @@ def test_app_compaction_keeps_journal_bounded(tmp_path):
         assert replay.skipped == 0
         assert len(replay.records) == 4
         assert all(rec.status is JobStatus.DONE for rec in replay.records.values())
+
+
+def test_compaction_keeps_a_job_that_finishes_during_the_snapshot(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, remote=RemoteConfig(journal_path=path)) as app:
+            job_id = app.submit({"kernel": "softmax", "strategy": "remote-block"}).job_id
+            assert _STARTED.wait(timeout=60)
+            handle = app.queue.handle(job_id)
+            items = app.queue.store.items
+
+            def items_while_the_job_finishes():
+                # The compaction is reading the queue's state: let the job
+                # finish now.  Where the snapshot holds the queue's lock the
+                # job cannot finish until the rewrite is done, so the wait is
+                # bounded.
+                _GATE.set()
+                try:
+                    handle.result(timeout=2)
+                except TimeoutError:
+                    pass
+                return items()
+
+            monkeypatch.setattr(app.queue.store, "items", items_while_the_job_finishes)
+            app.compact()
+            monkeypatch.undo()
+            final, report = app.result(job_id, timeout=60)
+            assert final.status is JobStatus.DONE and report is not None
+
+            # Read before close(), whose own compaction would hide a lost entry.
+            replay = JobJournal(path).replay()
+            assert replay.records[job_id].status is JobStatus.DONE
+            assert replay.reports[job_id].kernel == "softmax"
+
+
+def test_restart_never_reuses_an_evicted_job_id(tmp_path):
+    remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
+    serve = ServeConfig(job_ttl_s=3600.0)
+    with _single_worker_pool() as pool:
+        with RemoteApp(pool, serve=serve, remote=remote) as app:
+            first = app.submit({"kernel": "softmax"}).job_id
+            app.result(first, timeout=300)
+            assert app.queue.gc(now=time.time() + 7200) == 1
+        # close() compacted the journal without any job record in it.
+        with RemoteApp(pool, serve=serve, remote=remote) as app:
+            fresh = app.submit({"kernel": "softmax"}).job_id
+            assert int(fresh[1:]) > int(first[1:])
+            app.result(fresh, timeout=300)
 
 
 def test_app_without_journal_still_serves():

@@ -133,10 +133,13 @@ def test_restart_serves_the_records_the_bounds_keep(pool, journal):
             assert _listing(app) == _kept(folded, now)
             assert app.metrics()["queue"]["records"] == len(app.jobs())
             assert sorted(key for key, _ in app.queue.store.items()) == sorted(store)
-            assert app.compact() == len(app.jobs()) + len(store)
+            # One ``minted`` line keeps the highest id when the bounds dropped it.
+            highest = max(int(job_id[1:]) for job_id, _, _ in records)
+            kept = max((int(record.job_id[1:]) for record in app.jobs()), default=0)
+            minted = 1 if highest > kept else 0
+            assert app.compact() == len(app.jobs()) + len(store) + minted
 
             fresh = app.submit({"kernel": "softmax"})
-            highest = max(int(job_id[1:]) for job_id, _, _ in records)
             assert int(fresh.job_id[1:]) > highest
             app.result(fresh.job_id, timeout=60)
             before = [entry[:3] + (True,) for entry in _listing(app)]
