@@ -1,26 +1,21 @@
-"""Benchmark: work stealing beats static sharding on a skewed batch.
+"""Benchmark: the shared job queue beats a pinned round-robin shard on a skewed batch.
 
-The static ``least_loaded`` scheduler places jobs up front, so one long job
-plus a uniform cost model strands half the light jobs behind it while the
-twin worker goes idle.  The serve queue's idle workers instead steal queued
-jobs from the deep sibling queue, bounding the makespan by the long job.
+``optimize_many`` pins job *i* to worker *i* mod *N*, so one long job
+strands every light job pinned behind it while the twin worker goes idle.
+The serve queue's workers instead each take the oldest pending job they may
+run, so the idle twin takes every light job and the makespan is bounded by
+the long job.
 
 Job durations are made deterministic by a sleep-based strategy (the real
 searches' runtimes vary by host), so the comparison is a property of the
 schedules, not of simulator throughput: with a 0.75 s job and eight 0.06 s
-jobs on two same-GPU workers, the static shard's critical path is the long
-job *plus* four light jobs, the stealing queue's is the long job alone.
+jobs on two same-GPU workers, the pinned shard's critical path is the long
+job *plus* four light jobs, the shared queue's is the long job alone.
 """
 
 import time
 
-from repro.api import (
-    CacheConfig,
-    OptimizationConfig,
-    PoolConfig,
-    StrategyOutcome,
-    register_strategy,
-)
+from repro.api import CacheConfig, OptimizationConfig, StrategyOutcome, register_strategy
 from repro.pool import SessionPool
 
 _FAST = OptimizationConfig(
@@ -52,39 +47,33 @@ class _SleepStrategy:
 
 
 def _pool():
-    return SessionPool(
-        ["A100-sim", "A100-sim"],
-        pool=PoolConfig(scheduler="least_loaded"),
-        config=_FAST,
-        cache=_NO_CACHE,
-    )
+    return SessionPool(["A100-sim", "A100-sim"], config=_FAST, cache=_NO_CACHE)
 
 
-def test_work_stealing_beats_static_sharding():
-    # Arm 1 — the stealing queue (run first: any warm-cache advantage from
-    # ordering accrues to the *static* arm, biasing against the assertion).
+def test_shared_queue_beats_pinned_round_robin():
+    # Arm 1 — the shared queue (run first: any warm-cache advantage from
+    # ordering accrues to the *pinned* arm, biasing against the assertion).
     with _pool() as pool:
         queue = pool.serve()
         started = time.perf_counter()
         handles = queue.submit_many(_SKEWED_BATCH, use_store=False)
         reports = [handle.result(timeout=120) for handle in handles]
-        steal_wall_s = time.perf_counter() - started
-        stolen_jobs = pool.serve().stats["stolen"]
+        shared_wall_s = time.perf_counter() - started
+        heavy, *light = [handle.record().worker for handle in handles]
     assert not any(report.failed for report in reports)
 
-    # Arm 2 — the historical static shard: same jobs, same scheduler, but
-    # pinned placement (the optimize_many wrapper) and no stealing.
+    # Arm 2 — the pinned shard: same jobs, job i on worker i mod 2.
     with _pool() as pool:
         result = pool.optimize_many(_SKEWED_BATCH)
-        static_wall_s = result.elapsed_s
+        pinned_wall_s = result.elapsed_s
     assert not result.failures
 
     print(
         f"\nskewed batch ({len(_SKEWED_BATCH)} jobs, 2x A100): "
-        f"static least_loaded {static_wall_s:.3f}s vs "
-        f"work stealing {steal_wall_s:.3f}s ({stolen_jobs} stolen)"
+        f"pinned round robin {pinned_wall_s:.3f}s vs "
+        f"shared queue {shared_wall_s:.3f}s"
     )
-    # The queue rebalanced: at least one job migrated to the idle twin, and
-    # the makespan is no worse than the static shard's.
-    assert stolen_jobs >= 1
-    assert steal_wall_s <= static_wall_s
+    # The idle twin took every light job, and the makespan is no worse than
+    # the pinned shard's.
+    assert heavy is not None and all(worker not in (None, heavy) for worker in light)
+    assert shared_wall_s <= pinned_wall_s

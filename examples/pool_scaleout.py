@@ -2,8 +2,8 @@
 """Scale-out: shard a batch of workloads across a multi-backend SessionPool.
 
 A :class:`SessionPool` owns one worker :class:`Session` per configured GPU
-backend (duplicates fan out over the same GPU type), shards ``optimize_many``
-workloads across them through a pluggable scheduler, and shares one
+backend (duplicates fan out over the same GPU type), runs job *i* of an
+``optimize_many`` batch on worker *i* mod *N*, and shares one
 measurement-memo table so a schedule measured by one worker is a hit for its
 siblings.  Each worker caches deploy artifacts in a per-backend namespace, so
 ``pool.deploy(kernel, backend=...)`` always finds the right cubin.
@@ -13,7 +13,7 @@ Run with:  python examples/pool_scaleout.py
 
 import tempfile
 
-from repro.api import OptimizationConfig, PoolConfig
+from repro.api import OptimizationConfig
 from repro.pool import SessionPool
 from repro.utils.logging import enable_console_logging
 
@@ -43,7 +43,6 @@ def main() -> None:
             # Two A100 instances plus one A30: duplicates share measurements
             # through the pool memo, the A30 gets its own cache namespace.
             ["A100-sim", "A100-sim", "A30-sim"],
-            pool=PoolConfig(scheduler="least_loaded"),
             cache_dir=cache_dir,
             config=config,
         ) as pool:
@@ -65,7 +64,8 @@ def main() -> None:
                       f"{worker.evaluations} evaluations, {worker.elapsed_s:.2f}s busy")
 
             # Deploy-time lookup routes to the matching worker's cache
-            # namespace; the scheduler decides which kernels an A100 ran.
+            # namespace; job i ran on worker i mod 3, and workers 0 and 1
+            # are the A100s.
             kernel = next(
                 report.kernel
                 for report, worker in zip(result, result.assignments)

@@ -4,8 +4,8 @@
 The serve layer is the front door of the deployment story: instead of
 blocking on a whole ``optimize_many`` batch, callers ``submit()`` workloads
 to a :class:`repro.serve.JobQueue` over the pool and get handles back
-immediately.  A dispatcher feeds per-worker queues, idle workers steal
-queued jobs from deep sibling queues, every job streams
+immediately.  Every worker takes the oldest queued job it may run from one
+shared queue, every job streams
 ``queued → assigned → running → measured(n) → done`` events, and finished
 results persist in a pool-level store so re-submitting a
 ``(workload, backend)`` pair resolves instantly from its cache key.
@@ -34,7 +34,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         with SessionPool(
-            ["A100-sim", "A100-sim", "A30-sim"],  # twin A100s steal from each other
+            ["A100-sim", "A100-sim", "A30-sim"],  # twin A100s share unbound jobs
             cache_dir=cache_dir,
             config=config,
         ) as pool:
@@ -46,9 +46,8 @@ def main() -> None:
             def tail() -> None:
                 for event in feed:
                     extra = f" n={event.measured}" if event.kind == "measured" else ""
-                    stolen = " (stolen!)" if event.stolen else ""
                     print(f"  [{event.seq:03d}] {event.job_id} {event.kind}"
-                          f"{extra}{stolen} {event.worker or ''}")
+                          f"{extra} {event.worker or ''}")
 
             tailer = threading.Thread(target=tail, daemon=True)
             tailer.start()
@@ -76,7 +75,7 @@ def main() -> None:
 
             stats = queue.stats
             print(f"== queue stats: {stats['done']} done, {stats['cancelled']} cancelled, "
-                  f"{stats['stolen']} stolen, {stats['store_hits']} store hits")
+                  f"{stats['store_hits']} store hits")
             queue.close()
             tailer.join(timeout=5)
 

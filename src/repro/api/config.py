@@ -45,9 +45,6 @@ class PoolConfig:
 
     #: Backend name (or alias) per worker; duplicates allowed.
     backends: tuple[str, ...] = ("A100-80GB-PCIe",)
-    #: Sharding policy; any name in the scheduler registry
-    #: (``"round_robin"``, ``"least_loaded"``, or a registered custom one).
-    scheduler: str = "round_robin"
 
     def replace(self, **overrides) -> "PoolConfig":
         """A copy of this config with the given fields replaced."""
@@ -102,16 +99,13 @@ class RetryPolicy:
 class ServeConfig:
     """Shape of a :class:`repro.serve.JobQueue` front door over a pool.
 
-    The queue owns one worker thread per pool worker plus a dispatcher that
-    feeds per-worker queues; these knobs control how aggressively idle
-    workers steal queued jobs from deep sibling queues, how large the
-    pool-level result store of finished ``(workload, backend)`` reports
-    grows, and how job records are bounded.
+    The queue owns one thread per pool worker, each taking the oldest
+    pending job it may run; these knobs control how large the pool-level
+    result store of finished ``(workload, backend)`` reports grows, how
+    many jobs may wait, how job records are bounded and how failed jobs
+    retry.
     """
 
-    #: Idle workers steal queued (unpinned, backend-compatible) jobs from the
-    #: tail of the deepest sibling queue instead of going idle.
-    steal: bool = True
     #: Size bound of the pool-level result store, which keeps finished
     #: ``RunReport``\ s by §4.2 cache key so re-submitted jobs skip
     #: optimization (``use_store=False`` on a submit forces a fresh run);
@@ -121,7 +115,7 @@ class ServeConfig:
     progress_every: int = 1
     #: Admission control: reject new submissions (``rejected`` event +
     #: :class:`repro.errors.AdmissionError`) while this many jobs are already
-    #: waiting (inbox + per-worker queues).  ``None`` accepts everything.
+    #: waiting for a worker.  ``None`` accepts everything.
     max_pending: int | None = None
     #: Job-record TTL: terminal records older than this many seconds are
     #: evicted by :meth:`repro.serve.JobQueue.gc` (run opportunistically on

@@ -138,9 +138,10 @@ class RunReport:
 class JobStatus(str, enum.Enum):
     """Lifecycle of one :class:`repro.serve.JobQueue` job.
 
-    ``queued → assigned → running → done/failed/cancelled``; ``cancelled``
-    can also follow ``queued``/``assigned`` directly when the job is pulled
-    back before a worker picks it up.  ``rejected`` is terminal from birth:
+    ``queued → assigned → running → done/failed/cancelled``: a job stays
+    ``queued`` until a worker takes it (``assigned``).  ``cancelled`` can
+    also follow ``queued``/``assigned`` directly when the job is cancelled
+    before it runs.  ``rejected`` is terminal from birth:
     admission control (a full pending queue, an exhausted tenant quota)
     refused the submission before it ever queued.
     """
@@ -182,10 +183,9 @@ class JobRecord:
     status: JobStatus
     #: Name of the worker that ran (or is running) the job, if assigned.
     worker: str | None
-    #: Relative cost estimate used for placement and backlog accounting.
+    #: Quota tokens the remote front door charged the tenant for the job
+    #: (1.0 for in-process submissions that do not set it).
     cost: float
-    #: The job was stolen by an idle worker from a sibling's queue.
-    stolen: bool = False
     #: The job resolved from the pool-level result store without optimizing.
     from_store: bool = False
     #: Candidate measurements issued so far (streamed ``measured(n)``).
@@ -221,7 +221,6 @@ class JobRecord:
             "status": self.status.value,
             "worker": self.worker,
             "cost": self.cost,
-            "stolen": self.stolen,
             "from_store": self.from_store,
             "measured": self.measured,
             "submitted_at": self.submitted_at,
@@ -246,7 +245,6 @@ class JobRecord:
             status=JobStatus(payload.get("status", "queued")),
             worker=payload.get("worker"),
             cost=float(payload.get("cost") or 1.0),
-            stolen=bool(payload.get("stolen", False)),
             from_store=bool(payload.get("from_store", False)),
             measured=int(payload.get("measured") or 0),
             submitted_at=payload.get("submitted_at"),
@@ -273,7 +271,7 @@ class WorkerReport:
     worker: str
     #: Canonical GPU backend name the worker targets.
     gpu: str
-    #: Jobs the scheduler placed on this worker.
+    #: Jobs this worker ran during the pool run.
     jobs: int
     #: Jobs that ended in a failed :class:`RunReport`.
     failures: int
@@ -307,8 +305,6 @@ class PoolReport:
     reports: list[RunReport]
     #: Worker name that ran each job, in input order.
     assignments: tuple[str, ...]
-    #: Scheduler that produced the assignment.
-    scheduler: str
     #: Per-worker utilization, one entry per pool worker (idle ones included).
     workers: list[WorkerReport]
     #: Wall-clock of the whole pool run.
@@ -351,7 +347,6 @@ class PoolReport:
         return {
             "jobs": [report.summary() for report in self.reports],
             "assignments": list(self.assignments),
-            "scheduler": self.scheduler,
             "workers": [worker.as_dict() for worker in self.workers],
             "failures": len(self.failures),
             "evaluations": self.evaluations,

@@ -3,9 +3,9 @@
 The paper optimizes one kernel on one GPU; the pool is the first step toward
 the serve-heavy-traffic deployment story.  It owns one worker
 :class:`~repro.api.Session` per configured backend name (duplicates fan out
-over the same GPU type), shards workloads across them through a pluggable
-scheduler, and aggregates per-job :class:`~repro.api.report.RunReport`\\ s —
-failed ones included — into a :class:`~repro.api.report.PoolReport`::
+over the same GPU type), runs job *i* of a batch on worker *i* mod *N*, and
+aggregates per-job :class:`~repro.api.report.RunReport`\\ s — failed ones
+included — into a :class:`~repro.api.report.PoolReport`::
 
     from repro.pool import SessionPool
 
@@ -25,12 +25,12 @@ Workers are isolated where it matters and shared where it pays:
   without poisoning sibling workers, matching ``Session.optimize_many``'s
   ``on_error="report"/"raise"`` semantics pool-wide.
 
-Since PR 5 the pool also exposes an async serving front door —
-``pool.serve()`` returns a :class:`repro.serve.JobQueue` with ``submit()``
-handles, streamed progress events, cancellation, work stealing and a
-persistent result store — and ``optimize_many`` itself is a thin synchronous
-wrapper over that queue (jobs pinned to their scheduler-assigned workers),
-so both paths share one event-driven execution pipeline.
+The pool also exposes an async serving front door — ``pool.serve()``
+returns a :class:`repro.serve.JobQueue` with ``submit()`` handles, streamed
+progress events, cancellation, one shared job queue and a persistent result
+store — and ``optimize_many`` itself is a thin synchronous wrapper over that
+queue (job *i* pinned to worker *i* mod *N*), so both paths share one
+event-driven execution pipeline.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.api.backends import backend_spec, resolve_backend
 from repro.api.config import (
@@ -51,7 +51,6 @@ from repro.api.config import (
 from repro.api.report import PoolReport, RunReport, WorkerReport
 from repro.api.session import Session
 from repro.errors import JobCancelled, OptimizationError
-from repro.pool.scheduler import PoolJob, get_scheduler
 from repro.sim.measure_service import SharedMemoTable
 from repro.triton.spec import KernelSpec
 from repro.utils.logging import get_logger
@@ -60,19 +59,13 @@ _LOG = get_logger("pool")
 
 
 class PoolWorker:
-    """One worker session plus the bookkeeping the scheduler and report see."""
+    """One worker session plus the bookkeeping the queue and report see."""
 
     def __init__(self, index: int, session: Session):
         self.index = index
         self.session = session
         self.backend = session.gpu_name
         self.name = f"w{index}:{session.gpu_name}"
-        #: Outstanding cost: everything assigned (queued or running) minus
-        #: everything settled on completion, steal-consistent — a stolen job's
-        #: cost moves from the victim to the thief.  Scheduler-visible; an
-        #: idle worker's backlog drains back to zero instead of growing
-        #: without bound across calls (which skewed ``least_loaded`` forever).
-        self.backlog = 0.0
         self.jobs_run = 0
         self.failures = 0
         self.evaluations = 0
@@ -105,7 +98,6 @@ class PoolWorker:
         return {
             "worker": self.name,
             "backend": self.backend,
-            "backlog": self.backlog,
             "jobs_run": self.jobs_run,
             "failures": self.failures,
             "evaluations": self.evaluations,
@@ -135,7 +127,6 @@ class SessionPool:
             pool_config = pool_config.replace(backends=tuple(backends))
         if not pool_config.backends:
             raise ValueError("a SessionPool needs at least one backend")
-        get_scheduler(pool_config.scheduler)  # fail fast on unknown names
         self.config = pool_config
         self.shared_memo = SharedMemoTable()
 
@@ -181,10 +172,9 @@ class SessionPool:
         self._closed = False
         self._queue = None
         _LOG.info(
-            "pool up: %d workers (%s), scheduler=%s",
+            "pool up: %d workers (%s)",
             len(self.workers),
             ", ".join(worker.name for worker in self.workers),
-            pool_config.scheduler,
         )
 
     @classmethod
@@ -294,8 +284,8 @@ class SessionPool:
         construction blueprint — same backend, cache namespace and
         measurement policy — and the worker is marked healthy again with its
         ``restarts`` counter bumped.  The :class:`PoolWorker` object itself
-        is reused so queue threads and schedulers holding references see the
-        revival without re-resolving anything.
+        is reused so queue threads holding references see the revival
+        without re-resolving anything.
         """
         self._ensure_open()
         if not 0 <= index < len(self.workers):
@@ -345,13 +335,9 @@ class SessionPool:
         return self.worker_for(backend).session.deploy(spec, shapes=shapes)
 
     def snapshot(self) -> dict:
-        """Live, JSON-able pool state: scheduler + per-worker utilization.
-
-        The serving layers build on this: the queue's admission control reads
-        backlogs, the remote front door's ``/metrics`` endpoint exposes it.
-        """
+        """Live, JSON-able pool state: per-worker utilization and health
+        (the ``pool`` slice of the remote front door's ``/metrics``)."""
         return {
-            "scheduler": self.config.scheduler,
             "closed": self._closed,
             "workers": [worker.stats() for worker in self.workers],
         }
@@ -406,20 +392,16 @@ class SessionPool:
         verify: str | bool | None = None,
         store: bool = True,
         on_error: str = "report",
-        costs: Sequence[float] | None = None,
     ) -> PoolReport:
         """Shard the workloads across the pool's workers and run them.
 
-        The configured scheduler statically assigns each job to a worker;
-        the jobs then run through the pool's serve queue (see :meth:`serve`)
-        pinned to their assigned workers, which preserves the historical
-        sharding semantics — deterministic assignment, per-shard input
-        order, per-job failure capture — over the event-driven execution
-        path.  ``costs`` optionally gives a relative cost estimate per job
-        for load-aware schedulers.  A worker that fails *outside* a job (a
-        closed session, an internal error) yields failed reports for its
-        jobs instead of poisoning the batch, and every input keeps its
-        input-order slot.
+        Job *i* runs on worker *i* mod *N*: the jobs go through the pool's
+        serve queue (see :meth:`serve`) pinned to those workers, so the
+        assignment is deterministic and each worker runs its shard in input
+        order, over the event-driven execution path.  A worker that fails
+        *outside* a job (a closed session, an internal error) yields failed
+        reports for its jobs instead of poisoning the batch, and every input
+        keeps its input-order slot.
 
         With ``on_error="report"`` (the default) failed jobs come back as
         failed :class:`RunReport`\\ s in their input-order slots; with
@@ -431,26 +413,8 @@ class SessionPool:
         if on_error not in ("report", "raise"):
             raise ValueError(f"on_error must be 'report' or 'raise', got {on_error!r}")
         resolved = list(specs)
-        if costs is not None and len(costs) != len(resolved):
-            raise ValueError(
-                f"costs must match the workload count: {len(costs)} != {len(resolved)}"
-            )
-        jobs = [
-            PoolJob(
-                index=position,
-                name=spec if isinstance(spec, str) else spec.name,
-                cost=float(costs[position]) if costs is not None else 1.0,
-            )
-            for position, spec in enumerate(resolved)
-        ]
-        scheduler = get_scheduler(self.config.scheduler)
-        assignment = list(scheduler.assign(jobs, self.workers))
-        if len(assignment) != len(jobs) or not all(
-            0 <= target < len(self.workers) for target in assignment
-        ):
-            raise OptimizationError(
-                f"scheduler {scheduler.name!r} produced an invalid assignment: {assignment}"
-            )
+        names = [spec if isinstance(spec, str) else spec.name for spec in resolved]
+        assignment = [position % len(self.workers) for position in range(len(resolved))]
 
         queue = self.serve()
         started = time.perf_counter()
@@ -461,21 +425,20 @@ class SessionPool:
                 strategy=strategy,
                 verify=verify,
                 store=store,
-                cost=job.cost,
                 pin_worker=target,
                 use_store=False,  # historical semantics: every call re-runs
             )
-            for spec, job, target in zip(resolved, jobs, assignment)
+            for spec, target in zip(resolved, assignment)
         ]
 
-        slots: list[RunReport | None] = [None] * len(jobs)
+        slots: list[RunReport | None] = [None] * len(resolved)
         ran_on: list[str] = []
-        for position, (handle, job, target) in enumerate(zip(handles, jobs, assignment)):
+        for position, (handle, target) in enumerate(zip(handles, assignment)):
             try:
                 slots[position] = handle.result()
             except JobCancelled:
                 slots[position] = self._failed_report(
-                    job.name, target, strategy, "JobCancelled: job was cancelled"
+                    names[position], target, strategy, "JobCancelled: job was cancelled"
                 )
             record = handle.record()
             ran_on.append(record.worker or self.workers[target].name)
@@ -485,7 +448,7 @@ class SessionPool:
         for position, slot in enumerate(slots):
             if slot is None:  # pragma: no cover - queue guarantees a report
                 slots[position] = self._failed_report(
-                    jobs[position].name,
+                    names[position],
                     assignment[position],
                     strategy,
                     "OptimizationError: worker produced no report for this job",
@@ -495,7 +458,6 @@ class SessionPool:
         result = PoolReport(
             reports=slots,
             assignments=tuple(ran_on),
-            scheduler=scheduler.name,
             workers=[
                 worker.report_since(snapshot)
                 for worker, snapshot in zip(self.workers, snapshots)
@@ -507,7 +469,7 @@ class SessionPool:
             "pool run: %d jobs on %d workers in %.2fs (%.1f evals/s, %d failures, "
             "%d cross-worker memo hits)",
             len(result),
-            len(set(assignment)),
+            len(set(ran_on)),
             elapsed,
             result.evaluations_per_sec,
             len(result.failures),

@@ -1,8 +1,8 @@
 """Per-tenant submission quotas for the remote front door.
 
 A classic token bucket per tenant: every submission spends ``cost`` tokens
-(the same relative-cost estimate the scheduler uses for placement), buckets
-refill continuously at ``refill_per_s`` up to ``capacity``, and an empty
+(recorded on the job as ``JobRecord.cost``), buckets refill continuously at
+``refill_per_s`` up to ``capacity``, and an empty
 bucket means the submission is rejected *before* it ever reaches the queue —
 HTTP 429 plus a terminal ``rejected`` event, so abusive tenants cannot
 starve the pool for everyone else.

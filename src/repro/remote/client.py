@@ -21,7 +21,6 @@ import json
 import select
 import threading
 import time
-import weakref
 from typing import Iterator
 from urllib.parse import quote, urlencode, urlsplit
 
@@ -108,9 +107,9 @@ class RemoteClient:
     connection the server closed while it sat idle is noticed before the
     next request and reopened; a failure during a request closes it, and the
     thread's next request opens a fresh one.  :meth:`close` (or leaving a
-    ``with`` block) closes every thread's connection; otherwise each closes
-    when its thread or the client is garbage-collected.  Proxy environment
-    variables (``http_proxy``) are not consulted.
+    ``with`` block) closes every thread's connection; a connection whose
+    thread ended is closed when another thread opens its first one.  Proxy
+    environment variables (``http_proxy``) are not consulted.
 
     Idempotent GETs transparently retry transient transport failures
     (connection refused/reset, a dropped response) up to ``retry_attempts``
@@ -141,9 +140,10 @@ class RemoteClient:
         self.retry_backoff_s = retry_backoff_s
         self._local = threading.local()  # .connection: this thread's HTTPConnection
         self._lock = threading.Lock()
-        #: Every thread's connection, for :meth:`close`; one drops out when
-        #: its thread ends.
-        self._connections: weakref.WeakSet[http.client.HTTPConnection] = weakref.WeakSet()
+        #: Every thread's connection with the thread that owns it, for
+        #: :meth:`close`.  Held strongly, so an ended thread's connection is
+        #: never left to the garbage collector with its socket open.
+        self._connections: list[tuple[threading.Thread, http.client.HTTPConnection]] = []
 
     # ------------------------------------------------------------------
     # Transport
@@ -155,7 +155,14 @@ class RemoteClient:
             connection = http.client.HTTPConnection(self._host, self._port)
             self._local.connection = connection
             with self._lock:
-                self._connections.add(connection)
+                owned, self._connections = self._connections, [
+                    (threading.current_thread(), connection)
+                ]
+                for thread, other in owned:
+                    if thread.is_alive():
+                        self._connections.append((thread, other))
+                    else:
+                        other.close()  # its thread ended
         elif _closed_by_server(connection):
             connection.close()  # the next request reconnects
         connection.timeout = timeout
@@ -211,7 +218,7 @@ class RemoteClient:
         Call it when no request is in flight.
         """
         with self._lock:
-            connections = list(self._connections)
+            connections = [connection for _, connection in self._connections]
         for connection in connections:
             connection.close()
 

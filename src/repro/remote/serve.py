@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     queue = parser.add_argument_group("queue")
     queue.add_argument(
-        "--no-steal", action="store_true", help="disable idle-worker job stealing"
-    )
-    queue.add_argument(
         "--max-pending",
         type=int,
         default=None,
@@ -175,7 +172,6 @@ def configs_from_args(args) -> tuple[OptimizationConfig | None, ServeConfig, Rem
             backoff_base_s=args.retry_backoff_s,
         )
     serve = ServeConfig(
-        steal=not args.no_steal,
         max_pending=args.max_pending,
         job_ttl_s=args.job_ttl_s,
         max_records=args.max_records,

@@ -3,9 +3,9 @@
 The ROADMAP's next scale step after :class:`repro.pool.SessionPool`:
 instead of blocking on whole synchronous batches, callers ``submit()``
 workloads and get :class:`JobHandle`\\ s back immediately —
-``result(timeout=)``, ``cancel()``, ``done()``, ``status`` — while a
-dispatcher feeds per-worker queues, idle workers steal from deep sibling
-queues, every job streams :class:`ProgressEvent`\\ s
+``result(timeout=)``, ``cancel()``, ``done()``, ``status`` — while every
+pool worker takes the oldest pending job it may run from one shared queue,
+every job streams :class:`ProgressEvent`\\ s
 (``queued → assigned → running → measured(n) → done/failed/cancelled``)
 and finished results persist in a pool-level :class:`ResultStore` keyed by
 the §4.2 cache key.

@@ -3,9 +3,11 @@
 Every state change of a :class:`~repro.serve.queue.JobQueue` job —
 ``queued → assigned → running → measured(n) → done/failed/cancelled`` — is
 published as one immutable :class:`ProgressEvent` through an
-:class:`EventBus`.  Subscriptions are live queues: subscribe to one job (its
-history so far is replayed, and the subscription completes itself after the
-job's terminal event) or pool-wide (every job's events until the bus closes).
+:class:`EventBus`.  A job stays ``queued`` until a worker takes it, which is
+when ``assigned`` fires.  Subscriptions are live queues: subscribe to one
+job (its history so far is replayed, and the subscription completes itself
+after the job's terminal event) or pool-wide (every job's events until the
+bus closes).
 
 Events carry a bus-global, strictly increasing ``seq`` so the interleaving
 the subscriber observed is the interleaving that happened.
@@ -36,12 +38,10 @@ class ProgressEvent:
     kind: str
     #: Wall-clock timestamp (``time.time``).
     timestamp: float
-    #: Worker involved (assigned/running/terminal events), if any.
+    #: Worker that took the job (assigned/running/terminal events), if any.
     worker: str | None = None
     #: Cumulative candidate measurements at emission (``measured`` events).
     measured: int = 0
-    #: The assignment was a steal from a sibling's queue.
-    stolen: bool = False
     #: Free-form annotation (``"store-hit"``, an error message, ...).
     detail: str = ""
     #: Verifier rule codes behind this event (``invalidated`` events carry
@@ -67,7 +67,6 @@ class ProgressEvent:
             "timestamp": self.timestamp,
             "worker": self.worker,
             "measured": self.measured,
-            "stolen": self.stolen,
             "detail": self.detail,
             "rules": list(self.rules),
             "attempt": self.attempt,

@@ -1,11 +1,10 @@
 """The serving front door: an async job queue over a :class:`SessionPool`.
 
-``submit()`` returns a :class:`JobHandle` immediately; a dispatcher thread
-places each job on a per-worker queue (respecting backend constraints and
-outstanding backlog), one worker thread per pool worker drains its own queue
-in FIFO order, and — the part static sharding cannot do — an **idle worker
-steals** queued jobs from the tail of the deepest compatible sibling queue,
-so a skewed batch no longer leaves half the pool idle behind one long job.
+``submit()`` returns a :class:`JobHandle` immediately and appends the job to
+one pending deque.  One thread per pool worker takes the **oldest pending
+job it may run** (its pin, if any, names this worker; its backend, if any,
+is this worker's), so an idle worker never waits while a compatible job is
+queued and a skewed batch never strands light jobs behind one long one.
 
 Callers interleave optimization with deployment instead of blocking on the
 whole batch::
@@ -25,14 +24,14 @@ Three more serving behaviors ride on the queue:
 * **progress events** — every job streams
   ``queued → assigned → running → measured(n) → done/failed/cancelled``
   (see :mod:`repro.serve.events`), subscribable per-job and pool-wide;
+  ``assigned`` fires when a worker takes the job;
 * **result store** — finished reports are kept per §4.2 cache key for the
   pool's lifetime, so a re-submitted ``(workload, backend)`` pair resolves
   instantly without re-optimizing (see :mod:`repro.serve.store`).
 
 :meth:`repro.pool.SessionPool.optimize_many` is a thin synchronous wrapper
-over this queue: it pins each job to the worker the configured scheduler
-chose and waits for every handle, which preserves the historical sharding
-semantics exactly while sharing one execution path.
+over this queue: it pins job *i* to worker *i* mod *N* and waits for every
+handle, so its assignment stays deterministic over the one execution path.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.verify import verify_schedule
 from repro.api.backends import backend_spec
@@ -66,7 +65,7 @@ _LOST_IN_RESTART = "ServerRestart: job was in flight when the server stopped"
 
 #: :class:`JobRecord` fields a journal-restored job takes over as they are.
 _RESTORED_STATE = (
-    "status", "worker", "stolen", "from_store", "measured", "submitted_at",
+    "status", "worker", "from_store", "measured", "submitted_at",
     "started_at", "finished_at", "error", "cache_key", "invalidation_rules",
     "resumed", "replayed",
 )
@@ -78,7 +77,7 @@ class _Job:
     __slots__ = (
         "id", "spec", "name", "shapes", "strategy", "verify", "store", "cost",
         "backend", "pin", "use_store", "status", "cancel_event", "done_event",
-        "report", "error", "worker_index", "worker", "stolen", "from_store",
+        "report", "error", "worker_index", "worker", "from_store",
         "measured", "last_progress_emit", "submitted_at", "started_at",
         "finished_at", "cache_key", "events", "tenant", "invalidation_rules",
         "attempt", "checkpoint_state", "resumed", "replayed",
@@ -104,7 +103,6 @@ class _Job:
         self.error: str | None = None
         self.worker_index: int | None = None
         self.worker: str | None = None
-        self.stolen = False
         self.from_store = False
         self.measured = 0
         self.last_progress_emit = 0
@@ -144,7 +142,6 @@ class _Job:
             status=self.status,
             worker=self.worker,
             cost=self.cost,
-            stolen=self.stolen,
             from_store=self.from_store,
             measured=self.measured,
             submitted_at=self.submitted_at,
@@ -222,10 +219,6 @@ class JobHandle:
         return self._queue.subscribe(self.job_id)
 
     @property
-    def stolen(self) -> bool:
-        return self._job.stolen
-
-    @property
     def from_store(self) -> bool:
         return self._job.from_store
 
@@ -266,15 +259,15 @@ class JobQueue:
         self.journal = journal
         self._bus = EventBus()
         self._work = threading.Condition(threading.Lock())
-        self._inbox: "deque[_Job]" = deque()
-        self._queues: "list[deque[_Job]]" = [deque() for _ in pool.workers]
+        #: Jobs waiting for a worker, oldest first.
+        self._pending: "deque[_Job]" = deque()
         self._jobs: dict[str, _Job] = {}
         self._counter = 0
         self._closed = False
         self._joined = False
         self._stats = {
             "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
-            "rejected": 0, "stolen": 0, "store_hits": 0, "expired": 0,
+            "rejected": 0, "store_hits": 0, "expired": 0,
             "retries": 0, "worker_failures": 0, "resumed": 0,
         }
         #: Pending backoff timers of jobs awaiting a retry, by job id.
@@ -282,20 +275,17 @@ class JobQueue:
         if journal is not None:
             self._restore(journal.replay())
         self._threads = [
-            threading.Thread(target=self._dispatch_loop, name="serve-dispatch", daemon=True)
-        ]
-        self._threads.extend(
             threading.Thread(
-                target=self._worker_loop, args=(index,),
+                target=self._worker_loop, args=(worker,),
                 name=f"serve-{worker.name}", daemon=True,
             )
-            for index, worker in enumerate(pool.workers)
-        )
+            for worker in pool.workers
+        ]
         for thread in self._threads:
             thread.start()
         _LOG.info(
-            "serve queue up: %d workers, steal=%s, %d record(s) restored",
-            len(pool.workers), self.serve_config.steal, len(self._jobs),
+            "serve queue up: %d workers, %d record(s) restored",
+            len(pool.workers), len(self._jobs),
         )
 
     # ------------------------------------------------------------------
@@ -317,15 +307,16 @@ class JobQueue:
     ) -> JobHandle:
         """Queue one workload and return its handle immediately.
 
-        ``backend`` restricts the job to workers of that GPU target (it stays
-        stealable between them); ``pin_worker`` (used by the
-        ``optimize_many`` compatibility wrapper) nails it to one worker index
-        and exempts it from stealing.  ``use_store=False`` forces a fresh
+        ``backend`` restricts the job to workers of that GPU target;
+        ``pin_worker`` (used by the ``optimize_many`` wrapper) restricts it
+        to one worker index.  ``use_store=False`` forces a fresh
         optimization even when the result store already holds this key.
-        ``tenant`` is recorded for accounting (the remote front door charges
-        its quota before submitting).  An unknown ``backend`` or ``strategy``
-        raises ``KeyError``, and an unknown ``verify`` mode ``ValueError``,
-        before any job is minted.
+        ``cost`` and ``tenant`` are recorded for accounting (the remote front
+        door charges ``cost`` quota tokens to ``tenant`` before submitting).
+        An unknown ``backend`` or ``strategy`` raises ``KeyError``, and an
+        unknown ``verify`` mode, an out-of-range ``pin_worker`` or one whose
+        worker does not target ``backend`` ``ValueError``, before any job is
+        minted.
 
         With ``ServeConfig.max_pending`` set, a submission arriving while
         that many jobs are already waiting is refused: the job is minted
@@ -333,15 +324,21 @@ class JobQueue:
         observable) and :class:`repro.errors.AdmissionError` is raised.
         """
         backend, strategy, verify = self._resolve(backend, strategy, verify)
-        if pin_worker is not None and not 0 <= pin_worker < len(self.pool.workers):
-            raise ValueError(f"pin_worker {pin_worker} out of range")
+        if pin_worker is not None:
+            if not 0 <= pin_worker < len(self.pool.workers):
+                raise ValueError(f"pin_worker {pin_worker} out of range")
+            if backend is not None and self.pool.workers[pin_worker].backend != backend:
+                raise ValueError(
+                    f"pin_worker {pin_worker} ({self.pool.workers[pin_worker].name}) "
+                    f"does not target backend {backend!r}"
+                )
         self.gc()  # opportunistic TTL/bound sweep of terminal records
         name = spec if isinstance(spec, str) else spec.name
         max_pending = self.serve_config.max_pending
         with self._work:
             if self._closed:
                 raise OptimizationError("job queue is closed")
-            pending = len(self._inbox) + sum(len(queued) for queued in self._queues)
+            pending = len(self._pending)
             if max_pending is not None and pending >= max_pending:
                 job = self._mint_rejected_locked(
                     spec, name, cost=float(cost), backend=backend, tenant=tenant,
@@ -388,7 +385,7 @@ class JobQueue:
         self._stats["submitted"] += 1
         if job.resumed:
             self._stats["resumed"] += 1
-        self._inbox.append(job)
+        self._pending.append(job)
         self._emit(job, "queued", detail="resumed from journal" if job.resumed else "")
         self._journal("submitted", job.record(), request=job.request())
         self._work.notify_all()
@@ -441,7 +438,7 @@ class JobQueue:
                         ProgressEvent(
                             seq=0, job_id=job_id, kind=job.status.value,
                             timestamp=job.finished_at, worker=job.worker,
-                            measured=job.measured, stolen=job.stolen,
+                            measured=job.measured,
                             detail=job.error or "replayed from journal",
                             rules=job.invalidation_rules, attempt=job.attempt,
                             replayed=True,
@@ -509,27 +506,9 @@ class JobQueue:
             **options,
         )
 
-    def submit_many(
-        self,
-        specs: Iterable[str | KernelSpec],
-        *,
-        costs: Sequence[float] | None = None,
-        **options,
-    ) -> list[JobHandle]:
+    def submit_many(self, specs: Iterable[str | KernelSpec], **options) -> list[JobHandle]:
         """Queue a batch of workloads; one handle per workload, input order."""
-        resolved = list(specs)
-        if costs is not None and len(costs) != len(resolved):
-            raise ValueError(
-                f"costs must match the workload count: {len(costs)} != {len(resolved)}"
-            )
-        return [
-            self.submit(
-                spec,
-                cost=float(costs[index]) if costs is not None else 1.0,
-                **options,
-            )
-            for index, spec in enumerate(resolved)
-        ]
+        return [self.submit(spec, **options) for spec in specs]
 
     # ------------------------------------------------------------------
     # Observation
@@ -628,20 +607,17 @@ class JobQueue:
         return evicted
 
     def metrics(self) -> dict:
-        """Live, JSON-able serving snapshot: queue depths, counters, pool
+        """Live, JSON-able serving snapshot: pending jobs, counters, pool
         worker utilization and result-store stats (the ``/metrics`` payload
         of the remote front door)."""
         with self._work:
             stats = dict(self._stats)
-            depths = [len(queued) for queued in self._queues]
-            inbox = len(self._inbox)
+            pending = len(self._pending)
             records = len(self._jobs)
             active = sum(1 for job in self._jobs.values() if not job.status.terminal)
         return {
             "queue": {
-                "inbox_depth": inbox,
-                "worker_depths": depths,
-                "pending": inbox + sum(depths),
+                "pending": pending,
                 "records": records,
                 "active": active,
                 **stats,
@@ -693,17 +669,10 @@ class JobQueue:
                         job.cancel_event.set()
                         self._finalize_locked(job, JobStatus.CANCELLED)
                 self._retry_timers.clear()
-                for job in list(self._inbox):
+                for job in self._pending:
                     job.cancel_event.set()
                     self._finalize_locked(job, JobStatus.CANCELLED)
-                self._inbox.clear()
-                for index, pending in enumerate(self._queues):
-                    for job in list(pending):
-                        job.cancel_event.set()
-                        worker = self.pool.workers[index]
-                        worker.backlog = max(0.0, worker.backlog - job.cost)
-                        self._finalize_locked(job, JobStatus.CANCELLED)
-                    pending.clear()
+                self._pending.clear()
                 for job in self._jobs.values():
                     if not job.status.terminal:
                         job.cancel_event.set()
@@ -721,116 +690,43 @@ class JobQueue:
         self.close()
 
     # ------------------------------------------------------------------
-    # Internals: dispatcher
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._work:
-                while not self._inbox and not self._closed:
-                    self._work.wait()
-                if not self._inbox:
-                    return  # closed and drained
-                job = self._inbox.popleft()
-                if job.cancel_event.is_set():
-                    if not job.status.terminal:
-                        self._finalize_locked(job, JobStatus.CANCELLED)
-                    continue
-                target = self._place_locked(job)
-                job.worker_index = target
-                job.worker = self.pool.workers[target].name
-                job.status = JobStatus.ASSIGNED
-                self.pool.workers[target].backlog += job.cost
-                self._queues[target].append(job)
-                self._emit(job, "assigned", worker=job.worker)
-                self._work.notify_all()
-
-    def _place_locked(self, job: _Job) -> int:
-        """Pick the worker for a freshly dispatched job (lock held)."""
-        if job.pin is not None:
-            return job.pin
-        eligible = [
-            index
-            for index, worker in enumerate(self.pool.workers)
-            if job.backend is None or worker.backend == job.backend
-        ]
-        healthy = [
-            index for index in eligible
-            if getattr(self.pool.workers[index], "healthy", True)
-        ]
-        # Prefer healthy workers; with none healthy fall back to any eligible
-        # one so the job queues instead of erroring (supervision revives the
-        # worker before its loop claims again).
-        eligible = healthy or eligible
-        return min(
-            eligible,
-            key=lambda index: (
-                self.pool.workers[index].backlog,
-                len(self._queues[index]),
-                index,
-            ),
-        )
-
-    # ------------------------------------------------------------------
     # Internals: workers
     # ------------------------------------------------------------------
-    def _worker_loop(self, index: int) -> None:
-        worker = self.pool.workers[index]
+    def _worker_loop(self, worker) -> None:
         while True:
             with self._work:
-                job = self._claim_locked(index)
-                while job is None:
-                    if self._closed and not self._queues[index] and not self._inbox:
+                while (job := self._claim_locked(worker)) is None:
+                    if self._closed:
                         return
-                    self._work.wait(timeout=0.2)
-                    job = self._claim_locked(index)
+                    self._work.wait()
             self._run_job(worker, job)
 
-    def _claim_locked(self, index: int) -> _Job | None:
-        """Next job for worker ``index``: own queue first, then a steal."""
-        if not getattr(self.pool.workers[index], "healthy", True):
-            # A poisoned worker claims nothing until supervision revived its
-            # session; its backlog was already re-queued to siblings.
+    def _claim_locked(self, worker) -> _Job | None:
+        """Take the oldest pending job ``worker`` may run, or ``None``.
+
+        A job may run on a worker when its pin (if any) is that worker and
+        its backend (if any) is that worker's.  A poisoned worker claims
+        nothing until supervision revived its session, so its siblings take
+        every job they may run.
+        """
+        if not worker.healthy:
             return None
-        own = self._queues[index]
-        if own:
-            return own.popleft()
-        config = self.serve_config
-        if not config.steal or self._closed:
-            return None
-        thief = self.pool.workers[index]
-        victims = sorted(
-            (victim for victim, queue in enumerate(self._queues) if victim != index and queue),
-            key=lambda victim: -len(self._queues[victim]),
-        )
-        for victim in victims:
-            backlog_queue = self._queues[victim]
-            # Steal from the tail: the victim keeps draining its head in
-            # submission order while the thief absorbs the newest overflow.
-            for position in range(len(backlog_queue) - 1, -1, -1):
-                job = backlog_queue[position]
-                if job.pin is not None:
-                    continue
-                if job.backend is not None and thief.backend != job.backend:
-                    continue
-                del backlog_queue[position]
-                victim_worker = self.pool.workers[victim]
-                victim_worker.backlog = max(0.0, victim_worker.backlog - job.cost)
-                thief.backlog += job.cost
-                job.stolen = True
-                job.worker_index = index
-                job.worker = thief.name
-                self._stats["stolen"] += 1
-                self._emit(
-                    job, "assigned", worker=thief.name, stolen=True,
-                    detail=f"stolen from {victim_worker.name}",
-                )
-                return job
+        for position, job in enumerate(self._pending):
+            if job.pin not in (None, worker.index):
+                continue
+            if job.backend not in (None, worker.backend):
+                continue
+            del self._pending[position]
+            job.worker_index = worker.index
+            job.worker = worker.name
+            job.status = JobStatus.ASSIGNED
+            self._emit(job, "assigned", worker=worker.name)
+            return job
         return None
 
     def _run_job(self, worker, job: _Job) -> None:
         if job.cancel_event.is_set():
             with self._work:
-                worker.backlog = max(0.0, worker.backlog - job.cost)
                 if not job.status.terminal:
                     self._finalize_locked(job, JobStatus.CANCELLED)
             return
@@ -859,7 +755,6 @@ class JobQueue:
                     self._stats["store_hits"] += 1
                     worker.jobs_run += 1
                     worker.busy_s += time.perf_counter() - started
-                    worker.backlog = max(0.0, worker.backlog - job.cost)
                     self._finalize_locked(job, JobStatus.DONE, report=hit, detail="store-hit")
                 return
 
@@ -899,7 +794,7 @@ class JobQueue:
 
         if failure is not None and is_infrastructure_failure(failure):
             # A crash poisoned the worker, not just this job: mark it
-            # unhealthy, re-queue its backlog and respawn its session.
+            # unhealthy and respawn its session.
             self._supervise_worker(worker, failure)
         if failure is not None and self._schedule_retry(worker, job, failure, elapsed):
             return  # the retry timer owns the job now
@@ -913,7 +808,6 @@ class JobQueue:
 
         with self._work:
             worker.busy_s += elapsed
-            worker.backlog = max(0.0, worker.backlog - job.cost)
             if cancelled:
                 self._finalize_locked(job, JobStatus.CANCELLED)
                 return
@@ -1029,34 +923,16 @@ class JobQueue:
     def _supervise_worker(self, worker, exc: Exception) -> None:
         """Contain and repair a poisoned worker.
 
-        Marks it unhealthy (its loop stops claiming, the dispatcher stops
-        placing), re-queues its remaining backlog to the front of the inbox
-        so healthy siblings absorb it in order, then respawns a fresh
-        session on the same backend via ``SessionPool.revive_worker``.
+        Marks it unhealthy, so it claims nothing and its siblings take every
+        job they may run, then respawns a fresh session on the same backend
+        via ``SessionPool.revive_worker``.  This runs on the worker's own
+        thread, so jobs pinned to it wait until the revival is done.
         """
         with self._work:
             self._stats["worker_failures"] += 1
             worker.healthy = False
             worker.last_error = f"{type(exc).__name__}: {exc}"
-            drained: list[_Job] = []
-            if worker.index < len(self._queues):
-                backlog_queue = self._queues[worker.index]
-                while backlog_queue:
-                    orphan = backlog_queue.popleft()
-                    worker.backlog = max(0.0, worker.backlog - orphan.cost)
-                    orphan.status = JobStatus.QUEUED
-                    orphan.worker_index = None
-                    orphan.worker = None
-                    drained.append(orphan)
-            # Front of the inbox, original order: the dispatcher re-places
-            # these before any newer submissions.
-            self._inbox.extendleft(reversed(drained))
-            if drained:
-                self._work.notify_all()
-        _LOG.warning(
-            "worker %s poisoned by %s; re-queued %d backlog job(s), respawning",
-            worker.name, worker.last_error, len(drained),
-        )
+        _LOG.warning("worker %s poisoned by %s; respawning", worker.name, worker.last_error)
         try:
             self.pool.revive_worker(worker.index, error=worker.last_error)
         except Exception as revive_exc:  # noqa: BLE001 - stay degraded, keep serving
@@ -1089,7 +965,6 @@ class JobQueue:
             # The failed attempt's accounting happens here because the normal
             # post-run accounting path is skipped for a retried job.
             worker.busy_s += elapsed
-            worker.backlog = max(0.0, worker.backlog - job.cost)
             job.attempt = next_attempt
             job.status = JobStatus.QUEUED
             job.worker_index = None
@@ -1115,7 +990,7 @@ class JobQueue:
         return True
 
     def _requeue_retry(self, job: _Job) -> None:
-        """Backoff-timer callback: put the job back in the inbox."""
+        """Backoff-timer callback: put the job back at the end of the queue."""
         with self._work:
             self._retry_timers.pop(job.id, None)
             if job.status.terminal:
@@ -1123,7 +998,7 @@ class JobQueue:
             if self._closed or job.cancel_event.is_set():
                 self._finalize_locked(job, JobStatus.CANCELLED)
                 return
-            self._inbox.append(job)
+            self._pending.append(job)
             self._work.notify_all()
 
     def _cancel(self, job: _Job) -> bool:
@@ -1133,22 +1008,12 @@ class JobQueue:
             job.cancel_event.set()
             if job.status is JobStatus.QUEUED:
                 try:
-                    self._inbox.remove(job)
+                    self._pending.remove(job)
                 except ValueError:
-                    pass  # the dispatcher holds it; it re-checks the flag
+                    pass  # a retry timer holds it; it re-checks the flag
                 else:
                     self._finalize_locked(job, JobStatus.CANCELLED)
-                return True
-            if job.status is JobStatus.ASSIGNED and job.worker_index is not None:
-                pending = self._queues[job.worker_index]
-                try:
-                    pending.remove(job)
-                except ValueError:
-                    pass  # a worker already claimed it; it re-checks the flag
-                else:
-                    assigned = self.pool.workers[job.worker_index]
-                    assigned.backlog = max(0.0, assigned.backlog - job.cost)
-                    self._finalize_locked(job, JobStatus.CANCELLED)
+            # ASSIGNED: the worker re-checks the flag before it runs the job.
             # RUNNING: cooperative — the measurement-service checkpoint
             # raises JobCancelled within one candidate batch.
             return True
@@ -1163,7 +1028,7 @@ class JobQueue:
         self._stats[status.value] += 1
         self._emit(
             job, status.value, worker=job.worker, measured=job.measured,
-            stolen=job.stolen, detail=detail, rules=self._terminal_rules(job, report),
+            detail=detail, rules=self._terminal_rules(job, report),
         )
         self._journal("terminal", job.record(), job.report)
         job.done_event.set()

@@ -1,5 +1,5 @@
 """One name lookup for every axis: kernel specs, GPU backends, measurement
-regimes, optimization presets, search strategies, pool schedulers, scenarios.
+regimes, optimization presets, search strategies, scenarios.
 """
 
 from __future__ import annotations

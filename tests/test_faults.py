@@ -310,11 +310,12 @@ def test_e2e_seeded_fault_plan_resilience(tmp_path):
     with SessionPool(["A100-sim"], config=config, cache=_NO_CACHE) as pool:
         app = RemoteApp(pool, serve=serve, remote=remote, faults=plan)
         # Single worker, three jobs.  The plan crashes the worker inside the
-        # first job's opening probe batch (measurement tick 4); supervision
-        # re-queues the other two ahead of the crashed job's backoff retry,
-        # so by the time the victim signals, the second job is done (its
-        # store line was journal append 4 — the injected append failure) and
-        # the crashed job is still waiting behind the victim.  Killing the
+        # first job's opening probe batch (measurement tick 4); the other two
+        # stay queued ahead of the crashed job's backoff retry, which joins
+        # the back of the queue, so by the time the victim signals, the
+        # second job is done (its store line was journal append 4 — the
+        # injected append failure) and the crashed job is still waiting
+        # behind the victim.  Killing the
         # server there leaves one job done, one mid-retry and one
         # checkpointed mid-flight: a genuine mid-batch kill.
         crashed = app.submit({"kernel": "bmm"}).job_id

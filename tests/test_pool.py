@@ -1,4 +1,4 @@
-"""Tests for the ``repro.pool`` subsystem: SessionPool, schedulers, shared memo."""
+"""Tests for the ``repro.pool`` subsystem: SessionPool, sharding, shared memo."""
 
 import dataclasses
 
@@ -8,21 +8,13 @@ from repro.api import (
     CacheConfig,
     MeasurementPolicy,
     OptimizationConfig,
-    PoolConfig,
     PoolReport,
     Session,
     StrategyOutcome,
     register_strategy,
 )
 from repro.errors import OptimizationError
-from repro.pool import (
-    PoolJob,
-    SessionPool,
-    SharedMemoTable,
-    available_schedulers,
-    get_scheduler,
-    register_scheduler,
-)
+from repro.pool import SessionPool, SharedMemoTable
 
 _FAST = OptimizationConfig(
     strategy="greedy", scale="test", search_budget=12, episode_length=8,
@@ -41,7 +33,7 @@ def test_pool_matches_standalone_sessions():
 
     assert isinstance(result, PoolReport)
     assert [report.kernel for report in result] == ["mmLeakyReLu", "rmsnorm", "softmax", "softmax"]
-    # round_robin: even jobs on the A100 worker, odd jobs on the A30 worker.
+    # Job i runs on worker i mod 2: even jobs on the A100, odd ones on the A30.
     assert [report.gpu for report in result] == [
         "A100-80GB-PCIe", "A30-24GB-PCIe", "A100-80GB-PCIe", "A30-24GB-PCIe",
     ]
@@ -59,7 +51,7 @@ def test_pool_matches_standalone_sessions():
     assert result.evaluations == sum(report.evaluations for report in result)
     assert result.evaluations_per_sec > 0
     summary = result.summary()
-    assert len(summary["jobs"]) == 4 and summary["scheduler"] == "round_robin"
+    assert len(summary["jobs"]) == 4
     assert isinstance(result.to_json(), str)
 
 
@@ -80,9 +72,8 @@ def test_pool_worker_stats_are_per_run():
     assert [worker.jobs for worker in second.workers] == [1, 0]
     for result in (first, second):
         assert sum(worker.evaluations for worker in result.workers) == result.evaluations
-    # The scheduler-visible backlog settles as jobs complete: an idle pool
-    # carries none (it used to accumulate forever, skewing least_loaded).
-    assert [worker.backlog for worker in pool.workers] == [0.0, 0.0]
+    # The workers' own counters keep the pool's lifetime totals.
+    assert [worker.jobs_run for worker in pool.workers] == [2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +137,8 @@ class _FailOnRmsnorm:
         )
 
 
-@pytest.mark.parametrize("scheduler", ["round_robin", "least_loaded"])
-def test_pool_failure_isolation(scheduler):
-    pool_config = PoolConfig(scheduler=scheduler)
-    with SessionPool(
-        ["A100-sim", "A30-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE
-    ) as pool:
+def test_pool_failure_isolation():
+    with SessionPool(["A100-sim", "A30-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         result = pool.optimize_many(
             ["softmax", "rmsnorm", "mmLeakyReLu"], strategy="pool-fail-on-rmsnorm"
         )
@@ -164,12 +151,8 @@ def test_pool_failure_isolation(scheduler):
     assert result[0].evaluations == 1 and result[2].evaluations == 1
 
 
-@pytest.mark.parametrize("scheduler", ["round_robin", "least_loaded"])
-def test_pool_on_error_raise_carries_pool_report(scheduler):
-    pool_config = PoolConfig(scheduler=scheduler)
-    with SessionPool(
-        ["A100-sim", "A30-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE
-    ) as pool:
+def test_pool_on_error_raise_carries_pool_report():
+    with SessionPool(["A100-sim", "A30-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         with pytest.raises(OptimizationError) as excinfo:
             pool.optimize_many(
                 ["softmax", "rmsnorm"], strategy="pool-fail-on-rmsnorm", on_error="raise"
@@ -184,12 +167,17 @@ def test_pool_rejects_bad_arguments():
     with pytest.raises(ValueError):
         SessionPool([])
     with pytest.raises(KeyError):
-        SessionPool(["A100-sim"], pool=PoolConfig(scheduler="does-not-exist"))
-    with SessionPool(["A100-sim"], config=_FAST, cache=_NO_CACHE) as pool:
+        SessionPool(["does-not-exist"])
+    with SessionPool(["A100-sim", "A30-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         with pytest.raises(ValueError):
             pool.optimize_many(["softmax"], on_error="explode")
-        with pytest.raises(ValueError):
-            pool.optimize_many(["softmax"], costs=[1.0, 2.0])
+        queue = pool.serve()
+        with pytest.raises(ValueError, match="out of range"):
+            queue.submit("softmax", pin_worker=2)
+        # A job pinned to a worker of another backend could never run.
+        with pytest.raises(ValueError, match="does not target"):
+            queue.submit("softmax", backend="A100-sim", pin_worker=1)
+        assert queue.jobs() == []
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,8 @@ def test_pool_closed_worker_session_fails_jobs_not_batch():
     with SessionPool(["A100-sim", "A30-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         pool.workers[1].session.close()
         result = pool.optimize_many(["softmax", "softmax", "rmsnorm", "rmsnorm"])
-        # Every input keeps its slot; round_robin puts odd jobs on the dead worker.
+        # Every input keeps its slot; job i runs on worker i mod 2, so odd jobs
+        # go to the dead worker.
         assert [report.kernel for report in result] == [
             "softmax", "softmax", "rmsnorm", "rmsnorm",
         ]
@@ -246,29 +235,6 @@ def test_pool_never_drops_result_slots():
     assert all("no report" in report.error for report in result)
 
 
-def test_pool_backlog_settles_and_does_not_skew_least_loaded():
-    """Completed (and failed) jobs settle their backlog.
-
-    Before the fix the backlog grew unboundedly across calls — three jobs on
-    worker 0 versus one on worker 1 would steer every later ``least_loaded``
-    batch away from worker 0 forever, failed jobs included at full cost.
-    """
-    pool_config = PoolConfig(scheduler="least_loaded")
-    with SessionPool(
-        ["A100-sim", "A100-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE
-    ) as pool:
-        first = pool.optimize_many(
-            ["softmax", "rmsnorm", "softmax"], strategy="pool-fail-on-rmsnorm"
-        )
-        assert len(first.failures) == 1  # the failed job settles too
-        assert [worker.backlog for worker in pool.workers] == [0.0, 0.0]
-        # A settled pool packs fresh: the tie breaks to worker 0 again.  With
-        # the old cumulative backlog ([2.0, 1.0]) this job went to worker 1.
-        second = pool.optimize_many(["softmax"])
-        assert second.assignments == ("w0:A100-80GB-PCIe",)
-        assert [worker.backlog for worker in pool.workers] == [0.0, 0.0]
-
-
 def test_pool_close_survives_a_failing_worker_close():
     """One worker's failing ``close()`` must not leak its siblings.
 
@@ -288,71 +254,6 @@ def test_pool_close_survives_a_failing_worker_close():
     pool.close()  # idempotent: a second close neither raises nor re-runs
     with pytest.raises(OptimizationError):
         pool.worker_for("A100-sim")  # closed pools refuse worker lookups too
-
-
-# ---------------------------------------------------------------------------
-# Schedulers
-# ---------------------------------------------------------------------------
-class _FakeWorker:
-    def __init__(self, name, backlog=0.0):
-        self.name = name
-        self.backend = name
-        self.backlog = backlog
-
-
-def _jobs(costs):
-    return [PoolJob(index=i, name=f"job{i}", cost=cost) for i, cost in enumerate(costs)]
-
-
-def test_round_robin_ignores_load():
-    workers = [_FakeWorker("a", backlog=100.0), _FakeWorker("b")]
-    assignment = get_scheduler("round_robin").assign(_jobs([1, 1, 1, 1, 1]), workers)
-    assert assignment == [0, 1, 0, 1, 0]
-
-
-def test_least_loaded_balances_costs():
-    workers = [_FakeWorker("a"), _FakeWorker("b")]
-    # One heavy job saturates worker 0; the light ones pile onto worker 1.
-    assignment = get_scheduler("least_loaded").assign(_jobs([10, 1, 1, 1]), workers)
-    assert assignment == [0, 1, 1, 1]
-    # Carried-over backlog from earlier calls steers new work away.
-    workers = [_FakeWorker("a", backlog=5.0), _FakeWorker("b")]
-    assert get_scheduler("least_loaded").assign(_jobs([1, 1]), workers) == [1, 1]
-
-
-def test_scheduler_registry():
-    assert {"round_robin", "least_loaded"} <= set(available_schedulers())
-    with pytest.raises(KeyError):
-        get_scheduler("does-not-exist")
-
-    @register_scheduler("pin-to-zero-test")
-    class PinToZero:
-        name = "pin-to-zero-test"
-
-        def assign(self, jobs, workers):
-            return [0 for _ in jobs]
-
-    pool_config = PoolConfig(scheduler="pin-to-zero-test")
-    with SessionPool(
-        ["A100-sim", "A30-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE
-    ) as pool:
-        result = pool.optimize_many(["softmax", "softmax"])
-    assert set(result.assignments) == {"w0:A100-80GB-PCIe"}
-    assert [worker.jobs for worker in result.workers] == [2, 0]
-
-
-def test_pool_costs_feed_least_loaded():
-    pool_config = PoolConfig(scheduler="least_loaded")
-    with SessionPool(
-        ["A100-sim", "A30-sim"], pool=pool_config, config=_FAST, cache=_NO_CACHE
-    ) as pool:
-        result = pool.optimize_many(
-            ["softmax", "softmax", "softmax"], costs=[10.0, 1.0, 1.0]
-        )
-    # The expensive first job pins worker 0; the cheap rest go to worker 1.
-    assert result.assignments == (
-        "w0:A100-80GB-PCIe", "w1:A30-24GB-PCIe", "w1:A30-24GB-PCIe",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CacheConfig, OptimizationConfig, RemoteConfig, Session, get_strategy
-from repro.pool import SessionPool, get_scheduler
+from repro.pool import SessionPool
 from repro.remote import RemoteApp
 from repro.utils.registry import Registry
 
@@ -100,9 +100,8 @@ def test_registry_lookup_enumeration_and_conflicts(entries, data):
         assert registry.names() == names
 
 
-def test_strategy_and_scheduler_lookup_ignores_case():
+def test_strategy_lookup_ignores_case():
     assert get_strategy("GREEDY").name == "greedy"
-    assert get_scheduler("Round_Robin").name == "round_robin"
 
 
 def _session(config: OptimizationConfig) -> Session:

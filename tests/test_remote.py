@@ -1,11 +1,13 @@
 """Tests for the remote serving layer: journal, quotas, GC, HTTP front door."""
 
 import dataclasses
+import gc
 import http.client
 import json
 import socket
 import threading
 import time
+import warnings
 from urllib.parse import urlsplit
 
 import pytest
@@ -401,7 +403,7 @@ def test_gc_max_records_evicts_oldest_terminal_first():
 # ---------------------------------------------------------------------------
 def test_max_pending_rejects_with_observable_record():
     with _single_worker_pool() as pool:
-        queue = pool.serve(ServeConfig(max_pending=1, steal=False))
+        queue = pool.serve(ServeConfig(max_pending=1))
         feed = queue.subscribe()
         blocker = queue.submit("softmax", strategy="remote-block")
         assert _STARTED.wait(timeout=30)
@@ -838,7 +840,7 @@ def test_http_metrics_shape(http_stack):
     assert queue["records"] >= 1 and "pending" in queue and "rejected" in queue
     workers = metrics["pool"]["workers"]
     assert len(workers) == 1
-    assert {"backend", "backlog", "jobs_run", "evals_per_sec"} <= set(workers[0])
+    assert {"backend", "busy_s", "jobs_run", "evals_per_sec"} <= set(workers[0])
     assert "hits" in metrics["store"]
     assert metrics["server"]["journal"]["path"].endswith("j.jsonl")
     assert metrics["quota"]["capacity"] == 50.0
@@ -1072,6 +1074,26 @@ def test_client_close_ends_every_thread_connection(http_stack, accepted):
     assert client.healthy()
     assert not thread.is_alive() and answers == [True, True]
     assert len(accepted) == 4
+
+
+def test_client_closes_the_connection_of_an_ended_thread(http_stack):
+    """A thread's kept-alive connection outlives the thread, open and in
+    reach of close(), instead of being left to the garbage collector."""
+    client, _app = http_stack
+    answers = []
+    thread = threading.Thread(target=lambda: answers.append(client.healthy()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        thread.start()
+        thread.join(timeout=30)
+        gc.collect()
+    assert not thread.is_alive() and answers == [True]
+    unclosed = [str(warning.message) for warning in caught if "unclosed" in str(warning.message)]
+    assert unclosed == []
+    (connection,) = [conn for owner, conn in client._connections if owner is thread]
+    assert connection.sock is not None
+    client.close()
+    assert connection.sock is None
 
 
 def test_http_restarted_server_takes_the_next_post(tmp_path, accepted):

@@ -1,5 +1,7 @@
 """Tests for the serving front door: JobQueue, handles, events, store, hooks."""
 
+import random
+import sys
 import threading
 import time
 
@@ -13,11 +15,12 @@ from repro.api import (
     Session,
     SessionHooks,
     StrategyOutcome,
+    backend_spec,
     register_strategy,
 )
 from repro.errors import JobCancelled, OptimizationError
 from repro.pool import SessionPool
-from repro.serve import JobQueue, ResultStore
+from repro.serve import TERMINAL_KINDS, JobQueue, ResultStore
 
 _FAST = OptimizationConfig(
     strategy="greedy", scale="test", search_budget=12, episode_length=8,
@@ -28,6 +31,8 @@ _NO_CACHE = CacheConfig(enabled=False)
 #: Cross-thread signals for the blocking/cancellable test strategies.
 _GATE = threading.Event()
 _STARTED = threading.Event()
+#: Released once by every ``serve-hold`` job as it starts.
+_HOLDING = threading.Semaphore(0)
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +62,28 @@ class _BlockUntilGate:
     def run(self, context):
         _STARTED.set()
         assert _GATE.wait(timeout=30), "test never opened the gate"
+        return _trivial_outcome(self.name, context)
+
+
+@register_strategy("serve-hold")
+class _HoldUntilGate:
+    """Counts itself in, then blocks until the test opens the gate."""
+
+    name = "serve-hold"
+
+    def run(self, context):
+        _HOLDING.release()
+        assert _GATE.wait(timeout=30), "test never opened the gate"
+        return _trivial_outcome(self.name, context)
+
+
+@register_strategy("serve-instant")
+class _Instant:
+    """Finishes at once: the queue, not the search, is under test."""
+
+    name = "serve-instant"
+
+    def run(self, context):
         return _trivial_outcome(self.name, context)
 
 
@@ -357,26 +384,132 @@ def test_serve_returns_one_queue_per_pool():
         queue = pool.serve()
         assert pool.serve() is queue
         with pytest.raises(OptimizationError):
-            pool.serve(ServeConfig(steal=False))  # conflicting reconfiguration
+            pool.serve(ServeConfig(progress_every=5))  # conflicting reconfiguration
     with pytest.raises(OptimizationError):
         pool.serve()  # closed pools do not serve
     with pytest.raises(OptimizationError):
         JobQueue(pool)  # direct construction refuses them too
 
 
+def test_serve_starts_one_thread_per_worker():
+    """The queue runs one thread per pool worker and no dispatcher."""
+    with SessionPool(
+        ["A100-sim", "A100-sim", "A30-sim"], config=_FAST, cache=_NO_CACHE
+    ) as pool:
+        before = set(threading.enumerate())
+        queue = pool.serve()
+        started = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("serve-")
+        ]
+        assert sorted(thread.name for thread in started) == sorted(
+            f"serve-{worker.name}" for worker in pool.workers
+        )
+        assert "serve-dispatch" not in {thread.name for thread in started}
+        queue.close()
+        assert not any(thread.is_alive() for thread in started)
+
+
 def test_work_stealing_rebalances_a_skewed_batch():
-    """An idle twin steals queued jobs while its sibling runs a long one."""
+    """While one twin runs a long job, the other takes every job queued
+    behind it: an idle worker pulls from the one shared queue."""
     with SessionPool(["A100-sim", "A100-sim"], config=_FAST, cache=_NO_CACHE) as pool:
         queue = pool.serve()
         blocker = queue.submit("softmax", strategy="serve-block")
         assert _STARTED.wait(timeout=30)
-        # Pile three more jobs onto the pool: placement alternates, so the
-        # blocked worker's queue goes deep while its twin drains and steals.
         trailing = queue.submit_many(["rmsnorm", "rmsnorm", "rmsnorm"], use_store=False)
         for handle in trailing:
             report = handle.result(timeout=120)
             assert not report.failed
-        assert queue.stats["stolen"] >= 1
-        assert any(handle.stolen for handle in trailing)
+        busy = blocker.record().worker
+        assert busy in {worker.name for worker in pool.workers}
+        assert {handle.record().worker for handle in trailing} == {
+            worker.name for worker in pool.workers if worker.name != busy
+        }
         _GATE.set()
         blocker.result(timeout=30)
+
+
+#: Seeded job mixes for the serving-invariant property.
+_MIX_SEEDS = (11, 12, 13)
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads every 10 us, so claims and cancels interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("seed", _MIX_SEEDS)
+def test_shared_queue_serving_invariants(seed, fast_switching):
+    """A seeded mix of free, backend-bound and pinned jobs, some cancelled
+    before any worker could take them and some while the pool drains.
+
+    Every job ends exactly once, each job that ran ran on a worker its pin
+    and backend allow, each worker took its jobs oldest first, and nothing
+    stays pending.
+    """
+    rng = random.Random(seed)
+    with SessionPool(
+        ["A100-sim", "A100-sim", "A30-sim"],
+        config=_FAST.replace(strategy="serve-instant"),
+        cache=_NO_CACHE,
+    ) as pool:
+        queue = pool.serve()
+        # Hold every worker so the mix queues up behind them.
+        holders = [
+            queue.submit("softmax", strategy="serve-hold", pin_worker=index, use_store=False)
+            for index in range(len(pool.workers))
+        ]
+        for _ in holders:
+            assert _HOLDING.acquire(timeout=30)
+
+        constraints = []
+        mix = []
+        for _ in range(30):
+            kind = rng.choice(("free", "backend", "pin"))
+            backend = rng.choice(("A100-sim", "A30-sim")) if kind == "backend" else None
+            pin = rng.randrange(len(pool.workers)) if kind == "pin" else None
+            kernel = rng.choice(("softmax", "rmsnorm"))
+            mix.append(queue.submit(kernel, backend=backend, pin_worker=pin, use_store=False))
+            constraints.append((backend, pin))
+        early = rng.sample(mix, 6)
+        for handle in early:
+            assert handle.cancel()  # every worker is held: none may take it
+        _GATE.set()
+        late = rng.sample([handle for handle in mix if handle not in early], 6)
+        for handle in late:
+            handle.cancel()  # races the workers: queued, taken or finished
+        queue.join(timeout=60)
+
+        handles = holders + mix
+        constraints = [(None, index) for index in range(len(holders))] + constraints
+        assert len({handle.job_id for handle in handles}) == len(handles)
+        workers = {worker.name: worker for worker in pool.workers}
+        claims = {name: [] for name in workers}
+        for handle, (backend, pin) in zip(handles, constraints):
+            kinds = [event.kind for event in handle.events()]
+            assert sum(kind in TERMINAL_KINDS for kind in kinds) == 1
+            assert kinds[-1] in TERMINAL_KINDS and handle.status.terminal
+            name = handle.record().worker
+            if "assigned" not in kinds:
+                assert handle.status is JobStatus.CANCELLED and name is None
+                assert "running" not in kinds
+                continue
+            assert handle not in early
+            assert pin in (None, workers[name].index)
+            assert backend is None or backend_spec(backend).name == workers[name].backend
+            claims[name].append(handle)
+        # Each worker's jobs are in submission order, so it took them oldest
+        # first exactly when its assigned events come in that order too.
+        for taken in claims.values():
+            assigned = [
+                next(event.seq for event in handle.events() if event.kind == "assigned")
+                for handle in taken
+            ]
+            assert assigned == sorted(assigned)
+        assert queue.metrics()["queue"]["pending"] == 0
+        assert queue.stats["done"] + queue.stats["cancelled"] == len(handles)
