@@ -17,6 +17,9 @@ from pathlib import Path
 from repro.rl.ppo import PPOConfig
 from repro.sim.measure_service import MeasurementPolicy  # noqa: F401 - re-exported
 
+#: Longest retry backoff (:meth:`RetryPolicy.delay_for`), in seconds.
+_MAX_BACKOFF_S = 2.0
+
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
@@ -58,22 +61,15 @@ class RetryPolicy:
     Only failures classified by :func:`repro.errors.is_infrastructure_failure`
     (worker crashes, closed sessions) are ever retried; verifier rejections,
     compile errors and other user-attributable failures fail immediately on
-    the first attempt.  Delays grow exponentially with a deterministic jitter
-    (no hidden RNG state — the jitter is a pure function of the attempt
-    number), so chaos tests replay bit-identically.
+    the first attempt.  A retried job goes back into the queue's one pending
+    deque at once and waits there until its backoff has passed: the delay
+    doubles per retry from ``backoff_base_s`` and is capped at 2 s.
     """
 
     #: Total attempts per job, including the first run; 1 disables retries.
     max_attempts: int = 3
     #: Delay before the first retry, in seconds.
     backoff_base_s: float = 0.05
-    #: Multiplier applied per subsequent retry.
-    backoff_factor: float = 2.0
-    #: Ceiling on any single retry delay.
-    backoff_max_s: float = 2.0
-    #: Jitter amplitude as a fraction of the delay (0 disables); the realised
-    #: jitter is deterministic per attempt number.
-    jitter: float = 0.1
 
     def replace(self, **overrides) -> "RetryPolicy":
         """A copy of this policy with the given fields replaced."""
@@ -81,18 +77,7 @@ class RetryPolicy:
 
     def delay_for(self, attempt: int) -> float:
         """Backoff delay before retry number ``attempt`` (1-based)."""
-        import hashlib
-
-        step = max(1, int(attempt))
-        delay = min(
-            self.backoff_max_s,
-            self.backoff_base_s * self.backoff_factor ** (step - 1),
-        )
-        if self.jitter > 0.0:
-            digest = hashlib.sha256(f"retry-jitter:{step}".encode()).digest()
-            unit = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
-            delay *= 1.0 + self.jitter * (2.0 * unit - 1.0)
-        return max(0.0, delay)
+        return min(_MAX_BACKOFF_S, self.backoff_base_s * 2.0 ** (attempt - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,10 +85,11 @@ class ServeConfig:
     """Shape of a :class:`repro.serve.JobQueue` front door over a pool.
 
     The queue owns one thread per pool worker, each taking the oldest
-    pending job it may run; these knobs control how large the pool-level
-    result store of finished ``(workload, backend)`` reports grows, how
-    many jobs may wait, how job records are bounded and how failed jobs
-    retry.
+    ready pending job it may run; these knobs control how large the
+    pool-level result store of finished ``(workload, backend)`` reports
+    grows, how many jobs may wait, how job records are bounded and how
+    failed jobs retry (in the same pending queue, once their backoff has
+    passed).
     """
 
     #: Size bound of the pool-level result store, which keeps finished
@@ -115,7 +101,8 @@ class ServeConfig:
     progress_every: int = 1
     #: Admission control: reject new submissions (``rejected`` event +
     #: :class:`repro.errors.AdmissionError`) while this many jobs are already
-    #: waiting for a worker.  ``None`` accepts everything.
+    #: waiting for a worker, retries in backoff included.  ``None`` accepts
+    #: everything.
     max_pending: int | None = None
     #: Job-record TTL: terminal records older than this many seconds are
     #: evicted by :meth:`repro.serve.JobQueue.gc` (run opportunistically on
@@ -127,7 +114,8 @@ class ServeConfig:
     #: evicted beyond it.  ``None`` keeps the job map unbounded.
     max_records: int | None = None
     #: Retry jobs that hit infrastructure failures (worker crash, closed
-    #: session) with exponential backoff; ``None`` fails
+    #: session) with exponential backoff, waited out in the pending queue
+    #: (so a job in backoff counts toward ``max_pending``); ``None`` fails
     #: them on the first attempt.  See :class:`RetryPolicy`.
     retry: RetryPolicy | None = None
 

@@ -3,7 +3,9 @@
 The paper measures with one fixed CUDA-events protocol (§3.6); the harness
 wants to sweep *regimes* — deterministic vs. noisy measurement, full-length
 vs. quick smoke protocols — without every consumer hand-building
-:class:`~repro.api.config.MeasurementPolicy` objects.  Regimes live in
+:class:`~repro.api.config.MeasurementPolicy` objects.  The simulator is
+deterministic and runs no warm-up launches, so a regime sets only the timed
+launches (the noise draws averaged per timing), the noise and its seed.  Regimes live in
 :data:`REGIMES`, a :class:`repro.utils.registry.Registry`: canonical names,
 case-insensitive aliases, tag-filtered enumeration.  The scenario layer
 (:mod:`repro.scenarios`) references regimes by name.
@@ -58,7 +60,7 @@ register_regime(
     "default",
     MeasurementPolicy(),
     aliases=("deterministic",),
-    description="The §3.6 protocol: 100 warm-up + 100 timed launches, no noise.",
+    description="The §3.6 protocol: 100 timed launches, no noise.",
     tags=("deterministic",),
 )
 
@@ -73,7 +75,7 @@ register_regime(
 
 register_regime(
     "quick",
-    MeasurementPolicy(warmup_iterations=10, measure_iterations=10),
+    MeasurementPolicy(measure_iterations=10),
     aliases=("smoke",),
     description="Shortened deterministic protocol for smoke runs and CI.",
     tags=("deterministic", "smoke"),
@@ -81,7 +83,7 @@ register_regime(
 
 register_regime(
     "chaos",
-    MeasurementPolicy(noise_std=0.02, warmup_iterations=25, measure_iterations=25),
+    MeasurementPolicy(noise_std=0.02, measure_iterations=25),
     aliases=("fault-injection",),
     description="Shortened noisy protocol for fault-injection runs: enough "
     "measurements per job to land mid-flight crashes and checkpoints, 2% "

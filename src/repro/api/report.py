@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.utils.serialization import to_json_str
+from repro.utils.serialization import fields_from_json, fields_to_json, to_json_str
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.optimizer import OptimizedKernel
@@ -19,7 +19,8 @@ class RunReport:
     Every strategy (PPO and the §7 training-free searches) produces the same
     report shape, so callers can sweep ``strategy=`` without branching.  The
     deployable artifact (optimized SASS spliced into the cubin) rides along in
-    :attr:`artifact`; :meth:`summary` is the JSON-able projection.
+    :attr:`artifact`; :meth:`summary` is the JSON-able projection: every
+    field but :attr:`details` and :attr:`artifact`, plus :attr:`speedup`.
     """
 
     #: Workload name (Table 2).
@@ -85,24 +86,10 @@ class RunReport:
         journaled results across process restarts.  The deployable artifact
         and strategy ``details`` are not part of the summary, so replayed
         reports carry ``artifact=None`` — deploys still resolve through the
-        on-disk cubin cache, which persists independently.
+        on-disk cubin cache, which persists independently.  ``speedup`` is
+        derived, so it is read back from the two times.
         """
-        verified = summary.get("verified")
-        return cls(
-            kernel=summary.get("kernel", ""),
-            gpu=summary.get("gpu", ""),
-            strategy=summary.get("strategy", ""),
-            shapes=dict(summary.get("shapes") or {}),
-            config=dict(summary.get("config") or {}),
-            baseline_time_ms=float(summary.get("baseline_time_ms") or 0.0),
-            best_time_ms=float(summary.get("best_time_ms") or 0.0),
-            evaluations=int(summary.get("evaluations") or 0),
-            verified=verified if verified is None else bool(verified),
-            diagnostics=tuple(dict(diag) for diag in summary.get("diagnostics") or ()),
-            cache_key=summary.get("cache_key"),
-            cached=bool(summary.get("cached", False)),
-            error=summary.get("error"),
-        )
+        return fields_from_json(cls, summary, diagnostics=tuple)
 
     @property
     def failed(self) -> bool:
@@ -114,22 +101,9 @@ class RunReport:
 
     def summary(self) -> dict[str, Any]:
         """JSON-able projection of the report."""
-        return {
-            "kernel": self.kernel,
-            "gpu": self.gpu,
-            "strategy": self.strategy,
-            "shapes": dict(self.shapes),
-            "config": dict(self.config),
-            "baseline_time_ms": self.baseline_time_ms,
-            "best_time_ms": self.best_time_ms,
-            "speedup": self.speedup,
-            "evaluations": self.evaluations,
-            "verified": self.verified,
-            "diagnostics": [dict(diag) for diag in self.diagnostics],
-            "cache_key": self.cache_key,
-            "cached": self.cached,
-            "error": self.error,
-        }
+        summary = fields_to_json(self, omit=("details", "artifact"))
+        summary["speedup"] = self.speedup
+        return summary
 
     def to_json(self) -> str:
         return to_json_str(self.summary())
@@ -170,7 +144,9 @@ class JobRecord:
 
     Returned by :meth:`repro.serve.JobHandle.record` and
     :meth:`repro.serve.JobQueue.status`; the live state keeps moving, the
-    record does not.
+    record does not.  These fields are the one declaration of a job's
+    observable state: the queue's live job carries them under the same
+    names, and the journal and the HTTP front door carry :meth:`as_dict`.
     """
 
     #: Queue-unique job id (``j00042``).
@@ -214,50 +190,13 @@ class JobRecord:
     resumed: bool = False
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "kernel": self.kernel,
-            "backend": self.backend,
-            "status": self.status.value,
-            "worker": self.worker,
-            "cost": self.cost,
-            "from_store": self.from_store,
-            "measured": self.measured,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-            "cache_key": self.cache_key,
-            "tenant": self.tenant,
-            "invalidation_rules": list(self.invalidation_rules),
-            "replayed": self.replayed,
-            "attempt": self.attempt,
-            "resumed": self.resumed,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobRecord":
-        """Rebuild a record from its :meth:`as_dict` projection (journal replay)."""
-        return cls(
-            job_id=payload["job_id"],
-            kernel=payload.get("kernel", ""),
-            backend=payload.get("backend"),
-            status=JobStatus(payload.get("status", "queued")),
-            worker=payload.get("worker"),
-            cost=float(payload.get("cost") or 1.0),
-            from_store=bool(payload.get("from_store", False)),
-            measured=int(payload.get("measured") or 0),
-            submitted_at=payload.get("submitted_at"),
-            started_at=payload.get("started_at"),
-            finished_at=payload.get("finished_at"),
-            error=payload.get("error"),
-            cache_key=payload.get("cache_key"),
-            tenant=payload.get("tenant"),
-            invalidation_rules=tuple(payload.get("invalidation_rules") or ()),
-            replayed=bool(payload.get("replayed", False)),
-            attempt=int(payload.get("attempt") or 0),
-            resumed=bool(payload.get("resumed", False)),
-        )
+        """Rebuild a record from its :meth:`as_dict` projection (journal
+        replay); keys of retired fields, such as ``stolen``, are ignored."""
+        return fields_from_json(cls, payload, status=JobStatus, invalidation_rules=tuple)
 
     def to_json(self) -> str:
         return to_json_str(self.as_dict())
@@ -281,14 +220,7 @@ class WorkerReport:
     elapsed_s: float
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "worker": self.worker,
-            "gpu": self.gpu,
-            "jobs": self.jobs,
-            "failures": self.failures,
-            "evaluations": self.evaluations,
-            "elapsed_s": self.elapsed_s,
-        }
+        return fields_to_json(self)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import time
 from typing import Iterator
 
 from repro.api.config import RemoteConfig, ServeConfig
-from repro.api.report import JobRecord, RunReport
+from repro.api.report import JobRecord, JobStatus, RunReport
 from repro.errors import AdmissionError, JobCancelled, QuotaExceeded
 from repro.remote.admission import TenantQuota
 from repro.remote.journal import JOURNAL_FILENAME, JobJournal
@@ -180,15 +180,19 @@ class RemoteApp:
 
         Returns ``(record, report)``; ``report`` is ``None`` while the job
         is still running (after the timeout), and for cancelled/rejected
-        jobs, whose outcome lives in the record itself.
+        jobs, whose outcome lives in the record itself.  The report is read
+        after the record, so a job that finishes just as the wait times out
+        never answers with a finished record and no report.
         """
         self._ensure_open()
         handle = self.queue.handle(job_id)
         try:
-            report = handle.result(timeout=max(0.0, timeout))
+            handle.result(timeout=max(0.0, timeout))
         except (TimeoutError, JobCancelled, AdmissionError):
-            report = None
-        return handle.record(), report
+            pass
+        record = handle.record()
+        reported = record.status in (JobStatus.DONE, JobStatus.FAILED)
+        return record, (handle.result(timeout=0) if reported else None)
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; finished (and replayed) jobs return False."""

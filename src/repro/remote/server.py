@@ -44,13 +44,20 @@ sound:
 Idle connections are never timed out: a server that closed them would race
 the client's next POST, which is never retried.  :meth:`RemoteServer.close`
 ends every open connection instead.
+
+A ``/result`` long-poll waits in slices of :data:`_POLL_SLICE_S`.  Between
+slices it checks that its client is still connected and the server still
+open, so an abandoned poll frees its thread within one slice, and so does
+every poll when the server closes.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -62,6 +69,9 @@ from repro.utils.serialization import to_json_str
 _LOG = get_logger("remote.server")
 
 _MAX_BODY = 8 * 1024 * 1024  # refuse absurd request bodies outright
+
+#: Longest single wait of a ``/result`` long-poll, in seconds.
+_POLL_SLICE_S = 0.25
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -198,7 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif action == ["result"] and method == "GET":
             timeout = float(query.get("timeout", ["0"])[0])
             timeout = min(timeout, app.remote_config.result_timeout_s)
-            record, report = app.result(job_id, timeout=timeout)
+            record, report = self._long_poll(job_id, timeout)
             self._send_json(
                 200,
                 {
@@ -215,6 +225,30 @@ class _Handler(BaseHTTPRequestHandler):
             )
         else:
             raise KeyError("/".join(["v1", "jobs", *rest]))
+
+    def _long_poll(self, job_id: str, timeout: float):
+        """``app.result`` in slices of :data:`_POLL_SLICE_S`, up to ``timeout``.
+
+        A poll whose client has gone, or whose server is closing, answers
+        after the current slice and ends its connection.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            record, report = self.app.result(job_id, timeout=min(remaining, _POLL_SLICE_S))
+            if record.status.terminal or remaining <= _POLL_SLICE_S:
+                return record, report
+            if self.server.closing or self._client_gone():  # type: ignore[attr-defined]
+                self.close_connection = True
+                return record, report
+
+    def _client_gone(self) -> bool:
+        """Whether the client's end of the connection reads as closed."""
+        try:
+            readable, _, _ = select.select([self.connection], [], [], 0)
+            return bool(readable) and not self.connection.recv(1, socket.MSG_PEEK)
+        except OSError:
+            return True
 
     def _stream_events(self, job_id: str) -> None:
         """SSE stream: one ``data:`` line per event, EOF after the terminal
@@ -265,11 +299,12 @@ class _HTTPServer(ThreadingHTTPServer):
         self.app = app
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
-        self._closing = False
+        #: Set once :meth:`end_connections` ran; long-polls answer early.
+        self.closing = False
 
     def verify_request(self, request, client_address) -> bool:
         with self._lock:
-            if self._closing:
+            if self.closing:
                 return False
             self._connections.add(request)
             return True
@@ -284,7 +319,7 @@ class _HTTPServer(ThreadingHTTPServer):
         on an idle connection reads EOF and exits; the client sees the
         connection closed and reopens (to a refused port, once closed)."""
         with self._lock:  # held, so no handler closes a socket meanwhile
-            self._closing = True
+            self.closing = True
             for connection in self._connections:
                 try:
                     connection.shutdown(socket.SHUT_RDWR)

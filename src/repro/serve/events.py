@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.utils.serialization import fields_to_json
+
 #: Event kinds that end a job's stream (mirror :class:`repro.api.JobStatus`).
 TERMINAL_KINDS = frozenset({"done", "failed", "cancelled", "rejected"})
 
@@ -60,18 +62,7 @@ class ProgressEvent:
 
     def as_dict(self) -> dict:
         """JSON-able projection (streamed over HTTP by :mod:`repro.remote`)."""
-        return {
-            "seq": self.seq,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "timestamp": self.timestamp,
-            "worker": self.worker,
-            "measured": self.measured,
-            "detail": self.detail,
-            "rules": list(self.rules),
-            "attempt": self.attempt,
-            "replayed": self.replayed,
-        }
+        return fields_to_json(self)
 
 
 class EventSubscription:

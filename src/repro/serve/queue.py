@@ -16,11 +16,16 @@ whole batch::
             print(event.kind, event.job_id)
         report = handles[0].result(timeout=60)   # or .cancel(), .done()
 
-Three more serving behaviors ride on the queue:
+Four more serving behaviors ride on the queue:
 
 * **cancellation** — ``handle.cancel()`` pulls a queued job back instantly;
   a running job is stopped cooperatively at the next measurement-service
   checkpoint, i.e. within one candidate batch;
+* **retry** — a job that hits an infrastructure failure goes back into the
+  pending deque at once, and no worker takes it before its backoff
+  (``ServeConfig.retry``) has passed: an idle worker waits at most until
+  the earliest such job is ready.  Meanwhile it counts as pending, and a
+  cancel pulls it back like any queued job;
 * **progress events** — every job streams
   ``queued → assigned → running → measured(n) → done/failed/cancelled``
   (see :mod:`repro.serve.events`), subscribable per-job and pool-wide;
@@ -39,6 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from repro.analysis.verify import verify_schedule
@@ -63,65 +69,57 @@ _LOG = get_logger("serve.queue")
 #: Error of a journaled in-flight job that a restarted queue cannot re-queue.
 _LOST_IN_RESTART = "ServerRestart: job was in flight when the server stopped"
 
-#: :class:`JobRecord` fields a journal-restored job takes over as they are.
-_RESTORED_STATE = (
-    "status", "worker", "from_store", "measured", "submitted_at",
-    "started_at", "finished_at", "error", "cache_key", "invalidation_rules",
-    "resumed", "replayed",
-)
+#: A job's observable state: the fields of :class:`JobRecord`.
+_RECORD_FIELDS = tuple(field.name for field in fields(JobRecord))
 
 
+@dataclass(slots=True, eq=False)
 class _Job:
-    """Mutable queue-internal job state; callers see it through JobHandle."""
+    """Mutable queue-internal job state; callers see it through JobHandle.
 
-    __slots__ = (
-        "id", "spec", "name", "shapes", "strategy", "verify", "store", "cost",
-        "backend", "pin", "use_store", "status", "cancel_event", "done_event",
-        "report", "error", "worker_index", "worker", "from_store",
-        "measured", "last_progress_emit", "submitted_at", "started_at",
-        "finished_at", "cache_key", "events", "tenant", "invalidation_rules",
-        "attempt", "checkpoint_state", "resumed", "replayed",
-    )
+    The first fields are :class:`JobRecord`'s, under the same names:
+    :meth:`record` and the journal restore copy them by
+    :data:`_RECORD_FIELDS`.  The rest only the queue reads.
+    """
 
-    def __init__(self, job_id, spec, name, shapes, strategy, verify, store,
-                 cost, backend, pin, use_store, tenant=None):
-        self.id = job_id
-        self.spec = spec
-        self.name = name
-        self.shapes = shapes
-        self.strategy = strategy
-        self.verify = verify
-        self.store = store
-        self.cost = cost
-        self.backend = backend
-        self.pin = pin
-        self.use_store = use_store
-        self.status = JobStatus.QUEUED
-        self.cancel_event = threading.Event()
-        self.done_event = threading.Event()
-        self.report: RunReport | None = None
-        self.error: str | None = None
-        self.worker_index: int | None = None
-        self.worker: str | None = None
-        self.from_store = False
-        self.measured = 0
-        self.last_progress_emit = 0
-        self.submitted_at = time.time()
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-        self.cache_key: str | None = None
-        self.events: list[ProgressEvent] = []
-        self.tenant = tenant
-        self.invalidation_rules: tuple = ()
-        #: Retries consumed so far (0 on the first attempt).
-        self.attempt = 0
-        #: Latest strategy checkpoint exported through SessionHooks.save_state;
-        #: retried and restart-resumed runs hand it back as resume_state.
-        self.checkpoint_state: dict | None = None
-        #: The job was re-queued after a server restart.
-        self.resumed = False
-        #: The job ran in a previous server process (restored from the journal).
-        self.replayed = False
+    job_id: str
+    kernel: str
+    backend: str | None
+    status: JobStatus = JobStatus.QUEUED
+    worker: str | None = None
+    cost: float = 1.0
+    from_store: bool = False
+    measured: int = 0
+    submitted_at: float | None = field(default_factory=time.time)
+    started_at: float | None = None
+    finished_at: float | None = None
+    error: str | None = None
+    cache_key: str | None = None
+    tenant: str | None = None
+    invalidation_rules: tuple = ()
+    replayed: bool = False
+    attempt: int = 0
+    resumed: bool = False
+    #: What the submission asked for (see :meth:`request`).
+    spec: str | KernelSpec = ""
+    shapes: dict | None = None
+    strategy: str | None = None
+    verify: str | None = None
+    store: bool = True
+    use_store: bool = True
+    #: Worker index the job is pinned to, if any.
+    pin: int | None = None
+    worker_index: int | None = None
+    #: ``time.monotonic()`` before which a retried job waits out its backoff.
+    ready_at: float = 0.0
+    report: RunReport | None = None
+    #: Latest strategy checkpoint exported through SessionHooks.save_state;
+    #: retried and restart-resumed runs hand it back as resume_state.
+    checkpoint_state: dict | None = None
+    last_progress_emit: int = 0
+    events: list[ProgressEvent] = field(default_factory=list)
+    cancel_event: threading.Event = field(default_factory=threading.Event)
+    done_event: threading.Event = field(default_factory=threading.Event)
 
     def request(self) -> dict:
         """JSON-able submission parameters, journaled so a restarted server
@@ -135,26 +133,7 @@ class _Job:
         }
 
     def record(self) -> JobRecord:
-        return JobRecord(
-            job_id=self.id,
-            kernel=self.name,
-            backend=self.backend,
-            status=self.status,
-            worker=self.worker,
-            cost=self.cost,
-            from_store=self.from_store,
-            measured=self.measured,
-            submitted_at=self.submitted_at,
-            started_at=self.started_at,
-            finished_at=self.finished_at,
-            error=self.error,
-            cache_key=self.cache_key,
-            tenant=self.tenant,
-            invalidation_rules=self.invalidation_rules,
-            attempt=self.attempt,
-            resumed=self.resumed,
-            replayed=self.replayed,
-        )
+        return JobRecord(**{name: getattr(self, name) for name in _RECORD_FIELDS})
 
 
 class JobHandle:
@@ -166,7 +145,7 @@ class JobHandle:
 
     @property
     def job_id(self) -> str:
-        return self._job.id
+        return self._job.job_id
 
     @property
     def status(self) -> JobStatus:
@@ -179,8 +158,9 @@ class JobHandle:
     def cancel(self) -> bool:
         """Request cancellation; ``False`` if the job already finished.
 
-        A queued job is pulled back immediately; a running one stops at its
-        next measurement-service checkpoint (within one candidate batch).
+        A queued job (a retry waiting out its backoff too) is pulled back
+        immediately; a running one stops at its next measurement-service
+        checkpoint (within one candidate batch).
         """
         return self._queue._cancel(self._job)
 
@@ -194,10 +174,10 @@ class JobHandle:
         if not self._job.done_event.wait(timeout):
             raise TimeoutError(f"job {self.job_id} did not finish within {timeout}s")
         if self._job.status is JobStatus.CANCELLED:
-            raise JobCancelled(f"job {self.job_id} ({self._job.name}) was cancelled")
+            raise JobCancelled(f"job {self.job_id} ({self._job.kernel}) was cancelled")
         if self._job.status is JobStatus.REJECTED:
             raise AdmissionError(
-                f"job {self.job_id} ({self._job.name}) was rejected: "
+                f"job {self.job_id} ({self._job.kernel}) was rejected: "
                 f"{self._job.error or 'admission control'}",
                 job_id=self.job_id,
                 tenant=self._job.tenant,
@@ -223,7 +203,7 @@ class JobHandle:
         return self._job.from_store
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"JobHandle({self.job_id!r}, {self._job.name!r}, {self.status.value})"
+        return f"JobHandle({self.job_id!r}, {self._job.kernel!r}, {self.status.value})"
 
 
 class JobQueue:
@@ -259,7 +239,8 @@ class JobQueue:
         self.journal = journal
         self._bus = EventBus()
         self._work = threading.Condition(threading.Lock())
-        #: Jobs waiting for a worker, oldest first.
+        #: Jobs waiting for a worker, oldest first; a retried job waits out
+        #: its backoff here too (see ``_Job.ready_at``).
         self._pending: "deque[_Job]" = deque()
         self._jobs: dict[str, _Job] = {}
         self._counter = 0
@@ -270,8 +251,6 @@ class JobQueue:
             "rejected": 0, "store_hits": 0, "expired": 0,
             "retries": 0, "worker_failures": 0, "resumed": 0,
         }
-        #: Pending backoff timers of jobs awaiting a retry, by job id.
-        self._retry_timers: dict[str, threading.Timer] = {}
         if journal is not None:
             self._restore(journal.replay())
         self._threads = [
@@ -345,18 +324,17 @@ class JobQueue:
                     reason=f"pending queue full ({pending} waiting >= {max_pending})",
                 )
                 raise AdmissionError(
-                    f"job {job.id} ({name}) rejected: {job.error}",
+                    f"job {job.job_id} ({name}) rejected: {job.error}",
                     reason="pending-queue-full",
-                    job_id=job.id,
+                    job_id=job.job_id,
                     tenant=tenant,
                 )
             self._counter += 1
             job = _Job(
-                job_id=f"j{self._counter:05d}",
-                spec=spec, name=name, shapes=shapes, strategy=strategy,
-                verify=verify, store=store, cost=float(cost),
-                backend=backend, pin=pin_worker, use_store=use_store,
-                tenant=tenant,
+                job_id=f"j{self._counter:05d}", kernel=name, backend=backend,
+                cost=float(cost), tenant=tenant, spec=spec, shapes=shapes,
+                strategy=strategy, verify=verify, store=store,
+                use_store=use_store, pin=pin_worker,
             )
             self._enqueue_locked(job)
         return JobHandle(self, job)
@@ -381,7 +359,7 @@ class JobQueue:
         return backend, strategy, verify
 
     def _enqueue_locked(self, job: _Job) -> None:
-        self._jobs[job.id] = job
+        self._jobs[job.job_id] = job
         self._stats["submitted"] += 1
         if job.resumed:
             self._stats["resumed"] += 1
@@ -407,30 +385,30 @@ class JobQueue:
         with self._work:
             self._counter = replay.max_job_number
             for job_id, record in replay.records.items():
-                request = replay.requests.get(job_id, {})
-                job = _Job(
-                    job_id=job_id, spec=record.kernel, name=record.kernel,
-                    shapes=request.get("shapes"), strategy=request.get("strategy"),
-                    verify=request.get("verify"), store=request.get("store", True),
-                    cost=record.cost, backend=record.backend, pin=None,
-                    use_store=request.get("use_store", True), tenant=record.tenant,
-                )
-                job.attempt = record.attempt
                 if not record.status.terminal:
+                    request = replay.requests.get(job_id, {})
                     try:
-                        job.backend, job.strategy, job.verify = self._resolve(
-                            job.backend, job.strategy, job.verify
+                        backend, strategy, verify = self._resolve(
+                            record.backend, request.get("strategy"), request.get("verify")
                         )
                     except (KeyError, ValueError) as exc:
-                        _LOG.warning("cannot resume job %s (%s): %s", job_id, job.name, exc)
+                        _LOG.warning("cannot resume job %s (%s): %s", job_id, record.kernel, exc)
                     else:
-                        job.resumed = True
-                        job.checkpoint_state = replay.checkpoints.get(job_id)
-                        self._enqueue_locked(job)
+                        self._enqueue_locked(_Job(
+                            job_id=job_id, kernel=record.kernel, backend=backend,
+                            cost=record.cost, tenant=record.tenant,
+                            attempt=record.attempt, resumed=True, spec=record.kernel,
+                            shapes=request.get("shapes"), strategy=strategy,
+                            verify=verify, store=request.get("store", True),
+                            use_store=request.get("use_store", True),
+                            checkpoint_state=replay.checkpoints.get(job_id),
+                        ))
                         continue
                 # A finished job, or a lost one that fails now: as journaled.
-                for name in _RESTORED_STATE:
-                    setattr(job, name, getattr(record, name))
+                job = _Job(
+                    **{name: getattr(record, name) for name in _RECORD_FIELDS},
+                    spec=record.kernel,
+                )
                 self._jobs[job_id] = job
                 if record.status.terminal:
                     job.report = replay.reports.get(job_id)
@@ -480,13 +458,11 @@ class JobQueue:
     ) -> _Job:
         self._counter += 1
         job = _Job(
-            job_id=f"j{self._counter:05d}",
-            spec=spec, name=name, shapes=None, strategy=None,
-            verify=None, store=False, cost=cost,
-            backend=backend, pin=None, use_store=False, tenant=tenant,
+            job_id=f"j{self._counter:05d}", kernel=name, backend=backend,
+            cost=cost, error=reason, tenant=tenant, spec=spec, store=False,
+            use_store=False,
         )
-        job.error = reason
-        self._jobs[job.id] = job
+        self._jobs[job.job_id] = job
         self._finalize_locked(job, JobStatus.REJECTED, detail=reason)
         return job
 
@@ -558,7 +534,7 @@ class JobQueue:
         with self._work:
             jobs = list(self._jobs.values())
             resume = {
-                job.id: {"request": job.request(), "checkpoint": job.checkpoint_state}
+                job.job_id: {"request": job.request(), "checkpoint": job.checkpoint_state}
                 for job in jobs
                 if not job.status.terminal
             }
@@ -643,7 +619,7 @@ class JobQueue:
         for job in pending:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             if not job.done_event.wait(remaining):
-                raise TimeoutError(f"job {job.id} did not finish within {timeout}s")
+                raise TimeoutError(f"job {job.job_id} did not finish within {timeout}s")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -655,20 +631,14 @@ class JobQueue:
     def close(self, *, wait: bool = True) -> None:
         """Cancel pending jobs, stop accepting new ones, stop the threads.
 
-        Running jobs get their cancel flag set and stop at the next
-        measurement-service checkpoint; ``wait=True`` (the default) joins
-        every queue thread and completes open event subscriptions.
+        Pending jobs, retries waiting out their backoff among them, end
+        cancelled at once.  Running jobs get their cancel flag set and stop at
+        the next measurement-service checkpoint; ``wait=True`` (the default)
+        joins every queue thread and completes open event subscriptions.
         """
         with self._work:
             if not self._closed:
                 self._closed = True
-                for job_id, timer in list(self._retry_timers.items()):
-                    timer.cancel()
-                    job = self._jobs.get(job_id)
-                    if job is not None and not job.status.terminal:
-                        job.cancel_event.set()
-                        self._finalize_locked(job, JobStatus.CANCELLED)
-                self._retry_timers.clear()
                 for job in self._pending:
                     job.cancel_event.set()
                     self._finalize_locked(job, JobStatus.CANCELLED)
@@ -698,20 +668,24 @@ class JobQueue:
                 while (job := self._claim_locked(worker)) is None:
                     if self._closed:
                         return
-                    self._work.wait()
+                    self._work.wait(self._backoff_left_locked())
             self._run_job(worker, job)
 
     def _claim_locked(self, worker) -> _Job | None:
-        """Take the oldest pending job ``worker`` may run, or ``None``.
+        """Take the oldest ready pending job ``worker`` may run, or ``None``.
 
         A job may run on a worker when its pin (if any) is that worker and
-        its backend (if any) is that worker's.  A poisoned worker claims
-        nothing until supervision revived its session, so its siblings take
-        every job they may run.
+        its backend (if any) is that worker's; a retried job is ready once
+        its backoff has passed.  A poisoned worker claims nothing until
+        supervision revived its session, so its siblings take every job
+        they may run.
         """
         if not worker.healthy:
             return None
+        now = time.monotonic()
         for position, job in enumerate(self._pending):
+            if job.ready_at > now:
+                continue
             if job.pin not in (None, worker.index):
                 continue
             if job.backend not in (None, worker.backend):
@@ -723,6 +697,15 @@ class JobQueue:
             self._emit(job, "assigned", worker=worker.name)
             return job
         return None
+
+    def _backoff_left_locked(self) -> float | None:
+        """Seconds until the earliest pending retry is ready, or ``None``
+        (wait for a notify) when no pending job is backing off."""
+        now = time.monotonic()
+        return min(
+            (job.ready_at - now for job in self._pending if job.ready_at > now),
+            default=None,
+        )
 
     def _run_job(self, worker, job: _Job) -> None:
         if job.cancel_event.is_set():
@@ -783,12 +766,14 @@ class JobQueue:
                 # Slot-completeness guard: a misbehaving worker path must
                 # surface as a failed report, never as a silently lost job.
                 raise OptimizationError(
-                    f"worker {worker.name} produced no report for {job.name}"
+                    f"worker {worker.name} produced no report for {job.kernel}"
                 )
         except JobCancelled:
             cancelled = True
         except Exception as exc:  # noqa: BLE001 - jobs fail as reports
-            _LOG.warning("job %s (%s) failed on %s: %s", job.id, job.name, worker.name, exc)
+            _LOG.warning(
+                "job %s (%s) failed on %s: %s", job.job_id, job.kernel, worker.name, exc
+            )
             failure = exc
         elapsed = time.perf_counter() - started
 
@@ -797,10 +782,10 @@ class JobQueue:
             # unhealthy and respawn its session.
             self._supervise_worker(worker, failure)
         if failure is not None and self._schedule_retry(worker, job, failure, elapsed):
-            return  # the retry timer owns the job now
+            return  # the job waits out its backoff in the pending deque
         if failure is not None:
             report = RunReport.from_error(
-                kernel=job.name,
+                kernel=job.kernel,
                 gpu=session.gpu_name,
                 strategy=job.strategy or session.config.strategy,
                 error=f"{type(failure).__name__}: {failure}",
@@ -880,11 +865,11 @@ class JobQueue:
     def _checkpoint_for(self, job: _Job):
         def checkpoint() -> None:
             if job.cancel_event.is_set():
-                raise JobCancelled(f"job {job.id} ({job.name}) was cancelled")
+                raise JobCancelled(f"job {job.job_id} ({job.kernel}) was cancelled")
             if self.faults is not None:
                 # Chaos harness: this is the per-measurement tick where a
                 # planned worker crash or measurement delay fires.
-                self.faults.on_measurement(worker=job.worker_index, job_id=job.id)
+                self.faults.on_measurement(worker=job.worker_index, job_id=job.job_id)
 
         return checkpoint
 
@@ -902,7 +887,7 @@ class JobQueue:
             snapshot = dict(state)
             with self._work:
                 job.checkpoint_state = snapshot
-                self._journal("checkpoint", job.id, snapshot)
+                self._journal("checkpoint", job.job_id, snapshot)
 
         return save_state
 
@@ -942,9 +927,9 @@ class JobQueue:
             )
 
     def _schedule_retry(self, worker, job: _Job, exc: Exception, elapsed: float) -> bool:
-        """Arm a backoff timer to re-run ``job`` after an infrastructure
-        failure; ``True`` when the retry was scheduled (the caller must not
-        finalize the job).
+        """Put ``job`` back at the end of the pending deque after an
+        infrastructure failure, ready once its backoff has passed; ``True``
+        when it will retry (the caller must not finalize the job).
 
         Only infrastructure failures retry — verifier rejections and user
         errors are deterministic and would fail identically again.  The
@@ -969,6 +954,8 @@ class JobQueue:
             job.status = JobStatus.QUEUED
             job.worker_index = None
             job.worker = None
+            job.ready_at = time.monotonic() + delay
+            self._pending.append(job)
             self._stats["retries"] += 1
             self._emit(
                 job, "retrying", worker=worker.name, attempt=job.attempt,
@@ -978,28 +965,13 @@ class JobQueue:
                     f"{next_attempt + 1}/{policy.max_attempts} in {delay:.3f}s"
                 ),
             )
-            timer = threading.Timer(delay, self._requeue_retry, args=(job,))
-            timer.daemon = True
-            self._retry_timers[job.id] = timer
-            timer.start()
+            self._work.notify_all()
         _LOG.info(
             "job %s (%s) retrying after %s: attempt %d/%d in %.3fs",
-            job.id, job.name, type(exc).__name__,
+            job.job_id, job.kernel, type(exc).__name__,
             next_attempt + 1, policy.max_attempts, delay,
         )
         return True
-
-    def _requeue_retry(self, job: _Job) -> None:
-        """Backoff-timer callback: put the job back at the end of the queue."""
-        with self._work:
-            self._retry_timers.pop(job.id, None)
-            if job.status.terminal:
-                return
-            if self._closed or job.cancel_event.is_set():
-                self._finalize_locked(job, JobStatus.CANCELLED)
-                return
-            self._pending.append(job)
-            self._work.notify_all()
 
     def _cancel(self, job: _Job) -> bool:
         with self._work:
@@ -1007,12 +979,8 @@ class JobQueue:
                 return False
             job.cancel_event.set()
             if job.status is JobStatus.QUEUED:
-                try:
-                    self._pending.remove(job)
-                except ValueError:
-                    pass  # a retry timer holds it; it re-checks the flag
-                else:
-                    self._finalize_locked(job, JobStatus.CANCELLED)
+                self._pending.remove(job)
+                self._finalize_locked(job, JobStatus.CANCELLED)
             # ASSIGNED: the worker re-checks the flag before it runs the job.
             # RUNNING: cooperative — the measurement-service checkpoint
             # raises JobCancelled within one candidate batch.
@@ -1058,5 +1026,5 @@ class JobQueue:
         except Exception as exc:  # noqa: BLE001 - durability is best-effort
             _LOG.warning("journal %s entry failed: %s", kind, exc)
 
-    def _emit(self, job: _Job, kind: str, **fields) -> None:
-        self._bus.publish(job.events, job_id=job.id, kind=kind, **fields)
+    def _emit(self, job: _Job, kind: str, **event) -> None:
+        self._bus.publish(job.events, job_id=job.job_id, kind=kind, **event)

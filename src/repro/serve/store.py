@@ -15,6 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.api.report import RunReport
+from repro.utils.serialization import fields_to_json
 
 
 @dataclass
@@ -28,13 +29,7 @@ class ResultStoreStats:
     invalidations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return fields_to_json(self)
 
 
 class ResultStore:

@@ -9,8 +9,8 @@ Two execution modes are provided:
 * :meth:`GPUSimulator.run` — functional execution of the *whole grid*,
   producing output tensors (used by probabilistic testing and the examples);
 * :meth:`GPUSimulator.measure` — timing simulation of one representative
-  thread block scaled by the number of waves, wrapped in the same
-  warm-up/repeat protocol as the paper's CUDA-event measurements (§3.6).
+  thread block scaled by the number of waves, standing in for the paper's
+  CUDA-event measurements (§3.6).
 """
 
 from __future__ import annotations
@@ -52,9 +52,12 @@ class KernelRun:
 
 @dataclass
 class MeasurementConfig:
-    """CUDA-events-like measurement protocol (§3.6 / §5.1)."""
+    """CUDA-events-like measurement protocol (§3.6 / §5.1).
 
-    warmup_iterations: int = 100
+    The simulator is deterministic, so there are no warm-up launches; the
+    timed launches only matter as the noise draws averaged into a timing.
+    """
+
     measure_iterations: int = 100
     #: Relative Gaussian measurement noise; the paper reports run-to-run
     #: standard deviation within 1%, 0 keeps the simulator deterministic.

@@ -32,14 +32,13 @@ from typing import Sequence
 from repro.sass.kernel import SassKernel
 from repro.sim.gpu import GPUSimulator, KernelTiming, MeasurementConfig
 from repro.sim.launch import GridConfig
+from repro.utils.serialization import fields_to_json
 
 
 @dataclass(frozen=True, slots=True)
 class MeasurementPolicy:
     """How kernel runtimes are measured (the §3.6 CUDA-events protocol)."""
 
-    #: Warm-up launches before timing starts.
-    warmup_iterations: int = 100
     #: Timed launches averaged into the reported runtime.
     measure_iterations: int = 100
     #: Relative Gaussian measurement noise; the paper reports run-to-run
@@ -80,7 +79,6 @@ class MeasurementPolicy:
     def to_measurement_config(self) -> MeasurementConfig:
         """Lower to the :mod:`repro.sim` measurement record."""
         return MeasurementConfig(
-            warmup_iterations=self.warmup_iterations,
             measure_iterations=self.measure_iterations,
             noise_std=self.noise_std,
             seed=self.seed,
@@ -106,12 +104,7 @@ class MeasurementStats:
         self.pruned += n
 
     def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "measured": self.measured,
-            "memo_hits": self.memo_hits,
-            "pruned": self.pruned,
-        }
+        return fields_to_json(self)
 
 
 @dataclass
@@ -131,13 +124,7 @@ class SharedMemoStats:
     evictions: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "cross_worker_hits": self.cross_worker_hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
+        return fields_to_json(self)
 
 
 class SharedMemoTable:
@@ -320,7 +307,6 @@ def workload_memo_scope(
             str(kernel_name),
             sorted((str(key), str(value)) for key, value in shapes.items()),
             sorted((str(key), str(value)) for key, value in config.items()),
-            measurement.warmup_iterations,
             measurement.measure_iterations,
             measurement.noise_std,
             measurement.seed,

@@ -43,12 +43,11 @@ class Autotuner:
         simulator: GPUSimulator | None = None,
         *,
         measurement: MeasurementConfig | None = None,
-        warmup_iterations: int = 100,
         measure_iterations: int = 100,
     ):
         self.simulator = simulator or GPUSimulator()
         self.measurement = measurement or MeasurementConfig(
-            warmup_iterations=warmup_iterations, measure_iterations=measure_iterations
+            measure_iterations=measure_iterations
         )
         self._cache: dict[str, AutotuneResult] = {}
 

@@ -3,15 +3,24 @@
 The cubin deploy-cache (§4.2 of the paper), autotuner cache and training
 statistics are stored as JSON so they are human-inspectable.  Numpy scalars
 and arrays are converted to plain Python types on the way out.
+
+The serving records (job records, reports, progress events, counters) are
+dataclasses whose JSON forms come from their fields alone, through
+:func:`fields_to_json` and :func:`fields_from_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 
 class _NumpyJSONEncoder(json.JSONEncoder):
@@ -45,3 +54,44 @@ def from_json_file(path: str | Path) -> Any:
 def to_json_str(obj: Any) -> str:
     """Serialize ``obj`` to a compact JSON string (used for cache keys)."""
     return json.dumps(obj, cls=_NumpyJSONEncoder, sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def fields_to_json(obj: Any, *, omit: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The JSON form of dataclass ``obj``: one key per field but ``omit``,
+    with enums as their values, tuples as lists and dicts copied, at any
+    depth."""
+    return {
+        name: _plain(getattr(obj, name))
+        for name in _field_names(type(obj))
+        if name not in omit
+    }
+
+
+def fields_from_json(cls: type[_T], payload: dict, **restore: Callable[[Any], Any]) -> _T:
+    """Rebuild dataclass ``cls`` from its :func:`fields_to_json` form.
+
+    Keys that name no field are ignored, so a form written before a field
+    was retired still loads; a missing key takes the field's default.
+    ``restore`` maps a field name to the callable that rebuilds its value
+    from JSON (``status=JobStatus``, ``rules=tuple``).
+    """
+    values = {name: payload[name] for name in _field_names(cls) if name in payload}
+    for name, rebuild in restore.items():
+        if name in values:
+            values[name] = rebuild(values[name])
+    return cls(**values)

@@ -39,7 +39,7 @@ _FAST = OptimizationConfig(
 _NO_CACHE = CacheConfig(enabled=False)
 #: Fast-backoff retry policy so crash/retry round-trips stay test-sized.
 _RETRY = ServeConfig(
-    retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
+    retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 )
 
 #: Cross-thread signals for the checkpoint-then-block test strategy.
@@ -202,6 +202,39 @@ def test_retry_exhaustion_surfaces_failed_report():
             assert queue.stats["retries"] == 2
             assert queue.stats["worker_failures"] == 3
         assert pool.workers[0].restarts == 3  # every crash respawned the session
+
+
+def _job_in_backoff(pool, before):
+    """Submit a job whose first run crashes and whose retry waits 30 s; return
+    its queue and handle once the ``retrying`` event is out, and the names of
+    the threads started since ``before``."""
+    plan = FaultPlan().crash_worker(0, after_evals=1)
+    serve = ServeConfig(retry=RetryPolicy(max_attempts=2, backoff_base_s=30.0))
+    queue = pool.serve(serve, faults=plan)
+    handle = queue.submit("softmax")
+    retrying = next(event for event in handle.subscribe() if event.kind == "retrying")
+    assert retrying.attempt == 1 and handle.status is JobStatus.QUEUED
+    started = {thread.name for thread in threading.enumerate() if thread not in before}
+    return queue, handle, started
+
+
+def test_retry_backoff_waits_in_the_pending_queue():
+    """A job in backoff waits in the one pending deque: no thread of its
+    own, and it counts as pending."""
+    with _pool() as pool:
+        queue, handle, started = _job_in_backoff(pool, set(threading.enumerate()))
+        with queue:
+            assert started == {f"serve-{worker.name}" for worker in pool.workers}
+            assert queue.metrics()["queue"]["pending"] == 1
+
+
+def test_cancel_during_backoff_ends_the_job_at_once():
+    with _pool() as pool:
+        queue, handle, _started = _job_in_backoff(pool, set(threading.enumerate()))
+        with queue:
+            assert handle.cancel()
+            assert handle.done() and handle.status is JobStatus.CANCELLED
+            assert queue.metrics()["queue"]["pending"] == 0
 
 
 def test_user_errors_are_not_retried():

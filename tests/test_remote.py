@@ -122,6 +122,32 @@ def test_job_record_dict_roundtrip():
     assert clone.invalidation_rules == ("V101",)
 
 
+def test_fully_populated_records_round_trip_through_json():
+    """Every field survives ``as_dict``/``from_dict`` and ``summary``/
+    ``from_summary``, through JSON text too; a retired key is ignored."""
+    record = JobRecord(
+        job_id="j00042", kernel="softmax", backend="A30-24GB-PCIe",
+        status=JobStatus.FAILED, worker="w2:A30-24GB-PCIe", cost=2.5,
+        from_store=True, measured=7, submitted_at=100.25, started_at=101.5,
+        finished_at=102.75, error="WorkerCrash: boom", cache_key="k-1",
+        tenant="alice", invalidation_rules=("V101", "V202"), replayed=True,
+        attempt=2, resumed=True,
+    )
+    report = dataclasses.replace(
+        _done_report(), verified=False, error="VerifyError: no",
+        diagnostics=({"rule": "V101", "severity": "error", "message": "m"},),
+        details={"elapsed_s": 1.0},
+    )
+    assert JobRecord.from_dict(record.as_dict()) == record
+    assert JobRecord.from_dict(json.loads(record.to_json())) == record
+    assert JobRecord.from_dict({**record.as_dict(), "stolen": True}) == record
+    assert RunReport.from_summary(report.summary()) == report
+    assert RunReport.from_summary(json.loads(report.to_json())) == report
+    assert set(report.summary()) == {
+        field.name for field in dataclasses.fields(RunReport)
+    } - {"details", "artifact"} | {"speedup"}
+
+
 # ---------------------------------------------------------------------------
 # Journal: replay, corruption, compaction
 # ---------------------------------------------------------------------------
@@ -1051,6 +1077,71 @@ def test_http_timed_out_request_leaves_the_next_one_working(http_stack, accepted
     assert len(accepted) == 2
     _GATE.set()
     blocker.result(timeout=300)
+
+
+@pytest.fixture()
+def handler_threads(monkeypatch):
+    """The server threads that took a connection, in order."""
+    threads = []
+    setup = server_module._Handler.setup
+
+    def recording_setup(handler):
+        threads.append(threading.current_thread())
+        setup(handler)
+
+    monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+    return threads
+
+
+def _long_polls(url: str, job_id: str, count: int) -> list:
+    """``count`` raw connections, each long-polling ``job_id``'s result for 30 s."""
+    address = urlsplit(url)
+    connections = []
+    for _ in range(count):
+        connection = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+        connection.request("GET", f"/v1/jobs/{job_id}/result?timeout=30")
+        connections.append(connection)
+    return connections
+
+
+def _settles(predicate, within_s: float) -> bool:
+    deadline = time.monotonic() + within_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_http_abandoned_long_polls_free_their_threads(tmp_path, handler_threads):
+    """A long-poll whose client vanished, or whose server closed, ends its
+    server thread within one poll slice instead of the whole timeout."""
+    remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
+    slice_and_margin = server_module._POLL_SLICE_S + 1.0
+
+    def busy() -> int:
+        return sum(thread.is_alive() for thread in handler_threads)
+
+    with _single_worker_pool() as pool, RemoteApp(pool, remote=remote) as app:
+        blocker = app.submit({"kernel": "softmax", "strategy": "remote-block"})
+        assert _STARTED.wait(timeout=30)
+        polls = []
+        try:
+            with RemoteServer(app) as server:
+                polls = _long_polls(server.url, blocker.job_id, 4)
+                assert _settles(lambda: busy() == 4, 10)
+                for connection in polls:
+                    connection.close()  # the clients vanish mid-poll
+                assert _settles(lambda: busy() == 0, slice_and_margin)
+
+                polls = _long_polls(server.url, blocker.job_id, 4)
+                assert _settles(lambda: busy() == 4, 10)
+            assert _settles(lambda: busy() == 0, slice_and_margin)
+            assert app.status(blocker.job_id).status is JobStatus.RUNNING
+        finally:
+            for connection in polls:
+                connection.close()
+            _GATE.set()  # let the blocked job finish before the app closes
 
 
 def test_client_close_ends_every_thread_connection(http_stack, accepted):
