@@ -61,25 +61,34 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(field.name for field in dataclasses.fields(cls))
 
 
+#: Types whose values are their own JSON form.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
+        return dict(value)
     return value
 
 
 def fields_to_json(obj: Any, *, omit: tuple[str, ...] = ()) -> dict[str, Any]:
     """The JSON form of dataclass ``obj``: one key per field but ``omit``,
-    with enums as their values, tuples as lists and dicts copied, at any
-    depth."""
-    return {
-        name: _plain(getattr(obj, name))
-        for name in _field_names(type(obj))
-        if name not in omit
-    }
+    with enums as their values, tuples as lists (their items converted too)
+    and dicts copied."""
+    form = {}
+    for name in _field_names(type(obj)):
+        if name not in omit:
+            value = getattr(obj, name)
+            # Most fields are scalars: skip the call (every served request
+            # builds a record and a report summary).
+            form[name] = value if type(value) in _SCALARS else _plain(value)
+    return form
 
 
 def fields_from_json(cls: type[_T], payload: dict, **restore: Callable[[Any], Any]) -> _T:
