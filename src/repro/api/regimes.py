@@ -5,10 +5,10 @@ wants to sweep *regimes* — deterministic vs. noisy measurement, full-length
 vs. quick smoke protocols — without every consumer hand-building
 :class:`~repro.api.config.MeasurementPolicy` objects.  The simulator is
 deterministic and runs no warm-up launches, so a regime sets only the timed
-launches (the noise draws averaged per timing), the noise and its seed.  Regimes live in
-:data:`REGIMES`, a :class:`repro.utils.registry.Registry`: canonical names,
-case-insensitive aliases, tag-filtered enumeration.  The scenario layer
-(:mod:`repro.scenarios`) references regimes by name.
+launches (the noise draws averaged per timing), the noise and its seed.
+Regimes live in :data:`REGIMES`, a :class:`repro.utils.registry.Registry`:
+canonical names, case-insensitive aliases, tag-filtered enumeration.  The
+scenario layer (:mod:`repro.scenarios`) references regimes by name.
 """
 
 from __future__ import annotations

@@ -46,9 +46,7 @@ class Autotuner:
         measure_iterations: int = 100,
     ):
         self.simulator = simulator or GPUSimulator()
-        self.measurement = measurement or MeasurementConfig(
-            measure_iterations=measure_iterations
-        )
+        self.measurement = measurement or MeasurementConfig(measure_iterations=measure_iterations)
         self._cache: dict[str, AutotuneResult] = {}
 
     def _key(self, spec: KernelSpec, shapes: dict) -> str:
