@@ -87,7 +87,7 @@ class RunReport:
         and strategy ``details`` are not part of the summary, so replayed
         reports carry ``artifact=None`` — deploys still resolve through the
         on-disk cubin cache, which persists independently.  ``speedup`` is
-        derived, so it is read back from the two times.
+        derived from the two times, so its key is ignored.
         """
         return fields_from_json(cls, summary, diagnostics=tuple)
 
