@@ -144,9 +144,10 @@ class JobRecord:
 
     Returned by :meth:`repro.serve.JobHandle.record` and
     :meth:`repro.serve.JobQueue.status`; the live state keeps moving, the
-    record does not.  These fields are the one declaration of a job's
-    observable state: the queue's live job carries them under the same
-    names, and the journal and the HTTP front door carry :meth:`as_dict`.
+    record does not.  These fields are a job's observable state.  The
+    queue's live job repeats them first, under the same names (a new field
+    goes there too); every JSON form, which the journal and the HTTP front
+    door carry, derives from them.
     """
 
     #: Queue-unique job id (``j00042``).

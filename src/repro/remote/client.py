@@ -51,6 +51,17 @@ def _raise_for_error(status: int, payload: dict) -> None:
     raise RemoteError(message, status=status, payload=payload)
 
 
+def socket_readable(sock) -> bool:
+    """Whether ``sock`` holds bytes or EOF to read now, without blocking.
+
+    ``poll``, not ``select``: it takes descriptors past ``FD_SETSIZE``.
+    The server's long-poll uses it too, to tell that its client left.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 def _closed_by_server(connection: http.client.HTTPConnection) -> bool:
     """Whether an idle kept-alive connection can no longer be used.
 
@@ -58,11 +69,7 @@ def _closed_by_server(connection: http.client.HTTPConnection) -> bool:
     readable holds either EOF (the server closed it: restart, shutdown) or
     bytes nobody asked for; both mean reopen.
     """
-    if connection.sock is None:
-        return False
-    poller = select.poll()
-    poller.register(connection.sock, select.POLLIN)
-    return bool(poller.poll(0))
+    return connection.sock is not None and socket_readable(connection.sock)
 
 
 class RemoteJobHandle:

@@ -48,13 +48,14 @@ ends every open connection instead.
 A ``/result`` long-poll waits in slices of :data:`_POLL_SLICE_S`.  Between
 slices it checks that its client is still connected and the server still
 open, so an abandoned poll frees its thread within one slice, and so does
-every poll when the server closes.
+every poll when the server closes.  A ``timeout`` that is not a finite
+number answers 400.
 """
 
 from __future__ import annotations
 
 import json
-import select
+import math
 import socket
 import threading
 import time
@@ -63,6 +64,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import AdmissionError
 from repro.remote.app import RemoteApp
+from repro.remote.client import socket_readable
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_json_str
 
@@ -207,6 +209,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"job": app.status(job_id).as_dict()})
         elif action == ["result"] and method == "GET":
             timeout = float(query.get("timeout", ["0"])[0])
+            if not math.isfinite(timeout):
+                raise ValueError(f"'timeout' must be a finite number, got {timeout!r}")
             timeout = min(timeout, app.remote_config.result_timeout_s)
             record, report = self._long_poll(job_id, timeout)
             self._send_json(
@@ -245,8 +249,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _client_gone(self) -> bool:
         """Whether the client's end of the connection reads as closed."""
         try:
-            readable, _, _ = select.select([self.connection], [], [], 0)
-            return bool(readable) and not self.connection.recv(1, socket.MSG_PEEK)
+            return socket_readable(self.connection) and not self.connection.recv(
+                1, socket.MSG_PEEK
+            )
         except OSError:
             return True
 

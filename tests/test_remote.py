@@ -1,9 +1,11 @@
 """Tests for the remote serving layer: journal, quotas, GC, HTTP front door."""
 
 import dataclasses
+import fcntl
 import gc
 import http.client
 import json
+import resource
 import socket
 import threading
 import time
@@ -33,6 +35,7 @@ from repro.remote import (
     TenantQuota,
 )
 from repro.remote import server as server_module
+from repro.remote.client import socket_readable
 
 _FAST = OptimizationConfig(
     strategy="greedy", scale="test", search_budget=12, episode_length=8,
@@ -146,6 +149,18 @@ def test_fully_populated_records_round_trip_through_json():
     assert set(report.summary()) == {
         field.name for field in dataclasses.fields(RunReport)
     } - {"details", "artifact"} | {"speedup"}
+
+
+def test_live_job_repeats_the_record_fields_first():
+    """The queue's mutable ``_Job`` cannot derive from the frozen
+    ``JobRecord``, so it repeats its fields; ``record()`` and the journal
+    restore copy them by name and need them first, in the same order."""
+    from repro.serve.queue import _Job
+
+    declared = [(field.name, field.type) for field in dataclasses.fields(JobRecord)]
+    assert [(field.name, field.type) for field in dataclasses.fields(_Job)][
+        : len(declared)
+    ] == declared
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +977,17 @@ def test_http_stream_drop_fault(tmp_path):
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def accepted(monkeypatch):
-    """Client addresses of the connections the server accepts, in order."""
-    addresses = []
+    """``(client address, server thread)`` of each connection the server
+    accepts, in order."""
+    connections = []
     setup = server_module._Handler.setup
 
-    def counting_setup(handler):
-        addresses.append(handler.client_address)
+    def recording_setup(handler):
+        connections.append((handler.client_address, threading.current_thread()))
         setup(handler)
 
-    monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
-    return addresses
+    monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+    return connections
 
 
 def test_http_keepalive_one_connection_per_thread(http_stack, accepted):
@@ -1079,18 +1095,24 @@ def test_http_timed_out_request_leaves_the_next_one_working(http_stack, accepted
     blocker.result(timeout=300)
 
 
-@pytest.fixture()
-def handler_threads(monkeypatch):
-    """The server threads that took a connection, in order."""
-    threads = []
-    setup = server_module._Handler.setup
-
-    def recording_setup(handler):
-        threads.append(threading.current_thread())
-        setup(handler)
-
-    monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
-    return threads
+@pytest.mark.parametrize("timeout", ["nan", "inf"])
+def test_http_result_refuses_a_timeout_that_is_not_finite(http_stack, timeout):
+    """``?timeout=nan`` would make every deadline check false and spin the
+    long-poll without waiting; a non-finite timeout answers 400 at once."""
+    client, _app = http_stack
+    blocker = client.submit("softmax", strategy="remote-block")
+    assert _STARTED.wait(timeout=30)
+    try:
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="finite"):
+            client._request(
+                "GET", f"/v1/jobs/{blocker.job_id}/result", query={"timeout": timeout}
+            )
+        assert time.monotonic() - started < server_module._POLL_SLICE_S
+        assert client.status(blocker.job_id).status is JobStatus.RUNNING
+    finally:
+        _GATE.set()
+    blocker.result(timeout=300)
 
 
 def _long_polls(url: str, job_id: str, count: int) -> list:
@@ -1113,14 +1135,14 @@ def _settles(predicate, within_s: float) -> bool:
     return True
 
 
-def test_http_abandoned_long_polls_free_their_threads(tmp_path, handler_threads):
+def test_http_abandoned_long_polls_free_their_threads(tmp_path, accepted):
     """A long-poll whose client vanished, or whose server closed, ends its
     server thread within one poll slice instead of the whole timeout."""
     remote = RemoteConfig(journal_path=tmp_path / "j.jsonl")
     slice_and_margin = server_module._POLL_SLICE_S + 1.0
 
     def busy() -> int:
-        return sum(thread.is_alive() for thread in handler_threads)
+        return sum(thread.is_alive() for _address, thread in accepted)
 
     with _single_worker_pool() as pool, RemoteApp(pool, remote=remote) as app:
         blocker = app.submit({"kernel": "softmax", "strategy": "remote-block"})
@@ -1142,6 +1164,19 @@ def test_http_abandoned_long_polls_free_their_threads(tmp_path, handler_threads)
             for connection in polls:
                 connection.close()
             _GATE.set()  # let the blocked job finish before the app closes
+
+
+def test_socket_readable_takes_descriptors_past_fd_setsize():
+    """``select.select`` refuses a descriptor at or above FD_SETSIZE (1024),
+    and a server with many kept-alive connections hands those out."""
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= 1100:
+        pytest.skip("the open-file limit is too low for a descriptor past 1024")
+    near, far = socket.socketpair()
+    high = socket.socket(fileno=fcntl.fcntl(near.fileno(), fcntl.F_DUPFD, 1100))
+    with near, far, high:
+        assert not socket_readable(high)
+        far.sendall(b"x")
+        assert socket_readable(high)
 
 
 def test_client_close_ends_every_thread_connection(http_stack, accepted):
