@@ -77,11 +77,10 @@ _RECORD_FIELDS = tuple(field.name for field in fields(JobRecord))
 class _Job:
     """Mutable queue-internal job state; callers see it through JobHandle.
 
-    The first fields repeat :class:`JobRecord`'s, under the same names and
-    in the same order (a mutable dataclass cannot derive from a frozen
-    one), so a new record field is added here too.  :meth:`record` and the
-    journal restore copy them by :data:`_RECORD_FIELDS`.  The rest only the
-    queue reads.
+    The first fields repeat :class:`JobRecord`'s, under the same names (a
+    mutable dataclass cannot derive from a frozen one), so a new record
+    field is added here too.  :meth:`record` and the journal restore copy
+    them by :data:`_RECORD_FIELDS`.  The rest only the queue reads.
     """
 
     job_id: str

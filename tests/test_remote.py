@@ -151,16 +151,15 @@ def test_fully_populated_records_round_trip_through_json():
     } - {"details", "artifact"} | {"speedup"}
 
 
-def test_live_job_repeats_the_record_fields_first():
+def test_live_job_repeats_the_record_fields():
     """The queue's mutable ``_Job`` cannot derive from the frozen
-    ``JobRecord``, so it repeats its fields; ``record()`` and the journal
-    restore copy them by name and need them first, in the same order."""
+    ``JobRecord``, so it repeats its fields, which ``record()`` and the
+    journal restore copy by name."""
     from repro.serve.queue import _Job
 
-    declared = [(field.name, field.type) for field in dataclasses.fields(JobRecord)]
-    assert [(field.name, field.type) for field in dataclasses.fields(_Job)][
-        : len(declared)
-    ] == declared
+    declared = {field.name: field.type for field in dataclasses.fields(JobRecord)}
+    live = {field.name: field.type for field in dataclasses.fields(_Job)}
+    assert {name: live.get(name) for name in declared} == declared
 
 
 # ---------------------------------------------------------------------------
