@@ -31,6 +31,7 @@ from repro.sim.measure_service import (
     MeasurementPolicy,
     MeasurementStats,
     create_measurement_service,
+    listing_memo_scope,
     workload_memo_scope,
 )
 from repro.sim.program import decode_program
@@ -51,7 +52,14 @@ class EpisodeRecord:
 
 
 class AssemblyGame(Env):
-    """Gym-style environment that mutates a SASS schedule and measures it."""
+    """Gym-style environment that mutates a SASS schedule and measures it.
+
+    Under a pool's shared memo table, the measurement service stores a
+    candidate the seed's verifier admits under the seed listing's scope, so
+    every workload that compiles to the same listing reuses its timings;
+    any other candidate is stored under this workload's scope.  The
+    verifier is built before the service, which binds its ``is_legal``.
+    """
 
     def __init__(
         self,
@@ -68,20 +76,40 @@ class AssemblyGame(Env):
         self.episode_length = int(episode_length)
         policy = policy or MeasurementPolicy()
         self.inputs = inputs if inputs is not None else compiled.make_inputs(input_seed)
-        memo_scope = ""
+        self.initial_kernel: SassKernel = compiled.kernel
+        # Warm the decoded-program cache for the -O3 schedule: the baseline
+        # measurement below and every mutated candidate (which shares almost
+        # all instruction objects with the baseline) decode against it.
+        decode_program(self.initial_kernel)
+        #: The seed listing's shared verifier; the searches prune
+        #: statically-illegal candidates with its
+        #: :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal` fast path
+        #: before measuring them, and the measurement service keys the
+        #: shared memo with it.
+        self.verifier: ScheduleVerifier = seed_verifier(self.initial_kernel)
+        memo_scope = listing_scope = ""
         if policy.shared_memo is not None and inputs is not None:
             # Explicit input tensors are not captured by the workload scope
             # key, so cross-session sharing could alias distinct workloads;
             # fall back to a private memo for this env.
             policy = replace(policy, shared_memo=None, memoize=True)
         elif policy.shared_memo is not None:
+            measurement = policy.to_measurement_config()
             memo_scope = workload_memo_scope(
                 self.simulator.config.name,
                 compiled.kernel.metadata.name,
                 compiled.shapes,
                 compiled.config,
-                policy.to_measurement_config(),
+                measurement,
                 input_seed,
+            )
+            listing_scope = listing_memo_scope(
+                self.simulator,
+                self.initial_kernel,
+                compiled.grid,
+                self.inputs,
+                compiled.param_order,
+                measurement,
             )
         self.measure_service = create_measurement_service(
             self.simulator,
@@ -90,20 +118,13 @@ class AssemblyGame(Env):
             compiled.param_order,
             policy,
             memo_scope=memo_scope,
+            listing_scope=listing_scope,
+            is_legal=self.verifier.is_legal,
         )
 
-        # Pre-game static analysis on the -O3 schedule (§3.2).
-        self.initial_kernel: SassKernel = compiled.kernel
-        # Warm the decoded-program cache for the -O3 schedule: the baseline
-        # measurement below and every mutated candidate (which shares almost
-        # all instruction objects with the baseline) decode against it.
-        decode_program(self.initial_kernel)
+        # Pre-game static analysis on the -O3 schedule (§3.2), reading the
+        # verifier's graph.
         self.analysis: PreGameAnalysis = run_pre_game_analysis(self.initial_kernel)
-        #: The seed listing's shared verifier, whose graph the pre-game
-        #: analysis read; the searches prune statically-illegal candidates
-        #: with its :meth:`~repro.analysis.verify.ScheduleVerifier.is_legal`
-        #: fast path before measuring them.
-        self.verifier: ScheduleVerifier = seed_verifier(self.initial_kernel)
         if not self.analysis.candidate_indices:
             raise EnvironmentError_(
                 f"kernel {self.initial_kernel.metadata.name!r} has no actionable memory instructions"

@@ -19,8 +19,9 @@ Workers are isolated where it matters and shared where it pays:
 * each worker's cubin cache lives in a per-backend subdirectory, so deploy
   artifacts of different GPU targets never collide on disk;
 * all workers share one :class:`~repro.sim.measure_service.SharedMemoTable`,
-  so a schedule measured by one worker is a memo hit for every sibling on
-  the same workload;
+  so a schedule measured by one worker is a memo hit for every sibling
+  measuring it on the same listing (a verifier-legal schedule) or the same
+  workload (any other);
 * a job that raises becomes a failed ``RunReport`` in its input-order slot
   without poisoning sibling workers, matching ``Session.optimize_many``'s
   ``on_error="report"/"raise"`` semantics pool-wide.

@@ -14,6 +14,7 @@ from repro.sim.measure_service import (
     MeasurementStats,
     SharedMemoTable,
     create_measurement_service,
+    listing_memo_scope,
     workload_memo_scope,
 )
 from repro.sim.memory import (
@@ -43,6 +44,7 @@ __all__ = [
     "MeasurementStats",
     "SharedMemoTable",
     "create_measurement_service",
+    "listing_memo_scope",
     "workload_memo_scope",
     "GridConfig",
     "LaunchContext",

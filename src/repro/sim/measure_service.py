@@ -16,7 +16,12 @@ constantly (the committing step, reverted swaps, shared prefixes), so a
 table lookup replaces a full timing simulation.  ``memoize=True`` gives the
 service a private :class:`SharedMemoTable`; a :class:`~repro.pool.SessionPool`
 hands every worker one shared table instead, with entries namespaced by a
-workload *scope* key.  The per-``(seed, schedule)`` noise streams of
+*scope* key.  A candidate the seed's verifier admits is stored under the
+*listing* scope (:func:`listing_memo_scope`), which every workload compiling
+to the same SASS listing shares: shapes are baked into the listing, so keys
+that differ only in their launch grid time the same schedules alike.  Any
+other candidate is stored under its *workload* scope
+(:func:`workload_memo_scope`).  The per-``(seed, schedule)`` noise streams of
 :meth:`GPUSimulator.measure` keep memoization semantics-preserving even under
 synthetic measurement noise.
 """
@@ -27,11 +32,15 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.sass.kernel import SassKernel
+from repro.sass.operands import ConstantMemoryOperand
 from repro.sim.gpu import GPUSimulator, KernelTiming, MeasurementConfig
-from repro.sim.launch import GridConfig
+from repro.sim.launch import PARAM_BASE_OFFSET, GridConfig
+from repro.sim.program import decode_program
 from repro.utils.serialization import fields_to_json
 
 
@@ -133,10 +142,11 @@ class SharedMemoTable:
     A service with ``memoize=True`` owns a private one; a
     :class:`~repro.pool.SessionPool` hands all its workers one table, so a
     schedule measured by one worker is a hit for every sibling measuring the
-    same workload.  Keys are ``scope | schedule-digest``, where the scope
-    (see :func:`workload_memo_scope`) pins the GPU target, workload and
-    measurement protocol: a hit is only possible when the memoized timing
-    would be bit-identical for the requester.
+    same listing.  Keys are ``scope | schedule-digest``, where the scope is
+    the listing's (see :func:`listing_memo_scope`) for a verifier-legal
+    candidate and the workload's (see :func:`workload_memo_scope`) for any
+    other: a hit is only possible when the memoized timing would be
+    bit-identical for the requester.
 
     Two owners racing on the same unmeasured schedule may both simulate it;
     :meth:`put` keeps the first timing, so every requester converges on one
@@ -204,6 +214,10 @@ class MeasurementService:
     after every candidate with the cumulative count.  A candidate whose
     simulation raises is counted as submitted and measured, leaves no memo
     entry and raises again on its next measurement.
+
+    With a ``listing_scope``, a candidate that ``is_legal`` (the seed
+    verifier's pre-filter) admits is memoized under the listing scope, and
+    any other candidate under ``memo_scope``.
     """
 
     def __init__(
@@ -215,10 +229,14 @@ class MeasurementService:
         policy: MeasurementPolicy | None = None,
         *,
         memo_scope: str = "",
+        listing_scope: str = "",
+        is_legal: Callable[[SassKernel], bool] | None = None,
     ):
         policy = policy or MeasurementPolicy()
         if policy.shared_memo is not None and not memo_scope:
             raise ValueError("shared_memo requires a memo_scope identifying the workload")
+        if listing_scope and is_legal is None:
+            raise ValueError("a listing_scope requires the seed verifier's is_legal")
         self.simulator = simulator
         self.grid = grid
         self.tensors = tensors
@@ -232,6 +250,8 @@ class MeasurementService:
         if self.table is None and policy.memoize:
             self.table = SharedMemoTable(max_entries=4096)
         self.scope = memo_scope
+        self.listing_scope = listing_scope
+        self.is_legal = is_legal
         self.owner = policy.memo_owner
         self._lock = threading.Lock()
         # The workload's tensors are bound into a launch context once per
@@ -250,6 +270,8 @@ class MeasurementService:
 
     def _key(self, candidate: SassKernel) -> str:
         digest = candidate.content_digest()
+        if self.listing_scope and self.is_legal(candidate):
+            return f"{self.listing_scope}|{digest}"
         return f"{self.scope}|{digest}" if self.scope else digest
 
     def measure(self, candidate: SassKernel) -> KernelTiming:
@@ -298,7 +320,9 @@ def workload_memo_scope(
     bit-identical for both, so the scope covers everything the measurement
     depends on besides the candidate schedule itself: the GPU target, the
     workload and its shapes/config (they determine the input tensors together
-    with ``input_seed``) and the measurement protocol.
+    with ``input_seed``) and the measurement protocol.  It keys the
+    candidates the seed's verifier rejects; legal ones share the wider
+    :func:`listing_memo_scope`.
     """
     measurement = measurement or MeasurementConfig()
     canonical = repr(
@@ -316,6 +340,63 @@ def workload_memo_scope(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def listing_memo_scope(
+    simulator: GPUSimulator,
+    seed: SassKernel,
+    grid: GridConfig,
+    tensors: dict,
+    param_order: list[str],
+    measurement: MeasurementConfig | None = None,
+) -> str:
+    """Scope key shared by every workload that compiles to ``seed``'s listing.
+
+    It keys the timings of the candidates the seed's verifier admits, which
+    compute the seed's in-bounds addresses in some order.  Such a timing
+    reads a tensor's address only through its 128-byte line
+    (:meth:`~repro.sim.memory.MemoryTimingModel.request_latency`), and
+    allocations are 256-byte aligned and disjoint, so where the tensors sit
+    cannot move it.  The scope covers what can: the GPU target and the
+    measurement protocol, as :func:`workload_memo_scope` does; the listing,
+    its block size and shared-memory bytes; the launch's wave count; which
+    parameter slots hold pointers (the service binds no scalars); the grid,
+    but only when the listing reads a launch dimension from constant bank 0;
+    and the input tensors, but only when loaded values reach the timing
+    (:attr:`~repro.sim.program.TimingSlice.load_fed`).
+    """
+    measurement = measurement or MeasurementConfig()
+    reads_launch_dims = any(
+        isinstance(operand, ConstantMemoryOperand)
+        and operand.bank == 0
+        and operand.offset < PARAM_BASE_OFFSET
+        for instr in seed.instructions
+        for operand in instr.operands
+    )
+    inputs = None
+    if decode_program(seed).timing_slice.load_fed:
+        hasher = hashlib.sha256()
+        for name in sorted(tensors):
+            array = np.ascontiguousarray(tensors[name])
+            hasher.update(repr((name, array.dtype.str, array.shape)).encode("utf-8"))
+            hasher.update(array.tobytes())
+        inputs = hasher.hexdigest()
+    canonical = repr(
+        (
+            str(simulator.config.name),
+            seed.content_digest(),
+            grid.num_warps,
+            seed.metadata.shared_memory_bytes,
+            simulator.occupancy_waves(seed, grid),
+            tuple(name in tensors for name in param_order),
+            grid.grid if reads_launch_dims else None,
+            inputs,
+            measurement.measure_iterations,
+            measurement.noise_std,
+            measurement.seed,
+        )
+    )
+    return "listing:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def create_measurement_service(
     simulator: GPUSimulator,
     grid: GridConfig,
@@ -324,13 +405,24 @@ def create_measurement_service(
     policy: MeasurementPolicy | None = None,
     *,
     memo_scope: str = "",
+    listing_scope: str = "",
+    is_legal: Callable[[SassKernel], bool] | None = None,
 ) -> MeasurementService:
     """Build the measurement service for one workload under ``policy``.
 
     ``policy.memoize`` gives the service a private memo table.  A
     ``policy.shared_memo`` implies memoization and requires ``memo_scope``
-    to namespace this workload's entries.
+    to namespace this workload's entries; a ``listing_scope`` (with the seed
+    verifier's ``is_legal``) shares the legal candidates' entries across
+    workloads of one listing.
     """
     return MeasurementService(
-        simulator, grid, tensors, param_order, policy, memo_scope=memo_scope
+        simulator,
+        grid,
+        tensors,
+        param_order,
+        policy,
+        memo_scope=memo_scope,
+        listing_scope=listing_scope,
+        is_legal=is_legal,
     )
